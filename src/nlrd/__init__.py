@@ -14,7 +14,6 @@ point -- every one of which is checked empirically by the test suite.
 
 __version__ = "0.1.0"
 
-from ._kernels import ENV_FLAG, NUMBA_AVAILABLE, USE_NUMBA, backend
 from .lattice import (
     Grid,
     RealField,
@@ -100,8 +99,6 @@ from .config import BuiltProblem, ConfigError, build_field, build_problem, load_
 
 __all__ = [
     "__version__",
-    # backend
-    "ENV_FLAG", "NUMBA_AVAILABLE", "USE_NUMBA", "backend",
     # lattice
     "Grid", "RealField", "SpectralField", "VectorField",
     "forward_transform", "inverse_transform",

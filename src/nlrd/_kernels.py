@@ -1,58 +1,46 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Non-FFT numeric kernels in plain numpy.
 
-The FFT work in this package stays on numpy.fft (numba cannot improve it);
-the kernels here cover the non-FFT inner loops: batched quadratic-form
-evaluation over lattice points and the brute-force periodic convolution
-oracle.
-
-Backend selection happens once at import time: numba is used when it is
-importable unless the environment variable ``NLRD_DISABLE_NUMBA`` is set to
-``1`` (or ``true``/``yes``).  ``backend()`` reports which path is active;
-``benchmarks/bench_kernels.py`` compares the two.
+Batched quadratic-form evaluation over lattice points (the quadratic
+nonlinearity's values and gradients) and the brute-force periodic
+convolution oracle.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
 
-ENV_FLAG = "NLRD_DISABLE_NUMBA"
-
-NUMBA_AVAILABLE = numba is not None
-_disabled = os.environ.get(ENV_FLAG, "").strip().lower() in ("1", "true", "yes")
-USE_NUMBA = NUMBA_AVAILABLE and not _disabled
-
-
-def backend() -> str:
-    """Name of the active kernel backend, ``"numba"`` or ``"numpy"``."""
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def quadratic_values_numpy(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
+def quadratic_values(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """Evaluate z^T A_m z for every point and component.
 
-    z: (P, N) points, mats: (N, N, N) stack of symmetric matrices.
-    Returns (P, N).
+    z: (P, N) points, mats: (N, N, N) stack of symmetric matrices.  Returns
+    (P, N), as the transpose of a component-major (N, P) array, so each
+    component's values are contiguous.  The form is summed term by term
+    over the products z_i z_j with i <= j, each off-diagonal term counted
+    twice; one product is live at a time, which bounds the extra memory.
     """
-    return np.einsum("pi,mij,pj->pm", z, mats, z, optimize=True)
+    P, N = z.shape
+    out = np.zeros((N, P))
+    zz = np.empty(P)
+    for i in range(N):
+        for j in range(i, N):
+            np.multiply(z[:, i], z[:, j], out=zz)
+            for m in range(N):
+                coef = mats[m, i, i] if i == j else 2.0 * mats[m, i, j]
+                out[m] += coef * zz
+    return out.T
 
 
-def quadratic_gradients_numpy(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Gradients 2 A_m z of the quadratic forms; returns (P, N, N)."""
-    return 2.0 * np.einsum("mij,pj->pmi", mats, z, optimize=True)
+def quadratic_gradients(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Gradients 2 A_m z of the quadratic forms; returns (P, N, N).
+
+    Entry [p, m, i] is 2 sum_j A_m[i, j] z[p, j].
+    """
+    P, N = z.shape
+    return 2.0 * (z @ mats.reshape(N * N, N).T).reshape(P, N, N)
 
 
-def circular_convolve_numpy(h_disp: np.ndarray, g: np.ndarray) -> np.ndarray:
+def circular_convolve(h_disp: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Direct circular convolution out[j] = sum_{j'} h_disp[j - j'] g[j'].
 
     Both arrays are d-dimensional with matching shape; indices wrap on every
@@ -65,111 +53,3 @@ def circular_convolve_numpy(h_disp: np.ndarray, g: np.ndarray) -> np.ndarray:
         if w != 0.0:
             out += w * np.roll(h_disp, shift=src, axis=axes)
     return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @numba.njit(cache=True)
-    def _quadratic_values_jit(z, mats):  # pragma: no cover - exercised via wrapper
-        P, N = z.shape
-        out = np.empty((P, N))
-        for p in range(P):
-            for m in range(N):
-                acc = 0.0
-                for i in range(N):
-                    row = 0.0
-                    for j in range(N):
-                        row += mats[m, i, j] * z[p, j]
-                    acc += z[p, i] * row
-                out[p, m] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _quadratic_gradients_jit(z, mats):  # pragma: no cover
-        P, N = z.shape
-        out = np.empty((P, N, N))
-        for p in range(P):
-            for m in range(N):
-                for i in range(N):
-                    acc = 0.0
-                    for j in range(N):
-                        acc += mats[m, i, j] * z[p, j]
-                    out[p, m, i] = 2.0 * acc
-        return out
-
-    @numba.njit(cache=True)
-    def _circular_convolve_jit(h_flat, g_flat, dims):  # pragma: no cover
-        d = dims.size
-        P = h_flat.size
-        strides = np.empty(d, np.int64)
-        s = 1
-        for a in range(d - 1, -1, -1):
-            strides[a] = s
-            s *= dims[a]
-        idx = np.empty(d, np.int64)
-        out = np.zeros(P)
-        for j in range(P):
-            rem = j
-            for a in range(d):
-                idx[a] = rem // strides[a]
-                rem -= idx[a] * strides[a]
-            acc = 0.0
-            for jp in range(P):
-                if g_flat[jp] == 0.0:
-                    continue
-                rem = jp
-                off = 0
-                for a in range(d):
-                    q = rem // strides[a]
-                    rem -= q * strides[a]
-                    w = idx[a] - q
-                    if w < 0:
-                        w += dims[a]
-                    off += w * strides[a]
-                acc += h_flat[off] * g_flat[jp]
-            out[j] = acc
-        return out
-
-    def quadratic_values_numba(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        return _quadratic_values_jit(
-            np.ascontiguousarray(z, dtype=np.float64),
-            np.ascontiguousarray(mats, dtype=np.float64),
-        )
-
-    def quadratic_gradients_numba(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
-        return _quadratic_gradients_jit(
-            np.ascontiguousarray(z, dtype=np.float64),
-            np.ascontiguousarray(mats, dtype=np.float64),
-        )
-
-    def circular_convolve_numba(h_disp: np.ndarray, g: np.ndarray) -> np.ndarray:
-        dims = np.asarray(h_disp.shape, dtype=np.int64)
-        flat = _circular_convolve_jit(
-            np.ascontiguousarray(h_disp, dtype=np.float64).ravel(),
-            np.ascontiguousarray(g, dtype=np.float64).ravel(),
-            dims,
-        )
-        return flat.reshape(h_disp.shape)
-
-else:  # pragma: no cover
-    quadratic_values_numba = None
-    quadratic_gradients_numba = None
-    circular_convolve_numba = None
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    quadratic_values = quadratic_values_numba
-    quadratic_gradients = quadratic_gradients_numba
-    circular_convolve = circular_convolve_numba
-else:
-    quadratic_values = quadratic_values_numpy
-    quadratic_gradients = quadratic_gradients_numpy
-    circular_convolve = circular_convolve_numpy

@@ -31,7 +31,13 @@ from .bounds import (
     compute_bounds,
     validate_problem,
 )
-from .config import BuiltProblem, ConfigError, build_problem, load_config
+from .config import (
+    BuiltProblem,
+    ConfigError,
+    build_problem,
+    check_solver_settings,
+    load_config,
+)
 from .fieldio import write_field
 from .model import scale_nonlinearity
 from .solver import (
@@ -179,13 +185,14 @@ def _cmd_solve(args) -> int:
     built = _build(args)
     tol = args.tol if args.tol is not None else built.tol
     max_iter = args.max_iter if args.max_iter is not None else built.max_iter
+    check_solver_settings(tol, max_iter)
     t0 = time.perf_counter()
     error = None
     code = EXIT_OK
     try:
         rep = picard(
             built.problem, tol=tol, max_iter=max_iter,
-            budget=built.budget, seed=built.seed,
+            budget=built.budget, seed=built.seed, background=built.background,
         )
     except (MaxIterExceeded, DivergenceDetected) as err:
         rep = err.report
@@ -214,7 +221,9 @@ def _cmd_probe(args) -> int:
         return EXIT_REQUIREMENTS
     pairs = args.pairs
     seed = args.seed if args.seed is not None else built.seed
-    probe = contraction_probe(built.problem, pairs=pairs, seed=seed)
+    probe = contraction_probe(
+        built.problem, pairs=pairs, seed=seed, background=built.background
+    )
     margin = float(built.margins.get("contraction", 0.05))
     passed = probe.max_ratio <= theory.contraction_constant * (1.0 + margin)
     _emit(
@@ -248,7 +257,7 @@ def _cmd_continuity(args) -> int:
         rep = continuity_experiment(
             built.problem, g1, g2,
             tol=built.tol, max_iter=built.max_iter, margin=margin,
-            budget=built.budget, seed=built.seed,
+            budget=built.budget, seed=built.seed, background=built.background,
         )
     except AssumptionsNotValidated as err:
         _diag(str(err))

@@ -41,7 +41,7 @@ from typing import Any
 
 import numpy as np
 
-from . import _kernels, __version__
+from . import __version__
 from .bounds import coupling_threshold_raw, sobolev_embedding_constant
 from .fieldio import read_field
 from .lattice import Grid, RealField, VectorField, norm_h4_vector
@@ -95,6 +95,14 @@ def load_config(path: str | Path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return cfg
+
+
+def check_solver_settings(tol: float, max_iter: int) -> None:
+    """Reject a tolerance that is not positive or an empty iteration budget."""
+    if not tol > 0.0:
+        raise ConfigError(f"solver tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ConfigError(f"solver max_iter must be >= 1, got {max_iter}")
 
 
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
@@ -201,6 +209,9 @@ def build_problem(
         budget = int(solver_sec.get("budget", DEFAULT_C2_BUDGET))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad scalar setting: {err}") from err
+    check_solver_settings(tol, max_iter)
+    if budget < 1:
+        raise ConfigError(f"solver.budget must be >= 1, got {budget}")
 
     kernels = _build_fields(grid, cfg, "kernels")
     forcings = _build_fields(grid, cfg, "forcings")
@@ -301,7 +312,6 @@ def build_problem(
 
     resolved = {
         "version": __version__,
-        "backend": _kernels.backend(),
         "grid": {"d": grid.d, "n": grid.n, "L": grid.L},
         "n_components": g.N,
         "rho": rho,

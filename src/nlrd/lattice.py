@@ -17,11 +17,26 @@ under which the discrete Parseval identity
 
     h^d sum_j |f(x_j)|^2 = dp^d sum_k |F(p_k)|^2
 
-holds exactly.  Spectral coefficients are stored in numpy FFT order on a
-d-dimensional array; physical samples are stored flat (row-major over axes).
-The index shuffles below (ifftshift before the forward FFT, fftshift after
-the inverse) realign numpy's j = 0..n-1 / k = 0..n-1 layout with the centred
-x_j and p_k lattices; they are exact for even n.
+holds exactly.  Physical samples are stored flat (row-major over axes) in
+their natural layout, j = 0 .. n-1; a vector field inside the solver is a
+component-major stack of shape (N, *grid.shape).
+
+Two coefficient layouts exist:
+
+* The solver path (``forward_coeffs`` / ``inverse_values`` /
+  ``h4_norm_sq_coeffs``) keeps the unitary half spectrum ``rfftn`` of the
+  natural-layout samples, shape ``grid.half_shape``, with no index shifts.
+  Since x_j = -L + j h and p_k L = pi k, entry k equals F(p_k) times
+  (-1)^(k_1 + ... + k_d).  The sign cancels in every norm, and in a
+  convolution once the kernel is put in displacement order
+  (``rfftn(ifftshift(K))``, see :mod:`nlrd.spectral`).  Norms sum over the
+  full lattice through Hermitian weights: 1 on the last-axis modes 0 and
+  n/2, 2 on the others, which stand for their conjugate partners.
+* The public ``forward_transform`` / ``inverse_transform`` /
+  :class:`SpectralField` give the full complex F(p_k) in numpy FFT order;
+  the ifftshift before the forward FFT and the fftshift after the inverse
+  realign numpy's j = 0..n-1 layout with the centred x_j lattice (exact for
+  even n).  No solver path uses them.
 
 H^4 norms are computed spectrally with the weight 1 + |p|^8.
 """
@@ -71,6 +86,11 @@ class Grid:
         return (self.n,) * self.d
 
     @property
+    def half_shape(self) -> tuple[int, ...]:
+        """Shape of the half spectrum ``rfftn`` keeps: n/2 + 1 on the last axis."""
+        return (self.n,) * (self.d - 1) + (self.n // 2 + 1,)
+
+    @property
     def npoints(self) -> int:
         return self.n**self.d
 
@@ -105,6 +125,37 @@ def h4_weight(grid: Grid) -> np.ndarray:
     """Spectral H^4 weight 1 + |p|^8, FFT order."""
     q2 = squared_wavenumber(grid)
     return 1.0 + q2**4
+
+
+@functools.lru_cache(maxsize=16)
+def half_squared_wavenumber(grid: Grid) -> np.ndarray:
+    """|p|^2 on the half spectrum, shape ``grid.half_shape``."""
+    full = grid.axis_wavenumbers() ** 2
+    out = np.zeros(grid.half_shape)
+    for axis in range(grid.d):
+        q = full if axis < grid.d - 1 else full[: grid.n // 2 + 1]
+        shape = [1] * grid.d
+        shape[axis] = q.size
+        out = out + q.reshape(shape)
+    return out
+
+
+@functools.lru_cache(maxsize=16)
+def hermitian_weight(grid: Grid) -> np.ndarray:
+    """Multiplicity of each last-axis mode of the half spectrum.
+
+    1 on the modes 0 and n/2, which are their own conjugate partners, and 2
+    on the others, which also stand for the modes ``rfftn`` leaves out.
+    """
+    w = np.full(grid.n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    return w
+
+
+@functools.lru_cache(maxsize=16)
+def half_h4_weight(grid: Grid) -> np.ndarray:
+    """H^4 weight 1 + |p|^8 times the Hermitian multiplicity, half spectrum."""
+    return hermitian_weight(grid) * (1.0 + half_squared_wavenumber(grid) ** 4)
 
 
 @dataclass(frozen=True)
@@ -193,25 +244,39 @@ class VectorField:
 # transforms
 # ---------------------------------------------------------------------------
 
-def forward_coeffs(grid: Grid, flat_values: np.ndarray) -> np.ndarray:
-    """Forward transform of a flat sample buffer to FFT-order coefficients."""
-    scale = (_TWO_PI) ** (-grid.d / 2.0) * grid.h**grid.d
-    return scale * np.fft.fftn(np.fft.ifftshift(flat_values.reshape(grid.shape)))
+def _forward_scale(grid: Grid) -> float:
+    return _TWO_PI ** (-grid.d / 2.0) * grid.h**grid.d
+
+
+def _inverse_scale(grid: Grid) -> float:
+    # numpy's inverse transforms already divide by the number of points
+    return _TWO_PI ** (-grid.d / 2.0) * grid.dp**grid.d * grid.npoints
+
+
+def forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unitary half-spectrum coefficients of one component's samples.
+
+    ``values`` holds ``grid.npoints`` samples in natural layout, flat or of
+    shape ``grid.shape``.  Returns the scaled ``rfftn``, shape
+    ``grid.half_shape``, unshifted (see the module docstring).
+    """
+    out = np.fft.rfftn(np.reshape(values, grid.shape))
+    out *= _forward_scale(grid)
+    return out
 
 
 def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Inverse transform of FFT-order coefficients to a flat sample buffer.
-
-    Takes the real part without checking conjugate symmetry; use
-    :func:`inverse_transform` when the input is untrusted.
-    """
-    scale = (_TWO_PI) ** (-grid.d / 2.0) * grid.dp**grid.d * grid.npoints
-    return (scale * np.fft.fftshift(np.fft.ifftn(coeffs)).real).reshape(-1)
+    """Samples, shape ``grid.shape``, of half-spectrum coefficients."""
+    out = np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
+    out *= _inverse_scale(grid)
+    return out
 
 
 def forward_transform(f: RealField) -> SpectralField:
-    """Unitary forward transform of a sampled field."""
-    return SpectralField(f.grid, forward_coeffs(f.grid, f.values))
+    """Unitary forward transform of a sampled field, full spectrum, FFT order."""
+    g = f.grid
+    coeffs = _forward_scale(g) * np.fft.fftn(np.fft.ifftshift(f.reshaped()))
+    return SpectralField(g, coeffs)
 
 
 def inverse_transform(F: SpectralField, check_symmetry: bool = True) -> RealField:
@@ -231,7 +296,8 @@ def inverse_transform(F: SpectralField, check_symmetry: bool = True) -> RealFiel
                     "coefficients are not conjugate-symmetric "
                     f"(relative asymmetry {asym / scale:.3e})"
                 )
-    return RealField(g, inverse_values(g, c))
+    values = _inverse_scale(g) * np.fft.fftshift(np.fft.ifftn(c)).real
+    return RealField(g, values)
 
 
 def _reflect_modes(c: np.ndarray) -> np.ndarray:
@@ -261,16 +327,29 @@ def norm_linf(f: RealField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+def _weighted_sum_sq(grid: Grid, weight: np.ndarray, coeffs: np.ndarray) -> float:
+    abs_sq = coeffs.real**2
+    abs_sq += coeffs.imag**2
+    return float(grid.dp**grid.d * np.vdot(np.broadcast_to(weight, abs_sq.shape), abs_sq))
+
+
 def h4_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray) -> float:
-    """Squared H^4 norm dp^d sum (1 + |p|^8) |F|^2 from FFT-order coeffs."""
-    w = h4_weight(grid)
-    return float(grid.dp**grid.d * np.sum(w * (coeffs.real**2 + coeffs.imag**2)))
+    """Squared H^4 norm dp^d sum_k (1 + |p_k|^8) |F_k|^2 over the full lattice.
+
+    ``coeffs`` are half-spectrum coefficients from :func:`forward_coeffs`;
+    the sum over the missing half comes in through the Hermitian weights.
+    """
+    return _weighted_sum_sq(grid, half_h4_weight(grid), coeffs)
+
+
+def l2_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray) -> float:
+    """Squared L^2 norm dp^d sum_k |F_k|^2 from half-spectrum coefficients."""
+    return _weighted_sum_sq(grid, hermitian_weight(grid), coeffs)
 
 
 def norm_h4(f: RealField) -> float:
     """Sobolev H^4 norm, computed spectrally."""
-    F = forward_transform(f)
-    return float(np.sqrt(h4_norm_sq_coeffs(f.grid, F.coeffs)))
+    return float(np.sqrt(h4_norm_sq_coeffs(f.grid, forward_coeffs(f.grid, f.values))))
 
 
 def norm_l2_vector(u: VectorField) -> float:

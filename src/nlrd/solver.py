@@ -6,10 +6,23 @@ is the fixed point of
 
     T(v)_m = L^(-1) [ eps_m (H_m * g_m(u0 + v)) ],
 
-iterated from v = 0.  Each application fuses the convolution and the
-inverse of the diffusion operator in Fourier space (two FFTs per component
-per step; kernel transforms are cached), projecting out the zero mode of
-the right-hand side and recording the dropped mass.
+iterated from v = 0.
+
+Inside the solver a vector field is a component-major stack of real
+samples, shape (N, *grid.shape), in natural layout, and its coefficients
+are the unitary half spectra of :func:`nlrd.lattice.forward_coeffs`, shape
+(N, *grid.half_shape), with no index shifts.  Each kernel is transformed
+once in displacement order, rfftn(ifftshift(H_m)), which makes
+
+    T(v)_m = irfftn( M_m rfftn(g_m(u0 + v)) ),
+    M_m = eps_m (2 pi)^(d/2) H^_m / (|p|^2 + |p|^4),   M_m(0) = 0,
+
+exact for even n: two transforms per component per step.  The zero mode of
+the right-hand side is projected out and its mass recorded.  H^4 and L^2
+norms come from the half-spectrum coefficients with Hermitian weights.  The
+forcing, background and kernel coefficients are computed once per problem
+(:class:`_Context`) and reused by ``picard``, ``residual``,
+``contraction_probe`` and ``continuity_experiment``.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -23,6 +36,8 @@ a nonlinearity perturbation against its certified bound.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -41,13 +56,14 @@ from .lattice import (
     VectorField,
     forward_coeffs,
     h4_norm_sq_coeffs,
-    h4_weight,
+    half_squared_wavenumber,
     inverse_values,
+    l2_norm_sq_coeffs,
     norm_h4_vector,
     norm_l2_vector,
 )
 from .model import DEFAULT_C2_BUDGET, Nonlinearity, Problem, c2_gap
-from .spectral import inverse_symbol, operator_symbol, solve_linear
+from .spectral import half_operator_symbol, inverse_symbol, solve_linear
 
 _TWO_PI = 2.0 * np.pi
 
@@ -149,20 +165,91 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# fixed-point map
+# stacks and the problem context
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Context:
-    """Cached spectral data for repeated applications of the map."""
+def _stack(u: VectorField) -> np.ndarray:
+    """Component-major samples (N, *grid.shape) of a vector field."""
+    return np.stack([c.reshaped() for c in u.components])
 
-    problem: Problem
-    background: VectorField
-    background_values: np.ndarray = field(repr=False)  # (P, N)
-    background_dropped: tuple[float, ...]
-    kernel_hats: tuple[np.ndarray, ...] = field(repr=False)
-    inv_sym: np.ndarray = field(repr=False)
-    conv_factor: float
+
+def _field(grid: Grid, stack: np.ndarray) -> VectorField:
+    return VectorField(tuple(RealField(grid, row) for row in stack))
+
+
+def _forward_stack(grid: Grid, stack) -> np.ndarray:
+    out = np.empty((len(stack),) + grid.half_shape, dtype=np.complex128)
+    for m, values in enumerate(stack):
+        out[m] = forward_coeffs(grid, values)
+    return out
+
+
+def _inverse_stack(grid: Grid, hats: np.ndarray) -> np.ndarray:
+    out = np.empty((len(hats),) + grid.shape)
+    for m, hat in enumerate(hats):
+        out[m] = inverse_values(grid, hat)
+    return out
+
+
+def _norm_h4(grid: Grid, hats) -> float:
+    """Root-sum-square H^4 norm of per-component half-spectrum coefficients."""
+    return math.sqrt(sum(h4_norm_sq_coeffs(grid, hat) for hat in hats))
+
+
+class _Context:
+    """Half-spectrum data of one problem, each array computed on first use.
+
+    ``forcing_hat`` and ``coupling`` (eps_m (2 pi)^(d/2) H^_m, the kernels
+    in displacement order) depend on the problem's data but not on its
+    nonlinearity, so one context serves solves with several nonlinearities.
+    The background is solved from ``forcing_hat`` unless given.
+    """
+
+    def __init__(self, problem: Problem, background: VectorField | None = None):
+        if background is not None and background.grid != problem.grid:
+            raise ValueError("background lives on the wrong grid")
+        self.problem = problem
+        self.grid = problem.grid
+        self._given = background
+
+    @functools.cached_property
+    def forcing_hat(self) -> np.ndarray:
+        return _forward_stack(self.grid, [f.values for f in self.problem.forcings])
+
+    @functools.cached_property
+    def coupling(self) -> np.ndarray:
+        grid = self.grid
+        conv = _TWO_PI ** (grid.d / 2.0)
+        out = np.empty((self.problem.n_components,) + grid.half_shape, dtype=np.complex128)
+        for m, (eps, H) in enumerate(zip(self.problem.eps, self.problem.kernels)):
+            out[m] = forward_coeffs(grid, np.fft.ifftshift(H.reshaped()))
+            out[m] *= eps * conv
+        return out
+
+    @functools.cached_property
+    def background_hat(self) -> np.ndarray:
+        if self._given is None:
+            return self.forcing_hat * inverse_symbol(self.grid)
+        return _forward_stack(self.grid, [c.values for c in self._given.components])
+
+    @functools.cached_property
+    def background(self) -> np.ndarray:
+        """Samples of u0, shape (N, *grid.shape)."""
+        if self._given is None:
+            return _inverse_stack(self.grid, self.background_hat)
+        return _stack(self._given)
+
+    @functools.cached_property
+    def background_field(self) -> VectorField:
+        if self._given is None:
+            return _field(self.grid, self.background)
+        return self._given
+
+    @property
+    def background_dropped(self) -> tuple[float, ...]:
+        """Zero-mode masses |f^_m(0)| the background solve projects out."""
+        zero = (0,) * self.grid.d
+        return tuple(float(np.abs(hat[zero])) for hat in self.forcing_hat)
 
 
 def solve_background(problem: Problem) -> tuple[VectorField, tuple[float, ...]]:
@@ -176,48 +263,32 @@ def solve_background(problem: Problem) -> tuple[VectorField, tuple[float, ...]]:
     return VectorField(tuple(comps)), tuple(dropped)
 
 
-def _make_context(
-    problem: Problem, background: VectorField | None = None
-) -> _Context:
-    if background is None:
-        background, dropped = solve_background(problem)
-    else:
-        if background.grid != problem.grid:
-            raise ValueError("background lives on the wrong grid")
-        dropped = (0.0,) * problem.n_components
-    grid = problem.grid
-    kernel_hats = tuple(forward_coeffs(grid, H.values) for H in problem.kernels)
-    return _Context(
-        problem=problem,
-        background=background,
-        background_values=background.stacked(),
-        background_dropped=dropped,
-        kernel_hats=kernel_hats,
-        inv_sym=inverse_symbol(grid),
-        conv_factor=_TWO_PI ** (grid.d / 2.0),
-    )
+# ---------------------------------------------------------------------------
+# fixed-point map
+# ---------------------------------------------------------------------------
+
+def _eval_stack(g: Nonlinearity, stack: np.ndarray) -> np.ndarray:
+    """g at every lattice point of a stack; returns (N, P)."""
+    return g.eval(stack.reshape(stack.shape[0], -1).T).T
 
 
 def _apply(
-    ctx: _Context, v_values: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], tuple[float, ...]]:
-    """One application of T; returns (values, per-component coeffs, dropped)."""
-    p = ctx.problem
-    grid = p.grid
-    z = ctx.background_values + v_values
-    gz = p.nonlinearity.eval(z)
-    out_values = np.empty_like(v_values)
-    out_hats: list[np.ndarray] = []
-    dropped: list[float] = []
+    ctx: _Context, g: Nonlinearity, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+    """One application of T to the stack v; returns (samples, coeffs, dropped)."""
+    grid = ctx.grid
+    gz = _eval_stack(g, ctx.background + v)
+    inv_sym = inverse_symbol(grid)
     zero = (0,) * grid.d
-    for m in range(p.n_components):
-        g_hat = forward_coeffs(grid, gz[:, m])
-        rhs_hat = p.eps[m] * ctx.conv_factor * ctx.kernel_hats[m] * g_hat
-        dropped.append(float(np.abs(rhs_hat[zero])))
-        u_hat = rhs_hat * ctx.inv_sym
-        out_hats.append(u_hat)
-        out_values[:, m] = inverse_values(grid, u_hat)
-    return out_values, out_hats, tuple(dropped)
+    values = np.empty_like(v)
+    hats = np.empty((len(v),) + grid.half_shape, dtype=np.complex128)
+    dropped = []
+    for m in range(len(v)):
+        rhs = np.multiply(ctx.coupling[m], forward_coeffs(grid, gz[m]), out=hats[m])
+        dropped.append(float(np.abs(rhs[zero])))
+        rhs *= inv_sym
+        values[m] = inverse_values(grid, rhs)
+    return values, hats, tuple(dropped)
 
 
 def apply_fixed_point_map(
@@ -239,42 +310,43 @@ def apply_fixed_point_map(
             UserWarning,
             stacklevel=2,
         )
-    ctx = _make_context(problem, background)
-    out_values, _, _ = _apply(ctx, v.stacked())
-    return VectorField.from_stack(problem.grid, out_values)
+    ctx = _Context(problem, background)
+    values, _, _ = _apply(ctx, problem.nonlinearity, _stack(v))
+    return _field(problem.grid, values)
 
 
 # ---------------------------------------------------------------------------
 # residual
 # ---------------------------------------------------------------------------
 
-def residual(problem: Problem, u: VectorField) -> ResidualReport:
+def residual(
+    problem: Problem, u: VectorField, *, _context: _Context | None = None
+) -> ResidualReport:
     """L^2 residual of the full equation at u, zero mode excluded.
 
     The residual of component m is
     -(L u)_m + eps_m (H_m * g_m(u)) + f_m, evaluated spectrally with the
     p = 0 mode removed (the solve is defined modulo that mode).  The
     relative value is against the L^2 norm of the forcing vector, or
-    absolute when the forcing vanishes.
+    absolute when the forcing vanishes.  ``_context`` is the solver's cache
+    of this problem's forcing and kernel coefficients; without it they are
+    computed here.  u and g(u) are always transformed from their samples.
     """
     if u.grid != problem.grid or u.n_components != problem.n_components:
         raise ValueError("candidate solution shape does not match the problem")
+    ctx = _Context(problem) if _context is None else _context
     grid = problem.grid
-    sym = operator_symbol(grid)
-    conv = _TWO_PI ** (grid.d / 2.0)
-    gz = problem.nonlinearity.eval(u.stacked())
+    sym = half_operator_symbol(grid)
+    values = _stack(u)
+    gz = _eval_stack(problem.nonlinearity, values)
     zero = (0,) * grid.d
     total_sq = 0.0
     for m in range(problem.n_components):
-        u_hat = forward_coeffs(grid, u.components[m].values)
-        g_hat = forward_coeffs(grid, gz[:, m])
-        k_hat = forward_coeffs(grid, problem.kernels[m].values)
-        f_hat = forward_coeffs(grid, problem.forcings[m].values)
-        r_hat = -sym * u_hat + problem.eps[m] * conv * k_hat * g_hat + f_hat
+        r_hat = ctx.coupling[m] * forward_coeffs(grid, gz[m])
+        r_hat -= sym * forward_coeffs(grid, values[m])
+        r_hat += ctx.forcing_hat[m]
         r_hat[zero] = 0.0
-        total_sq += float(
-            grid.dp**grid.d * np.sum(r_hat.real**2 + r_hat.imag**2)
-        )
+        total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))
     f_l2 = norm_l2_vector(VectorField(problem.forcings))
     relative = absolute / f_l2 if f_l2 > 0.0 else absolute
@@ -314,8 +386,17 @@ def picard(
     initial: VectorField | None = None,
     budget: int = DEFAULT_C2_BUDGET,
     seed: int = 0,
+    background: VectorField | None = None,
+    *,
+    _context: _Context | None = None,
 ) -> SolveReport:
     """Iterate T from v = 0 (or ``initial``) to the fixed point.
+
+    ``background`` is u0 when the caller has already solved it (as
+    :func:`nlrd.config.build_problem` does); otherwise it is solved here.
+    ``_context`` is for this module's own callers: a context built for the
+    same grid, couplings, kernels and forcings, whose coefficients are
+    reused (``background`` is then ignored).
 
     Returns the full report on convergence; raises
     :class:`DivergenceDetected` / :class:`MaxIterExceeded` (each carrying
@@ -327,24 +408,22 @@ def picard(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
-    ctx = _make_context(problem)
+    ctx = _Context(problem, background) if _context is None else _context
     grid = problem.grid
-    background_h4 = norm_h4_vector(ctx.background)
+    g = problem.nonlinearity
+    background_h4 = _norm_h4(grid, ctx.background_hat)
     bounds_report, warn = _bounds_with_warnings(
         problem, background_h4, budget, seed
     )
 
     if initial is None:
-        v_values = np.zeros((grid.npoints, problem.n_components))
-        v_hats = [
-            np.zeros(grid.shape, dtype=np.complex128)
-            for _ in range(problem.n_components)
-        ]
+        v_values = np.zeros((problem.n_components,) + grid.shape)
+        v_hats = np.zeros((problem.n_components,) + grid.half_shape, dtype=np.complex128)
     else:
         if initial.grid != grid or initial.n_components != problem.n_components:
             raise ValueError("initial perturbation shape does not match the problem")
-        v_values = initial.stacked()
-        v_hats = [forward_coeffs(grid, v_values[:, m]) for m in range(problem.n_components)]
+        v_values = _stack(initial)
+        v_hats = _forward_stack(grid, v_values)
 
     steps: list[IterationStep] = []
     first_step = None
@@ -353,17 +432,9 @@ def picard(
     t0 = time.perf_counter()
 
     for k in range(1, max_iter + 1):
-        new_values, new_hats, dropped = _apply(ctx, v_values)
-        step_sq = sum(
-            h4_norm_sq_coeffs(grid, new_hats[m] - v_hats[m])
-            for m in range(problem.n_components)
-        )
-        norm_sq = sum(
-            h4_norm_sq_coeffs(grid, new_hats[m])
-            for m in range(problem.n_components)
-        )
-        step_h4 = float(np.sqrt(step_sq))
-        norm_h4 = float(np.sqrt(norm_sq))
+        new_values, new_hats, dropped = _apply(ctx, g, v_values)
+        step_h4 = _norm_h4(grid, (new - old for new, old in zip(new_hats, v_hats)))
+        norm_h4 = _norm_h4(grid, new_hats)
         ratio = None
         if prev_step is not None and prev_step > 0.0 and np.isfinite(step_h4):
             ratio = step_h4 / prev_step
@@ -385,7 +456,7 @@ def picard(
         if not finite or blown_up:
             # report the last finite iterate, not the runaway one
             report = _assemble_report(
-                ctx, v_values, background_h4, bounds_report,
+                ctx, problem, v_values, v_hats, background_h4, bounds_report,
                 tuple(warn), steps, converged=False, tol=tol, with_residual=False,
             )
             raise DivergenceDetected(report)
@@ -398,7 +469,7 @@ def picard(
             break
 
     report = _assemble_report(
-        ctx, v_values, background_h4, bounds_report,
+        ctx, problem, v_values, v_hats, background_h4, bounds_report,
         tuple(warn), steps, converged=converged, tol=tol, with_residual=converged,
     )
     if not converged:
@@ -408,7 +479,9 @@ def picard(
 
 def _assemble_report(
     ctx: _Context,
+    problem: Problem,
     v_values: np.ndarray,
+    v_hats: np.ndarray,
     background_h4: float,
     bounds_report: BoundsReport,
     warnings: tuple[str, ...],
@@ -417,17 +490,16 @@ def _assemble_report(
     tol: float,
     with_residual: bool,
 ) -> SolveReport:
-    grid = ctx.problem.grid
-    perturbation = VectorField.from_stack(grid, v_values)
-    solution = VectorField.from_stack(grid, ctx.background_values + v_values)
-    res = residual(ctx.problem, solution) if with_residual else None
+    grid = problem.grid
+    solution = _field(grid, ctx.background + v_values)
+    res = residual(problem, solution, _context=ctx) if with_residual else None
     return SolveReport(
-        background=ctx.background,
-        perturbation=perturbation,
+        background=ctx.background_field,
+        perturbation=_field(grid, v_values),
         solution=solution,
         background_h4=background_h4,
-        perturbation_h4=norm_h4_vector(perturbation),
-        solution_h4=norm_h4_vector(solution),
+        perturbation_h4=_norm_h4(grid, v_hats),
+        solution_h4=_norm_h4(grid, (b + v for b, v in zip(ctx.background_hat, v_hats))),
         background_dropped=ctx.background_dropped,
         converged=converged,
         iterations=len(steps),
@@ -442,6 +514,22 @@ def _assemble_report(
 # ---------------------------------------------------------------------------
 # random ball fields and probes
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=16)
+def _ball_envelope(grid: Grid) -> np.ndarray:
+    """(1 + |p|^8)^(-1) (-1)^(k_1 + ... + k_d) on the half spectrum.
+
+    The sign shifts the inverse transform by n/2 on every axis, so the half
+    spectrum of natural-layout noise gives the same draw as the centred
+    full transform did.
+    """
+    sign = np.ones(grid.half_shape)
+    for axis, size in enumerate(grid.half_shape):
+        shape = [1] * grid.d
+        shape[axis] = size
+        sign = sign * (1.0 - 2.0 * (np.arange(size) % 2)).reshape(shape)
+    return sign / (1.0 + half_squared_wavenumber(grid) ** 4)
+
 
 def random_ball_field(
     grid: Grid,
@@ -459,19 +547,13 @@ def random_ball_field(
         raise ValueError("target norm must be nonnegative")
     if target_norm == 0.0:
         return VectorField.zeros(grid, n_components)
-    envelope = 1.0 / h4_weight(grid)
-    hats = []
-    total_sq = 0.0
-    for _ in range(n_components):
-        noise = rng.standard_normal(grid.shape)
-        hat = np.fft.fftn(noise) * envelope
-        hats.append(hat)
-        total_sq += h4_norm_sq_coeffs(grid, hat)
-    scale = target_norm / np.sqrt(total_sq)
-    comps = tuple(
-        RealField(grid, inverse_values(grid, scale * hat)) for hat in hats
-    )
-    return VectorField(comps)
+    envelope = _ball_envelope(grid)
+    hats = np.empty((n_components,) + grid.half_shape, dtype=np.complex128)
+    for m in range(n_components):
+        hats[m] = np.fft.rfftn(rng.standard_normal(grid.shape))
+        hats[m] *= envelope
+    hats *= target_norm / _norm_h4(grid, hats)
+    return _field(grid, _inverse_stack(grid, hats))
 
 
 @dataclass(frozen=True)
@@ -494,31 +576,22 @@ def contraction_probe(
     """Measure |T(v1) - T(v2)| / |v1 - v2| on random pairs in the rho-ball."""
     if pairs < 1:
         raise ValueError("need at least one pair")
-    ctx = _make_context(problem, background)
+    ctx = _Context(problem, background)
     grid = problem.grid
+    g = problem.nonlinearity
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(pairs):
         r1 = problem.rho * rng.random()
         r2 = problem.rho * rng.random()
-        v1 = random_ball_field(grid, problem.n_components, rng, r1)
-        v2 = random_ball_field(grid, problem.n_components, rng, r2)
-        diff_sq = sum(
-            h4_norm_sq_coeffs(
-                grid,
-                forward_coeffs(grid, v1.components[m].values - v2.components[m].values),
-            )
-            for m in range(problem.n_components)
-        )
-        denom = float(np.sqrt(diff_sq))
+        v1 = _stack(random_ball_field(grid, problem.n_components, rng, r1))
+        v2 = _stack(random_ball_field(grid, problem.n_components, rng, r2))
+        denom = _norm_h4(grid, (forward_coeffs(grid, a - b) for a, b in zip(v1, v2)))
         if denom == 0.0:
             continue
-        _, hats1, _ = _apply(ctx, v1.stacked())
-        _, hats2, _ = _apply(ctx, v2.stacked())
-        num_sq = sum(
-            h4_norm_sq_coeffs(grid, h1 - h2) for h1, h2 in zip(hats1, hats2)
-        )
-        ratios.append(float(np.sqrt(num_sq)) / denom)
+        _, hats1, _ = _apply(ctx, g, v1)
+        _, hats2, _ = _apply(ctx, g, v2)
+        ratios.append(_norm_h4(grid, (h1 - h2 for h1, h2 in zip(hats1, hats2))) / denom)
     return ProbeReport(
         pairs=pairs,
         seed=seed,
@@ -557,16 +630,20 @@ def continuity_experiment(
     margin: float = 0.05,
     budget: int = DEFAULT_C2_BUDGET,
     seed: int = 0,
+    background: VectorField | None = None,
 ) -> ContinuityReport:
     """Solve with g1 and g2 and compare |u1 - u2|_H4 to the certified bound.
 
-    The pass rule allows the stated relative margin plus an absolute slack
-    of 10 * tol (two converged solves cannot be distinguished below that).
+    Both solves share one background (``background`` when given) and one
+    set of forcing and kernel coefficients.  The pass rule allows the stated
+    relative margin plus an absolute slack of 10 * tol (two converged solves
+    cannot be distinguished below that).
     """
+    ctx = _Context(problem, background)
     rep1 = picard(problem.with_nonlinearity(g1), tol=tol, max_iter=max_iter,
-                  budget=budget, seed=seed)
+                  budget=budget, seed=seed, _context=ctx)
     rep2 = picard(problem.with_nonlinearity(g2), tol=tol, max_iter=max_iter,
-                  budget=budget, seed=seed)
+                  budget=budget, seed=seed, _context=ctx)
     diff = VectorField(
         tuple(
             RealField(problem.grid, a.values - b.values)

@@ -6,14 +6,20 @@ inversion is defined up to the zero mode; ``solve_linear`` either projects
 the zero mode out (recording the dropped mass) or rejects inputs whose mean
 is too large to ignore.
 
-Periodic convolution is evaluated spectrally:
+Every routine here runs on the half-spectrum path of :mod:`nlrd.lattice`
+(``forward_coeffs`` / ``inverse_values``), where the operator is a
+multiplication by the symbol on ``grid.half_shape``.  Periodic convolution
+is evaluated spectrally:
 
     (H * G)^(p) = (2 pi)^(d/2) H^(p) G^(p)
 
-under the unitary transform convention of :mod:`nlrd.lattice`.  The
-brute-force counterpart ``convolve_direct`` computes the defining lattice
-sum h^d sum_y H(x - y) G(y) with wrap-around and is intended as a
-cross-check on tiny grids only.
+under the unitary transform convention.  The kernel H is transformed in
+displacement order, ``rfftn(ifftshift(H))``, so that its coefficients carry
+no (-1)^k sign and the product with the natural-layout coefficients of G
+transforms back to natural-layout samples.  The brute-force counterpart
+``convolve_direct`` computes the defining lattice sum
+h^d sum_y H(x - y) G(y) with wrap-around and is intended as a cross-check
+on tiny grids only.
 """
 
 from __future__ import annotations
@@ -23,13 +29,11 @@ from typing import Literal
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, lattice
 from .lattice import (
     Grid,
     RealField,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
+    half_squared_wavenumber,
     norm_l1,
     squared_wavenumber,
 )
@@ -69,9 +73,16 @@ def operator_symbol(grid: Grid) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
+def half_operator_symbol(grid: Grid) -> np.ndarray:
+    """Symbol |p|^2 + |p|^4 on the half spectrum, shape ``grid.half_shape``."""
+    q2 = half_squared_wavenumber(grid)
+    return q2 + q2**2
+
+
+@functools.lru_cache(maxsize=16)
 def inverse_symbol(grid: Grid) -> np.ndarray:
-    """1 / (|p|^2 + |p|^4) with the zero mode set to 0, FFT order."""
-    sym = operator_symbol(grid)
+    """1 / (|p|^2 + |p|^4) with the zero mode set to 0, half spectrum."""
+    sym = half_operator_symbol(grid)
     inv = np.zeros_like(sym)
     nonzero = sym > 0.0
     inv[nonzero] = 1.0 / sym[nonzero]
@@ -80,8 +91,9 @@ def inverse_symbol(grid: Grid) -> np.ndarray:
 
 def apply_operator(u: RealField) -> RealField:
     """Apply -Laplacian + Laplacian^2 spectrally."""
-    F = forward_transform(u)
-    return inverse_transform(SpectralField(u.grid, operator_symbol(u.grid) * F.coeffs))
+    g = u.grid
+    coeffs = half_operator_symbol(g) * lattice.forward_coeffs(g, u.values)
+    return RealField(g, lattice.inverse_values(g, coeffs))
 
 
 def solve_linear(
@@ -99,15 +111,14 @@ def solve_linear(
     if zero_mode_policy not in ("project", "reject"):
         raise ValueError(f"unknown zero-mode policy {zero_mode_policy!r}")
     g = f.grid
-    F = forward_transform(f)
-    zero_index = (0,) * g.d
-    dropped = float(np.abs(F.coeffs[zero_index]))
+    coeffs = lattice.forward_coeffs(g, f.values)
+    dropped = float(np.abs(coeffs[(0,) * g.d]))
     if zero_mode_policy == "reject":
         scale = _TWO_PI ** (-g.d / 2.0) * norm_l1(f)
         if dropped > tol_zero_mode * max(scale, np.finfo(float).tiny):
             raise ZeroModeRejected(dropped, tol_zero_mode * scale)
-    coeffs = F.coeffs * inverse_symbol(g)
-    return inverse_transform(SpectralField(g, coeffs)), dropped
+    coeffs *= inverse_symbol(g)
+    return RealField(g, lattice.inverse_values(g, coeffs)), dropped
 
 
 def convolve(H: RealField, G: RealField) -> RealField:
@@ -115,10 +126,10 @@ def convolve(H: RealField, G: RealField) -> RealField:
     if H.grid != G.grid:
         raise ValueError("convolution operands must share one grid")
     g = H.grid
-    FH = forward_transform(H)
-    FG = forward_transform(G)
-    coeffs = _TWO_PI ** (g.d / 2.0) * FH.coeffs * FG.coeffs
-    return inverse_transform(SpectralField(g, coeffs))
+    coeffs = lattice.forward_coeffs(g, np.fft.ifftshift(H.reshaped()))
+    coeffs *= _TWO_PI ** (g.d / 2.0)
+    coeffs *= lattice.forward_coeffs(g, G.values)
+    return RealField(g, lattice.inverse_values(g, coeffs))
 
 
 def convolve_direct(H: RealField, G: RealField) -> RealField:

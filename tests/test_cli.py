@@ -80,6 +80,25 @@ def test_nonpositive_eps_fraction_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize(
+    "command,solver,extra",
+    [
+        ("solve", {"tol": -1}, ()),
+        ("solve", {"max_iter": 0}, ()),
+        ("bounds", {"budget": 0}, ()),
+        ("solve", {}, ("--tol", "-1")),
+        ("solve", {}, ("--tol", "0")),
+        ("solve", {}, ("--max-iter", "0")),
+    ],
+)
+def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver, extra):
+    cfg = write_cfg(tmp_path, small_config(solver=solver))
+    code, out, err = run(capsys, command, cfg, *extra)
+    assert code == 2
+    assert "config error" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

@@ -52,7 +52,6 @@ def test_build_resolves_reference_instance(small_built):
     built = small_built
     resolved = built.resolved
     assert resolved["version"] == __version__
-    assert resolved["backend"] in ("numba", "numpy")
     assert resolved["grid"] == {"d": 5, "n": 6, "L": 8.0}
     assert resolved["n_components"] == 2
     assert built.background_h4 > 0.0

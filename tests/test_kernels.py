@@ -1,12 +1,6 @@
-"""Hot-kernel backends: numpy fallback vs numba fast path."""
-
-import json
-import os
-import subprocess
-import sys
+"""Non-FFT numeric kernels against plain-loop references."""
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from nlrd import _kernels
@@ -27,37 +21,42 @@ def quadratic_oracle(z, mats):
     return out
 
 
-def test_backend_reports_active_path():
-    assert _kernels.backend() in ("numba", "numpy")
-    assert (_kernels.backend() == "numba") == _kernels.USE_NUMBA
-    assert _kernels.quadratic_values is (
-        _kernels.quadratic_values_numba
-        if _kernels.USE_NUMBA
-        else _kernels.quadratic_values_numpy
-    )
-
-
 def test_numpy_quadratic_matches_plain_loops():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((40, 3))
     mats = random_mats(rng, 3)
     assert_allclose(
-        _kernels.quadratic_values_numpy(z, mats),
+        _kernels.quadratic_values(z, mats),
         quadratic_oracle(z, mats),
         rtol=1e-13,
     )
     # gradient of z^T A z with symmetric A is 2 A z
-    grads = _kernels.quadratic_gradients_numpy(z, mats)
+    grads = _kernels.quadratic_gradients(z, mats)
     for p in range(5):
         for m in range(3):
             assert_allclose(grads[p, m], 2.0 * mats[m] @ z[p], rtol=1e-13)
+    # other component counts, on component-major (transposed) input as the
+    # solver passes it
+    for N in (1, 2, 4):
+        z = np.ascontiguousarray(rng.standard_normal((N, 40))).T
+        mats = random_mats(rng, N)
+        assert_allclose(
+            _kernels.quadratic_values(z, mats),
+            quadratic_oracle(z, mats),
+            rtol=1e-13,
+        )
+        assert_allclose(
+            _kernels.quadratic_gradients(z, mats),
+            2.0 * np.einsum("mij,pj->pmi", mats, z),
+            rtol=1e-13,
+        )
 
 
 def test_numpy_convolve_matches_plain_loops():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((4, 5))
     g = rng.standard_normal((4, 5))
-    out = _kernels.circular_convolve_numpy(h, g)
+    out = _kernels.circular_convolve(h, g)
     expected = np.zeros_like(h)
     for j0 in range(4):
         for j1 in range(5):
@@ -67,66 +66,3 @@ def test_numpy_convolve_matches_plain_loops():
                     acc += h[(j0 - k0) % 4, (j1 - k1) % 5] * g[k0, k1]
             expected[j0, j1] = acc
     assert_allclose(out, expected, rtol=0, atol=1e-13)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-def test_numba_quadratic_agrees_with_numpy():
-    rng = np.random.default_rng(2)
-    for N in (1, 2, 4):
-        z = rng.standard_normal((200, N))
-        mats = random_mats(rng, N)
-        assert_allclose(
-            _kernels.quadratic_values_numba(z, mats),
-            _kernels.quadratic_values_numpy(z, mats),
-            rtol=0,
-            atol=1e-13,
-        )
-        assert_allclose(
-            _kernels.quadratic_gradients_numba(z, mats),
-            _kernels.quadratic_gradients_numpy(z, mats),
-            rtol=0,
-            atol=1e-13,
-        )
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_AVAILABLE, reason="numba not installed")
-@pytest.mark.parametrize("shape", [(9,), (4, 6), (3, 4, 5)])
-def test_numba_convolve_agrees_with_numpy(shape):
-    rng = np.random.default_rng(3)
-    h = rng.standard_normal(shape)
-    g = rng.standard_normal(shape)
-    g.reshape(-1)[::7] = 0.0  # exercise the zero-weight short-circuit
-    assert_allclose(
-        _kernels.circular_convolve_numba(h, g),
-        _kernels.circular_convolve_numpy(h, g),
-        rtol=0,
-        atol=1e-12,
-    )
-
-
-def test_env_flag_forces_numpy_backend():
-    """NLRD_DISABLE_NUMBA=1 selects the numpy path with identical numbers."""
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal((50, 2))
-    mats = random_mats(rng, 2)
-    here = _kernels.quadratic_values(z, mats)
-    script = (
-        "import json, sys, numpy as np\n"
-        "from nlrd import _kernels\n"
-        "z = np.array(json.loads(sys.argv[1]))\n"
-        "mats = np.array(json.loads(sys.argv[2]))\n"
-        "out = _kernels.quadratic_values(z, mats)\n"
-        "print(json.dumps({'backend': _kernels.backend(),"
-        " 'values': out.tolist()}))\n"
-    )
-    env = dict(os.environ, NLRD_DISABLE_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(z.tolist()), json.dumps(mats.tolist())],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    payload = json.loads(proc.stdout)
-    assert payload["backend"] == "numpy"
-    assert_allclose(np.array(payload["values"]), here, rtol=0, atol=1e-13)

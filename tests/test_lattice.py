@@ -10,8 +10,13 @@ from nlrd.lattice import (
     RealField,
     SpectralField,
     VectorField,
+    forward_coeffs,
     forward_transform,
+    h4_norm_sq_coeffs,
+    h4_weight,
     inverse_transform,
+    inverse_values,
+    l2_norm_sq_coeffs,
     norm_h4,
     norm_h4_vector,
     norm_l1,
@@ -163,6 +168,27 @@ def test_parseval_identity(d, n):
     phys = g.h**g.d * np.sum(f.values**2)
     spec = g.dp**g.d * np.sum(np.abs(F.coeffs) ** 2)
     assert abs(phys - spec) <= 1e-12 * phys
+
+
+@pytest.mark.parametrize("d,n", [(5, 2), (5, 6), (6, 2), (6, 4), (7, 2), (7, 4)])
+def test_half_spectrum_norms_match_full_complex(d, n):
+    """Hermitian-weighted half-spectrum sums equal the full-lattice sums."""
+    g = Grid(d=d, n=n, L=2.5)
+    f = random_field(g, seed=d * 10 + n)
+    F = forward_transform(f).coeffs
+    half = forward_coeffs(g, f.values)
+    assert half.shape == g.half_shape
+    full_h4 = g.dp**g.d * np.sum(h4_weight(g) * np.abs(F) ** 2)
+    full_l2 = g.dp**g.d * np.sum(np.abs(F) ** 2)
+    assert h4_norm_sq_coeffs(g, half) == pytest.approx(full_h4, rel=1e-13)
+    assert l2_norm_sq_coeffs(g, half) == pytest.approx(full_l2, rel=1e-13)
+    # natural-layout half spectrum = centred spectrum times (-1)^(k_1+...+k_d)
+    k = np.indices(g.half_shape).sum(axis=0)
+    expected = F[..., : n // 2 + 1] * (-1.0) ** k
+    assert_allclose(half, expected, rtol=0, atol=1e-13 * np.max(np.abs(F)))
+    back = inverse_values(g, half)
+    assert back.shape == g.shape
+    assert_allclose(back.reshape(-1), f.values, rtol=0, atol=1e-12 * np.max(np.abs(f.values)))
 
 
 def test_inverse_rejects_asymmetric_coefficients():

@@ -1,9 +1,11 @@
 """Fixed-point iteration, probes, and the continuity experiment."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from nlrd.lattice import Grid, RealField, VectorField, norm_h4_vector
+from nlrd.lattice import Grid, RealField, VectorField, h4_weight, norm_h4_vector
 from nlrd.model import Problem, gaussian_field, quadratic_nonlinearity, Nonlinearity
 from nlrd.solver import (
     DivergenceDetected,
@@ -26,8 +28,8 @@ REFERENCE_MATRICES = [
 ]
 
 
-def tiny_problem(n=4, eps=0.0, **overrides) -> Problem:
-    g = Grid(d=5, n=n, L=4.0)
+def tiny_problem(n=4, eps=0.0, d=5, **overrides) -> Problem:
+    g = Grid(d=d, n=n, L=4.0)
     fields = dict(
         grid=g,
         eps=(eps,) * 2,
@@ -116,6 +118,37 @@ def test_map_matches_manual_convolve_and_solve():
         manual, _ = solve_linear(RealField(p.grid, p.eps[m] * rhs.values))
         scale = max(np.max(np.abs(manual.values)), 1e-30)
         assert np.max(np.abs(out.components[m].values - manual.values)) <= 1e-12 * scale
+
+
+def full_complex_map(problem, background, v):
+    """T(v) on the full complex spectrum with shifted transforms: plain numpy,
+    one fftn per component with ifftshift/fftshift, as a reference for the
+    solver's half-spectrum path."""
+    grid = problem.grid
+    d = grid.d
+    fwd = TWO_PI ** (-d / 2.0) * grid.h**d
+    inv = TWO_PI ** (-d / 2.0) * grid.dp**d * grid.npoints
+    q2 = functools.reduce(np.add.outer, [grid.axis_wavenumbers() ** 2] * d)
+    sym = q2 + q2**2
+    inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0.0)
+    gz = problem.nonlinearity.eval(background.stacked() + v.stacked())
+    out = []
+    for m in range(problem.n_components):
+        k_hat = fwd * np.fft.fftn(np.fft.ifftshift(problem.kernels[m].reshaped()))
+        g_hat = fwd * np.fft.fftn(np.fft.ifftshift(gz[:, m].reshape(grid.shape)))
+        u_hat = problem.eps[m] * TWO_PI ** (d / 2.0) * k_hat * g_hat * inv_sym
+        out.append(inv * np.fft.fftshift(np.fft.ifftn(u_hat)).real.reshape(-1))
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(5, 2), (5, 6), (6, 4), (7, 2), (7, 4)])
+def test_map_matches_full_complex_reference(d, n):
+    p = tiny_problem(n=n, eps=0.03, d=d)
+    bg, _ = solve_background(p)
+    v = random_ball_field(p.grid, 2, np.random.default_rng(d * 10 + n), 0.3)
+    out = apply_fixed_point_map(p, bg, v)
+    for got, ref in zip(out.components, full_complex_map(p, bg, v)):
+        assert np.max(np.abs(got.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_map_warns_outside_certified_ball():
@@ -322,9 +355,45 @@ def test_random_ball_field_determinism_and_edge_cases():
         random_ball_field(g, 2, np.random.default_rng(11), -1.0)
 
 
+@pytest.mark.parametrize("d,n", [(5, 2), (5, 4), (6, 4), (7, 2)])
+def test_random_ball_field_reproduces_full_complex_draw(d, n):
+    """Same RNG stream and the same field as the full complex FFT-order draw."""
+    g = Grid(d=d, n=n, L=4.0)
+    w = h4_weight(g)
+    rng = np.random.default_rng(5)
+    hats = [np.fft.fftn(rng.standard_normal(g.shape)) * (1.0 / w) for _ in range(2)]
+    total = sum(g.dp**g.d * np.sum(w * np.abs(h) ** 2) for h in hats)
+    scale = 0.4 / np.sqrt(total)
+    inv = TWO_PI ** (-d / 2.0) * g.dp**d * g.npoints
+    expected = [inv * np.fft.fftshift(np.fft.ifftn(scale * h)).real for h in hats]
+
+    got = random_ball_field(g, 2, np.random.default_rng(5), 0.4)
+    for comp, ref in zip(got.components, expected):
+        assert np.max(np.abs(comp.values - ref.reshape(-1))) <= 1e-14 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # contraction probe
 # ---------------------------------------------------------------------------
+
+#: contraction_probe(pairs=8, seed=0) ratios on the small fixture, recorded
+#: from the full complex FFT-order implementation
+PINNED_PROBE_RATIOS = (
+    3.368038452605062e-05, 4.181875390895998e-05, 2.6688180655934896e-05,
+    5.2878937041907755e-05, 4.9679077714826995e-05, 4.268875546310574e-05,
+    5.084365499247296e-05, 3.693744802387738e-05,
+)
+
+
+def test_probe_ratios_are_pinned(small_built):
+    rep = contraction_probe(small_built.problem, pairs=8, seed=0)
+    assert rep.ratios == pytest.approx(PINNED_PROBE_RATIOS, rel=1e-10)
+    # the background the config build solved gives the same ratios
+    again = contraction_probe(
+        small_built.problem, pairs=8, seed=0, background=small_built.background
+    )
+    assert again.ratios == pytest.approx(rep.ratios, rel=1e-13)
+
 
 def test_probe_is_deterministic_and_bounded(small_built, small_solution):
     p = small_built.problem
