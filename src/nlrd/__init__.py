@@ -17,10 +17,7 @@ __version__ = "0.1.0"
 from .lattice import (
     Grid,
     RealField,
-    SpectralField,
     VectorField,
-    forward_transform,
-    inverse_transform,
     norm_h4,
     norm_h4_vector,
     norm_l1,
@@ -32,11 +29,9 @@ from .fieldio import read_field, write_field
 from .spectral import (
     DIRECT_CONV_MAX_POINTS,
     GridTooLarge,
-    ZeroModeRejected,
     apply_operator,
     convolve,
     convolve_direct,
-    operator_symbol,
     solve_linear,
 )
 from .model import (
@@ -63,15 +58,11 @@ from .bounds import (
     BoundsReport,
     ContractionNotStrict,
     NonPositiveAlpha,
-    apriori_bound,
     apriori_bound_raw,
     compute_bounds,
-    continuity_bound,
     continuity_bound_raw,
-    coupling_threshold,
     coupling_threshold_raw,
     frequency_split_minimum,
-    lipschitz_coefficient,
     lipschitz_coefficient_raw,
     radial_weight_integral,
     sobolev_embedding_constant,
@@ -100,16 +91,14 @@ from .config import BuiltProblem, ConfigError, build_field, build_problem, load_
 __all__ = [
     "__version__",
     # lattice
-    "Grid", "RealField", "SpectralField", "VectorField",
-    "forward_transform", "inverse_transform",
+    "Grid", "RealField", "VectorField",
     "norm_l1", "norm_l2", "norm_linf", "norm_h4",
     "norm_l2_vector", "norm_h4_vector",
     # io
     "read_field", "write_field",
     # spectral
-    "DIRECT_CONV_MAX_POINTS", "GridTooLarge", "ZeroModeRejected",
-    "apply_operator", "convolve", "convolve_direct", "operator_symbol",
-    "solve_linear",
+    "DIRECT_CONV_MAX_POINTS", "GridTooLarge",
+    "apply_operator", "convolve", "convolve_direct", "solve_linear",
     # model
     "C2Norm", "DataReport", "GaussianSpec", "Nonlinearity",
     "NonlinearityReport", "Problem", "ball_samples", "c2_gap", "c2_norm",
@@ -119,10 +108,8 @@ __all__ = [
     # bounds
     "AssumptionsNotValidated", "BadDimension", "BoundsReport",
     "ContractionNotStrict", "NonPositiveAlpha",
-    "apriori_bound", "apriori_bound_raw", "compute_bounds",
-    "continuity_bound", "continuity_bound_raw",
-    "coupling_threshold", "coupling_threshold_raw",
-    "frequency_split_minimum", "lipschitz_coefficient",
+    "apriori_bound_raw", "compute_bounds", "continuity_bound_raw",
+    "coupling_threshold_raw", "frequency_split_minimum",
     "lipschitz_coefficient_raw", "radial_weight_integral",
     "sobolev_embedding_constant", "sphere_measure", "validate_problem",
     # solver

@@ -23,9 +23,10 @@ the convolution estimate (:func:`frequency_split_minimum`); a d-independent
 8/2 - 2 variant sometimes quoted for this estimate is not used here.
 
 ``*_raw`` functions evaluate the formulas on plain numbers with no
-preconditions (useful for algebraic checks); the problem-level entry points
-validate the data and nonlinearity requirements first and raise
-:class:`AssumptionsNotValidated` when they fail.
+preconditions (useful for algebraic checks); :func:`compute_bounds`
+validates the data and nonlinearity requirements first, raises
+:class:`AssumptionsNotValidated` when they fail, and reports every
+constant for one problem.
 """
 
 from __future__ import annotations
@@ -289,49 +290,6 @@ def _require_valid(
     return data, nl
 
 
-def coupling_threshold(
-    problem: Problem,
-    background_h4: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
-) -> float:
-    """Validated eps_max for the problem around the given background norm."""
-    _require_valid(problem, background_h4, budget, seed)
-    l1_rss, l2_rss = kernel_aggregates(problem.kernels)
-    return coupling_threshold_raw(
-        problem.d, problem.rho, problem.c2_bound, l1_rss, l2_rss, background_h4
-    )
-
-
-def lipschitz_coefficient(
-    problem: Problem,
-    background_h4: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
-) -> float:
-    """Validated kappa for the problem around the given background norm."""
-    _require_valid(problem, background_h4, budget, seed)
-    l1_rss, l2_rss = kernel_aggregates(problem.kernels)
-    return lipschitz_coefficient_raw(
-        problem.d, problem.c2_bound, l1_rss, l2_rss, background_h4
-    )
-
-
-def apriori_bound(
-    problem: Problem,
-    background_h4: float,
-    eps: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
-) -> float:
-    """Validated a-priori perturbation bound at coupling eps."""
-    _require_valid(problem, background_h4, budget, seed)
-    l1_rss, l2_rss = kernel_aggregates(problem.kernels)
-    return apriori_bound_raw(
-        problem.d, eps, problem.c2_bound, l1_rss, l2_rss, background_h4
-    )
-
-
 def compute_bounds(
     problem: Problem,
     background_h4: float,
@@ -349,11 +307,8 @@ def compute_bounds(
         _require_valid(problem, background_h4, budget, seed)
     l1_rss, l2_rss = kernel_aggregates(problem.kernels)
     d = problem.d
-    kappa = lipschitz_coefficient_raw(
-        d, problem.c2_bound, l1_rss, l2_rss, background_h4
-    )
-    b = background_h4 + 1.0
-    eps_max = problem.rho / (b * kappa)
+    c2 = problem.c2_bound
+    kappa = lipschitz_coefficient_raw(d, c2, l1_rss, l2_rss, background_h4)
     eps_used = problem.eps_max_component
     return BoundsReport(
         d=d,
@@ -368,30 +323,13 @@ def compute_bounds(
         ),
         eps=problem.eps,
         eps_used=eps_used,
-        eps_max=eps_max,
+        eps_max=coupling_threshold_raw(
+            d, problem.rho, c2, l1_rss, l2_rss, background_h4
+        ),
         lipschitz_coeff=kappa,
         contraction_constant=eps_used * kappa,
         contractive=bool(eps_used * kappa < 1.0),
-        apriori_bound=eps_used * kappa * b,
-    )
-
-
-def continuity_bound(
-    problem: Problem,
-    background_h4: float,
-    nonlinearity_gap: float,
-    eps: float | None = None,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
-) -> float:
-    """Validated fixed-point shift bound for a perturbed nonlinearity."""
-    _require_valid(problem, background_h4, budget, seed)
-    l1_rss, l2_rss = kernel_aggregates(problem.kernels)
-    kappa = lipschitz_coefficient_raw(
-        problem.d, problem.c2_bound, l1_rss, l2_rss, background_h4
-    )
-    if eps is None:
-        eps = problem.eps_max_component
-    return continuity_bound_raw(
-        eps, kappa, problem.c2_bound, background_h4, nonlinearity_gap
+        apriori_bound=apriori_bound_raw(
+            d, eps_used, c2, l1_rss, l2_rss, background_h4
+        ),
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -211,6 +212,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    if args.pairs < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
     built = _build(args)
     try:
         theory = compute_bounds(
@@ -249,6 +252,8 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_continuity(args) -> int:
+    if not math.isfinite(args.delta):
+        raise ConfigError(f"--delta must be finite, got {args.delta}")
     built = _build(args)
     g1 = built.problem.nonlinearity
     g2 = scale_nonlinearity(g1, 1.0 + args.delta)

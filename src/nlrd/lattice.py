@@ -21,22 +21,15 @@ holds exactly.  Physical samples are stored flat (row-major over axes) in
 their natural layout, j = 0 .. n-1; a vector field inside the solver is a
 component-major stack of shape (N, *grid.shape).
 
-Two coefficient layouts exist:
-
-* The solver path (``forward_coeffs`` / ``inverse_values`` /
-  ``h4_norm_sq_coeffs``) keeps the unitary half spectrum ``rfftn`` of the
-  natural-layout samples, shape ``grid.half_shape``, with no index shifts.
-  Since x_j = -L + j h and p_k L = pi k, entry k equals F(p_k) times
-  (-1)^(k_1 + ... + k_d).  The sign cancels in every norm, and in a
-  convolution once the kernel is put in displacement order
-  (``rfftn(ifftshift(K))``, see :mod:`nlrd.spectral`).  Norms sum over the
-  full lattice through Hermitian weights: 1 on the last-axis modes 0 and
-  n/2, 2 on the others, which stand for their conjugate partners.
-* The public ``forward_transform`` / ``inverse_transform`` /
-  :class:`SpectralField` give the full complex F(p_k) in numpy FFT order;
-  the ifftshift before the forward FFT and the fftshift after the inverse
-  realign numpy's j = 0..n-1 layout with the centred x_j lattice (exact for
-  even n).  No solver path uses them.
+Coefficients (``forward_coeffs`` / ``inverse_values`` /
+``h4_norm_sq_coeffs``) are the unitary half spectrum ``rfftn`` of the
+natural-layout samples, shape ``grid.half_shape``, with no index shifts.
+Since x_j = -L + j h and p_k L = pi k, entry k equals F(p_k) times
+(-1)^(k_1 + ... + k_d).  The sign cancels in every norm, and in a
+convolution once the kernel is put in displacement order
+(``rfftn(ifftshift(K))``, see :mod:`nlrd.spectral`).  Norms sum over the
+full lattice through Hermitian weights: 1 on the last-axis modes 0 and
+n/2, 2 on the others, which stand for their conjugate partners.
 
 H^4 norms are computed spectrally with the weight 1 + |p|^8.
 """
@@ -49,9 +42,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
-
-#: relative tolerance for the conjugate-symmetry check in inverse_transform
-SYMMETRY_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -185,24 +175,6 @@ class RealField:
 
 
 @dataclass(frozen=True)
-class SpectralField:
-    """Complex spectral coefficients in FFT order, shape ``grid.shape``."""
-
-    grid: Grid
-    coeffs: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.grid.shape:
-            raise ValueError(
-                f"expected coefficient shape {self.grid.shape}, got {c.shape}"
-            )
-        if not np.all(np.isfinite(c)):
-            raise ValueError("spectral coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-
-@dataclass(frozen=True)
 class VectorField:
     """Tuple of real fields sharing one grid (one per system component)."""
 
@@ -222,11 +194,6 @@ class VectorField:
     def zeros(cls, grid: Grid, n_components: int) -> "VectorField":
         return cls(tuple(RealField.zeros(grid) for _ in range(n_components)))
 
-    @classmethod
-    def from_stack(cls, grid: Grid, stacked: np.ndarray) -> "VectorField":
-        """Build from a (npoints, N) array of per-component samples."""
-        return cls(tuple(RealField(grid, stacked[:, m]) for m in range(stacked.shape[1])))
-
     @property
     def grid(self) -> Grid:
         return self.components[0].grid
@@ -234,10 +201,6 @@ class VectorField:
     @property
     def n_components(self) -> int:
         return len(self.components)
-
-    def stacked(self) -> np.ndarray:
-        """(npoints, N) array of samples."""
-        return np.stack([c.values for c in self.components], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -269,42 +232,6 @@ def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Samples, shape ``grid.shape``, of half-spectrum coefficients."""
     out = np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
     out *= _inverse_scale(grid)
-    return out
-
-
-def forward_transform(f: RealField) -> SpectralField:
-    """Unitary forward transform of a sampled field, full spectrum, FFT order."""
-    g = f.grid
-    coeffs = _forward_scale(g) * np.fft.fftn(np.fft.ifftshift(f.reshaped()))
-    return SpectralField(g, coeffs)
-
-
-def inverse_transform(F: SpectralField, check_symmetry: bool = True) -> RealField:
-    """Unitary inverse transform back to real samples.
-
-    Rejects coefficient arrays that are not conjugate-symmetric (relative
-    asymmetry above SYMMETRY_RTOL), since those do not describe a real field.
-    """
-    g = F.grid
-    c = F.coeffs
-    if check_symmetry:
-        scale = np.max(np.abs(c))
-        if scale > 0.0:
-            asym = np.max(np.abs(c - np.conj(_reflect_modes(c))))
-            if asym > SYMMETRY_RTOL * scale:
-                raise ValueError(
-                    "coefficients are not conjugate-symmetric "
-                    f"(relative asymmetry {asym / scale:.3e})"
-                )
-    values = _inverse_scale(g) * np.fft.fftshift(np.fft.ifftn(c)).real
-    return RealField(g, values)
-
-
-def _reflect_modes(c: np.ndarray) -> np.ndarray:
-    """Map coefficients C[k] -> C[-k] (indices mod n on every axis)."""
-    out = c
-    for axis in range(c.ndim):
-        out = np.roll(np.flip(out, axis=axis), 1, axis=axis)
     return out
 
 

@@ -47,6 +47,7 @@ import numpy as np
 from .bounds import (
     AssumptionsNotValidated,
     BoundsReport,
+    _require_valid,
     compute_bounds,
     continuity_bound_raw,
 )
@@ -257,7 +258,7 @@ def solve_background(problem: Problem) -> tuple[VectorField, tuple[float, ...]]:
     comps = []
     dropped = []
     for f in problem.forcings:
-        u, mass = solve_linear(f, zero_mode_policy="project")
+        u, mass = solve_linear(f)
         comps.append(u)
         dropped.append(mass)
     return VectorField(tuple(comps)), tuple(dropped)
@@ -634,12 +635,18 @@ def continuity_experiment(
 ) -> ContinuityReport:
     """Solve with g1 and g2 and compare |u1 - u2|_H4 to the certified bound.
 
-    Both solves share one background (``background`` when given) and one
-    set of forcing and kernel coefficients.  The pass rule allows the stated
-    relative margin plus an absolute slack of 10 * tol (two converged solves
-    cannot be distinguished below that).
+    The bound assumes that both maps contract, so the problem is validated
+    with each nonlinearity before either solve; a failure raises
+    :class:`AssumptionsNotValidated`.  Both solves share one background
+    (``background`` when given) and one set of forcing and kernel
+    coefficients.  The pass rule allows the stated relative margin plus an
+    absolute slack of 10 * tol (two converged solves cannot be
+    distinguished below that).
     """
     ctx = _Context(problem, background)
+    background_h4 = _norm_h4(problem.grid, ctx.background_hat)
+    for g in (g1, g2):
+        _require_valid(problem.with_nonlinearity(g), background_h4, budget, seed)
     rep1 = picard(problem.with_nonlinearity(g1), tol=tol, max_iter=max_iter,
                   budget=budget, seed=seed, _context=ctx)
     rep2 = picard(problem.with_nonlinearity(g2), tol=tol, max_iter=max_iter,

@@ -2,9 +2,8 @@
 
 The linear operator is L = -Laplacian + Laplacian^2, diagonal in Fourier
 space with symbol |p|^2 + |p|^4.  The symbol vanishes only at p = 0, so
-inversion is defined up to the zero mode; ``solve_linear`` either projects
-the zero mode out (recording the dropped mass) or rejects inputs whose mean
-is too large to ignore.
+inversion is defined up to the zero mode; ``solve_linear`` projects the
+zero mode out and records the dropped mass.
 
 Every routine here runs on the half-spectrum path of :mod:`nlrd.lattice`
 (``forward_coeffs`` / ``inverse_values``), where the operator is a
@@ -25,51 +24,20 @@ on tiny grids only.
 from __future__ import annotations
 
 import functools
-from typing import Literal
 
 import numpy as np
 
 from . import _kernels, lattice
-from .lattice import (
-    Grid,
-    RealField,
-    half_squared_wavenumber,
-    norm_l1,
-    squared_wavenumber,
-)
+from .lattice import Grid, RealField, half_squared_wavenumber
 
 _TWO_PI = 2.0 * np.pi
-
-#: rejection threshold for the relative zero-mode mass in ``solve_linear``
-TOL_ZERO_MODE = 1e-8
 
 #: largest grid (total points) accepted by ``convolve_direct``
 DIRECT_CONV_MAX_POINTS = 10_000
 
-ZeroModePolicy = Literal["project", "reject"]
-
-
-class ZeroModeRejected(ValueError):
-    """Raised when the forcing carries too much mean for a clean inversion."""
-
-    def __init__(self, mass: float, threshold: float):
-        self.mass = mass
-        self.threshold = threshold
-        super().__init__(
-            f"zero-mode mass {mass:.3e} exceeds threshold {threshold:.3e}; "
-            "the operator symbol vanishes at p = 0"
-        )
-
 
 class GridTooLarge(ValueError):
     """Raised when the O(P^2) direct convolution would be too expensive."""
-
-
-@functools.lru_cache(maxsize=16)
-def operator_symbol(grid: Grid) -> np.ndarray:
-    """Symbol |p|^2 + |p|^4 on the frequency lattice, FFT order."""
-    q2 = squared_wavenumber(grid)
-    return q2 + q2**2
 
 
 @functools.lru_cache(maxsize=16)
@@ -96,27 +64,15 @@ def apply_operator(u: RealField) -> RealField:
     return RealField(g, lattice.inverse_values(g, coeffs))
 
 
-def solve_linear(
-    f: RealField,
-    zero_mode_policy: ZeroModePolicy = "project",
-    tol_zero_mode: float = TOL_ZERO_MODE,
-) -> tuple[RealField, float]:
+def solve_linear(f: RealField) -> tuple[RealField, float]:
     """Solve (-Laplacian + Laplacian^2) u = f on the periodic box.
 
     Divides by the symbol away from p = 0.  The zero mode of f is projected
-    out; its magnitude |f^(0)| is returned as ``dropped_mass``.  Under the
-    ``"reject"`` policy, a dropped mass above ``tol_zero_mode`` relative to
-    the natural scale (2 pi)^(-d/2) |f|_L1 raises :class:`ZeroModeRejected`.
+    out; its magnitude |f^(0)| is returned as ``dropped_mass``.
     """
-    if zero_mode_policy not in ("project", "reject"):
-        raise ValueError(f"unknown zero-mode policy {zero_mode_policy!r}")
     g = f.grid
     coeffs = lattice.forward_coeffs(g, f.values)
     dropped = float(np.abs(coeffs[(0,) * g.d]))
-    if zero_mode_policy == "reject":
-        scale = _TWO_PI ** (-g.d / 2.0) * norm_l1(f)
-        if dropped > tol_zero_mode * max(scale, np.finfo(float).tiny):
-            raise ZeroModeRejected(dropped, tol_zero_mode * scale)
     coeffs *= inverse_symbol(g)
     return RealField(g, lattice.inverse_values(g, coeffs)), dropped
 

@@ -14,12 +14,9 @@ from nlrd.bounds import (
     NonPositiveAlpha,
     apriori_bound_raw,
     compute_bounds,
-    continuity_bound,
     continuity_bound_raw,
-    coupling_threshold,
     coupling_threshold_raw,
     frequency_split_minimum,
-    lipschitz_coefficient,
     lipschitz_coefficient_raw,
     radial_weight_integral,
     sobolev_embedding_constant,
@@ -311,13 +308,13 @@ def test_validated_layer_requires_sound_data():
 
 
 def test_validated_wrappers_agree_with_report():
+    """compute_bounds evaluates the same formulas as the raw layer."""
     p = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0)
     rep = compute_bounds(p, background_h4=0.2, budget=2000)
-    kappa = lipschitz_coefficient(p, 0.2, budget=2000)
+    raw = (p.d, p.c2_bound, rep.kernel_l1_rss, rep.kernel_l2_rss, 0.2)
+    kappa = lipschitz_coefficient_raw(*raw)
     assert kappa == pytest.approx(rep.lipschitz_coeff, rel=1e-14)
-    eps_max = coupling_threshold(p, 0.2, budget=2000)
+    eps_max = coupling_threshold_raw(p.d, p.rho, *raw[1:])
     assert eps_max == pytest.approx(rep.eps_max, rel=1e-14)
-    cont = continuity_bound(p, 0.2, nonlinearity_gap=0.1, eps=eps_max / 2.0,
-                            budget=2000)
-    expected = continuity_bound_raw(eps_max / 2.0, kappa, p.c2_bound, 0.2, 0.1)
-    assert cont == pytest.approx(expected, rel=1e-14)
+    apriori = apriori_bound_raw(p.d, rep.eps_used, *raw[1:])
+    assert apriori == pytest.approx(rep.apriori_bound, rel=1e-14)

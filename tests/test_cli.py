@@ -238,6 +238,15 @@ def test_probe_contraction_within_certified_ratio(tmp_path, capsys):
     assert payload["margin"] == 0.05
 
 
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_probe_without_pairs_is_a_config_error(tmp_path, capsys, pairs):
+    cfg = write_cfg(tmp_path, small_config())
+    code, out, err = run(capsys, "probe-contraction", cfg, "--pairs", pairs)
+    assert code == 2
+    assert "--pairs" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # continuity
 # ---------------------------------------------------------------------------
@@ -251,3 +260,21 @@ def test_continuity_respects_certified_bound(tmp_path, capsys):
     assert payload["gap_method"] == "analytic"
     assert payload["measured"] <= payload["bound"] * 1.05 + payload["slack"]
     assert max(payload["residuals"]) <= 1e-8
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_non_finite_delta_is_a_config_error(tmp_path, capsys, delta):
+    cfg = write_cfg(tmp_path, small_config())
+    code, out, err = run(capsys, "continuity", cfg, f"--delta={delta}")
+    assert code == 2
+    assert "--delta" in err
+    assert out == ""
+
+
+def test_continuity_rejects_perturbation_beyond_c2_bound(tmp_path, capsys):
+    # g2 = 2.5 g1 has a C^2 norm of 1.25 on the state ball, above c2_bound = 1
+    cfg = write_cfg(tmp_path, small_config())
+    code, out, err = run(capsys, "continuity", cfg, "--delta", "1.5")
+    assert code == 1
+    assert "c2_within_bound" in err
+    assert out == ""

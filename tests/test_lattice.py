@@ -8,13 +8,10 @@ from scipy import integrate
 from nlrd.lattice import (
     Grid,
     RealField,
-    SpectralField,
     VectorField,
     forward_coeffs,
-    forward_transform,
     h4_norm_sq_coeffs,
     h4_weight,
-    inverse_transform,
     inverse_values,
     l2_norm_sq_coeffs,
     norm_h4,
@@ -49,6 +46,16 @@ def dft_oracle(grid: Grid, f: RealField) -> np.ndarray:
             acc += vals[j_idx] * np.exp(-1j * np.dot(pk, xj))
         coeffs[k_idx] = acc
     return TWO_PI ** (-grid.d / 2.0) * grid.h**grid.d * coeffs
+
+
+def half_of(grid: Grid, F: np.ndarray) -> np.ndarray:
+    """Natural-layout half spectrum of a centred FFT-order spectrum F.
+
+    ``forward_coeffs`` keeps the last-axis modes 0 .. n/2 of F, each times
+    (-1)^(k_1 + ... + k_d) (see the lattice module docstring).
+    """
+    k = np.indices(grid.half_shape).sum(axis=0)
+    return F[..., : grid.n // 2 + 1] * (-1.0) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -90,22 +97,10 @@ def test_field_containers_validate():
     with pytest.raises(ValueError):
         RealField(g, np.full(16, np.nan))
     with pytest.raises(ValueError):
-        SpectralField(g, np.zeros((4, 3), dtype=complex))
-    with pytest.raises(ValueError):
         VectorField(())
     other = Grid(d=2, n=6, L=1.0)
     with pytest.raises(ValueError):
         VectorField((RealField.zeros(g), RealField.zeros(other)))
-
-
-def test_vector_field_stack_round_trip():
-    g = Grid(d=2, n=4, L=1.0)
-    rng = np.random.default_rng(7)
-    stacked = rng.standard_normal((g.npoints, 3))
-    u = VectorField.from_stack(g, stacked)
-    assert u.n_components == 3
-    assert u.grid == g
-    assert np.array_equal(u.stacked(), stacked)
 
 
 # ---------------------------------------------------------------------------
@@ -116,37 +111,39 @@ def test_vector_field_stack_round_trip():
 def test_forward_matches_direct_dft(d, n):
     g = Grid(d=d, n=n, L=1.7)
     f = random_field(g, seed=10 * d + n)
-    F = forward_transform(f)
-    assert_allclose(F.coeffs, dft_oracle(g, f), rtol=0, atol=1e-12)
+    half = forward_coeffs(g, f.values)
+    assert half.shape == g.half_shape
+    assert_allclose(half, half_of(g, dft_oracle(g, f)), rtol=0, atol=1e-12)
 
 
 def test_constant_field_transforms_to_zero_mode():
     c = 0.8
     g = Grid(d=1, n=8, L=3.0)
-    F = forward_transform(RealField(g, np.full(g.npoints, c)))
+    F = forward_coeffs(g, np.full(g.npoints, c))
     expected0 = TWO_PI ** (-0.5) * 2.0 * g.L * c
-    assert F.coeffs[0] == pytest.approx(expected0, rel=1e-14)
-    assert np.max(np.abs(F.coeffs[1:])) <= 1e-14 * abs(expected0)
+    assert F[0] == pytest.approx(expected0, rel=1e-14)
+    assert np.max(np.abs(F[1:])) <= 1e-14 * abs(expected0)
 
 
 def test_single_cosine_splits_into_two_modes():
+    # the half spectrum keeps the +dp mode; its -dp partner is its conjugate
     g = Grid(d=1, n=8, L=2.0)
     x = g.axis_coords()
-    f = RealField(g, np.cos(g.dp * x))
-    F = forward_transform(f)
+    F = forward_coeffs(g, np.cos(g.dp * x))
     expected = TWO_PI ** (-0.5) * (2.0 * g.L) / 2.0
-    assert F.coeffs[1] == pytest.approx(expected, rel=1e-13)
-    assert F.coeffs[-1] == pytest.approx(expected, rel=1e-13)
-    others = np.delete(F.coeffs, [1, g.n - 1])
+    assert F[1] == pytest.approx(-expected, rel=1e-13)  # sign (-1)^1
+    others = np.delete(F, 1)
     assert np.max(np.abs(others)) <= 1e-13 * expected
+    assert l2_norm_sq_coeffs(g, F) == pytest.approx(2.0 * g.dp * expected**2, rel=1e-13)
 
 
 @pytest.mark.parametrize("d,n", [(1, 16), (2, 8), (3, 6), (5, 4)])
 def test_round_trip_identity(d, n):
     g = Grid(d=d, n=n, L=2.5)
     f = random_field(g, seed=d * 100 + n)
-    back = inverse_transform(forward_transform(f))
-    err = np.max(np.abs(back.values - f.values))
+    back = inverse_values(g, forward_coeffs(g, f.values))
+    assert back.shape == g.shape
+    err = np.max(np.abs(back.reshape(-1) - f.values))
     assert err <= 1e-12 * np.max(np.abs(f.values))
 
 
@@ -155,8 +152,8 @@ def test_transform_is_linear():
     f1 = random_field(g, seed=1)
     f2 = random_field(g, seed=2)
     a, b = 2.5, -1.25
-    lhs = forward_transform(RealField(g, a * f1.values + b * f2.values)).coeffs
-    rhs = a * forward_transform(f1).coeffs + b * forward_transform(f2).coeffs
+    lhs = forward_coeffs(g, a * f1.values + b * f2.values)
+    rhs = a * forward_coeffs(g, f1.values) + b * forward_coeffs(g, f2.values)
     assert_allclose(lhs, rhs, rtol=0, atol=1e-12 * np.max(np.abs(rhs)))
 
 
@@ -164,9 +161,8 @@ def test_transform_is_linear():
 def test_parseval_identity(d, n):
     g = Grid(d=d, n=n, L=3.0)
     f = random_field(g, seed=d + n)
-    F = forward_transform(f)
     phys = g.h**g.d * np.sum(f.values**2)
-    spec = g.dp**g.d * np.sum(np.abs(F.coeffs) ** 2)
+    spec = l2_norm_sq_coeffs(g, forward_coeffs(g, f.values))
     assert abs(phys - spec) <= 1e-12 * phys
 
 
@@ -175,30 +171,18 @@ def test_half_spectrum_norms_match_full_complex(d, n):
     """Hermitian-weighted half-spectrum sums equal the full-lattice sums."""
     g = Grid(d=d, n=n, L=2.5)
     f = random_field(g, seed=d * 10 + n)
-    F = forward_transform(f).coeffs
+    # centred full spectrum in FFT order, straight from numpy
+    F = TWO_PI ** (-d / 2.0) * g.h**d * np.fft.fftn(np.fft.ifftshift(f.reshaped()))
     half = forward_coeffs(g, f.values)
     assert half.shape == g.half_shape
     full_h4 = g.dp**g.d * np.sum(h4_weight(g) * np.abs(F) ** 2)
     full_l2 = g.dp**g.d * np.sum(np.abs(F) ** 2)
     assert h4_norm_sq_coeffs(g, half) == pytest.approx(full_h4, rel=1e-13)
     assert l2_norm_sq_coeffs(g, half) == pytest.approx(full_l2, rel=1e-13)
-    # natural-layout half spectrum = centred spectrum times (-1)^(k_1+...+k_d)
-    k = np.indices(g.half_shape).sum(axis=0)
-    expected = F[..., : n // 2 + 1] * (-1.0) ** k
-    assert_allclose(half, expected, rtol=0, atol=1e-13 * np.max(np.abs(F)))
+    assert_allclose(half, half_of(g, F), rtol=0, atol=1e-13 * np.max(np.abs(F)))
     back = inverse_values(g, half)
     assert back.shape == g.shape
     assert_allclose(back.reshape(-1), f.values, rtol=0, atol=1e-12 * np.max(np.abs(f.values)))
-
-
-def test_inverse_rejects_asymmetric_coefficients():
-    g = Grid(d=1, n=8, L=1.0)
-    coeffs = np.zeros(g.n, dtype=complex)
-    coeffs[1] = 1.0 + 1.0j  # no conjugate partner at -k
-    with pytest.raises(ValueError, match="conjugate-symmetric"):
-        inverse_transform(SpectralField(g, coeffs))
-    # the unchecked path accepts the same input
-    inverse_transform(SpectralField(g, coeffs), check_symmetry=False)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ import functools
 import numpy as np
 import pytest
 
-from nlrd.lattice import Grid, RealField, VectorField, h4_weight, norm_h4_vector
+from nlrd.lattice import (
+    Grid,
+    RealField,
+    VectorField,
+    forward_coeffs,
+    h4_weight,
+    norm_h4_vector,
+)
 from nlrd.model import Problem, gaussian_field, quadratic_nonlinearity, Nonlinearity
 from nlrd.solver import (
     DivergenceDetected,
@@ -21,6 +28,12 @@ from nlrd.solver import (
 from nlrd.spectral import apply_operator, convolve, solve_linear
 
 TWO_PI = 2.0 * np.pi
+
+
+def stacked(u: VectorField) -> np.ndarray:
+    """(npoints, N) array of per-component samples."""
+    return np.stack([c.values for c in u.components], axis=1)
+
 
 REFERENCE_MATRICES = [
     np.array([[1.0, 0.3], [0.3, 0.5]]),
@@ -111,7 +124,7 @@ def test_map_matches_manual_convolve_and_solve():
     v = random_ball_field(p.grid, 2, rng, target_norm=0.3)
     out = apply_fixed_point_map(p, bg, v)
 
-    z = bg.stacked() + v.stacked()
+    z = stacked(bg) + stacked(v)
     gz = p.nonlinearity.eval(z)
     for m in range(2):
         rhs = convolve(p.kernels[m], RealField(p.grid, gz[:, m]))
@@ -131,7 +144,7 @@ def full_complex_map(problem, background, v):
     q2 = functools.reduce(np.add.outer, [grid.axis_wavenumbers() ** 2] * d)
     sym = q2 + q2**2
     inv_sym = np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0.0)
-    gz = problem.nonlinearity.eval(background.stacked() + v.stacked())
+    gz = problem.nonlinearity.eval(stacked(background) + stacked(v))
     out = []
     for m in range(problem.n_components):
         k_hat = fwd * np.fft.fftn(np.fft.ifftshift(problem.kernels[m].reshaped()))
@@ -210,8 +223,7 @@ def test_single_mode_linear_response_matches_hand_multiplier():
     out = apply_fixed_point_map(p, bg, v)
     ratio = norm_h4_vector(out) / norm_h4_vector(v)
 
-    from nlrd.lattice import forward_transform
-    k_hat = forward_transform(kernel).coeffs[(1,) + (0,) * 4]  # mode at +dp
+    k_hat = forward_coeffs(g, kernel.values)[(1,) + (0,) * 4]  # mode at +dp
     k2 = g.dp**2
     expected = p.eps[0] * c * TWO_PI ** (g.d / 2.0) * abs(k_hat) / (k2 + k2**2)
     assert ratio == pytest.approx(expected, rel=1e-12)
@@ -440,3 +452,15 @@ def test_continuity_experiment_small_scaling(small_built):
     assert rep.measured <= rep.bound * 1.05 + rep.slack
     assert rep.measured > 0.0
     assert max(rep.residuals) <= 1e-8
+
+
+def test_continuity_experiment_requires_both_nonlinearities_valid(small_built):
+    from nlrd.bounds import AssumptionsNotValidated
+    from nlrd.model import scale_nonlinearity
+
+    g1 = small_built.problem.nonlinearity
+    big = scale_nonlinearity(g1, 2.5)  # C^2 norm 1.25 > c2_bound = 1
+    for pair in ((g1, big), (big, g1)):
+        with pytest.raises(AssumptionsNotValidated) as err:
+            continuity_experiment(small_built.problem, *pair, tol=1e-10, max_iter=50)
+        assert err.value.failures == ("c2_within_bound",)

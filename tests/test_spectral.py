@@ -8,11 +8,10 @@ from nlrd.lattice import Grid, RealField, norm_l1, norm_l2
 from nlrd.spectral import (
     DIRECT_CONV_MAX_POINTS,
     GridTooLarge,
-    ZeroModeRejected,
     apply_operator,
     convolve,
     convolve_direct,
-    operator_symbol,
+    half_operator_symbol,
     solve_linear,
 )
 
@@ -48,7 +47,8 @@ def cosine_mode(grid: Grid) -> RealField:
 
 def test_symbol_vanishes_only_at_zero():
     g = Grid(d=2, n=8, L=2.0)
-    sym = operator_symbol(g)
+    sym = half_operator_symbol(g)
+    assert sym.shape == g.half_shape
     assert sym[0, 0] == 0.0
     rest = np.delete(sym.reshape(-1), 0)
     assert np.all(rest > 0.0)
@@ -116,37 +116,19 @@ def test_zero_field_solves_to_zero():
 
 
 # ---------------------------------------------------------------------------
-# zero-mode policy
+# zero mode
 # ---------------------------------------------------------------------------
 
 def test_project_policy_reports_dropped_mass():
     g = Grid(d=2, n=8, L=2.0)
     f = random_field(g, seed=5)
-    _, dropped = solve_linear(f, zero_mode_policy="project")
+    _, dropped = solve_linear(f)
     expected = TWO_PI ** (-g.d / 2.0) * g.h**g.d * abs(f.values.sum())
     assert dropped == pytest.approx(expected, rel=1e-13)
-
-
-def test_reject_policy_raises_on_large_mean():
-    g = Grid(d=2, n=8, L=2.0)
-    f = RealField(g, np.full(g.npoints, 1.0))  # all mass on the zero mode
-    with pytest.raises(ZeroModeRejected) as err:
-        solve_linear(f, zero_mode_policy="reject")
-    assert err.value.mass > err.value.threshold > 0.0
-
-
-def test_reject_policy_accepts_mean_zero_input():
-    g = Grid(d=2, n=8, L=2.0)
-    f = random_field(g, seed=6, mean_zero=True)
-    u, dropped = solve_linear(f, zero_mode_policy="reject")
+    # mean-zero input carries no zero-mode mass
+    u, dropped = solve_linear(random_field(g, seed=6, mean_zero=True))
     assert dropped <= 1e-14
     assert np.all(np.isfinite(u.values))
-
-
-def test_unknown_policy_rejected():
-    g = Grid(d=2, n=4, L=1.0)
-    with pytest.raises(ValueError, match="policy"):
-        solve_linear(RealField.zeros(g), zero_mode_policy="ignore")
 
 
 # ---------------------------------------------------------------------------
