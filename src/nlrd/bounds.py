@@ -279,17 +279,6 @@ def validate_problem(
     return data, nl
 
 
-def _require_valid(
-    problem: Problem, background_h4: float, budget: int, seed: int
-) -> tuple[DataReport, NonlinearityReport]:
-    data, nl = validate_problem(problem, background_h4, budget=budget, seed=seed)
-    if not (data.passed and nl.passed):
-        raise AssumptionsNotValidated(
-            tuple(data.failures) + tuple(nl.failures), data, nl
-        )
-    return data, nl
-
-
 def compute_bounds(
     problem: Problem,
     background_h4: float,
@@ -304,7 +293,11 @@ def compute_bounds(
     eps_used = max_m eps_m, the coupling the contraction argument sees.
     """
     if validate:
-        _require_valid(problem, background_h4, budget, seed)
+        data, nl = validate_problem(problem, background_h4, budget=budget, seed=seed)
+        if not (data.passed and nl.passed):
+            raise AssumptionsNotValidated(
+                tuple(data.failures) + tuple(nl.failures), data, nl
+            )
     l1_rss, l2_rss = kernel_aggregates(problem.kernels)
     d = problem.d
     c2 = problem.c2_bound

@@ -227,7 +227,7 @@ def _cmd_probe(args) -> int:
     probe = contraction_probe(
         built.problem, pairs=pairs, seed=seed, background=built.background
     )
-    margin = float(built.margins.get("contraction", 0.05))
+    margin = built.margins["contraction"]
     passed = probe.max_ratio <= theory.contraction_constant * (1.0 + margin)
     _emit(
         {
@@ -257,7 +257,7 @@ def _cmd_continuity(args) -> int:
     built = _build(args)
     g1 = built.problem.nonlinearity
     g2 = scale_nonlinearity(g1, 1.0 + args.delta)
-    margin = float(built.margins.get("continuity", 0.05))
+    margin = built.margins["continuity"]
     try:
         rep = continuity_experiment(
             built.problem, g1, g2,

@@ -35,6 +35,7 @@ dictionary that reports embed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -103,6 +104,23 @@ def check_solver_settings(tol: float, max_iter: int) -> None:
         raise ConfigError(f"solver tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ConfigError(f"solver max_iter must be >= 1, got {max_iter}")
+
+
+def _number(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{what} must be a number, got {value!r}") from err
+
+
+def _build_margins(cfg: dict) -> dict:
+    margins = dict(DEFAULT_MARGINS)
+    for key, value in _section(cfg, "margins", required=False).items():
+        margin = _number(value, f"margins.{key}")
+        if not (math.isfinite(margin) and margin >= 0.0):
+            raise ConfigError(f"margins.{key} must be finite and >= 0, got {value!r}")
+        margins[key] = margin
+    return margins
 
 
 def _section(cfg: dict, name: str, required: bool = True) -> dict:
@@ -178,7 +196,7 @@ def _build_nonlinearity(cfg: dict) -> tuple[Nonlinearity, float | None]:
         raise ConfigError(f"bad quadratic nonlinearity: {err}") from err
     frac = sec.get("scale_c2_to_fraction")
     if frac is not None:
-        frac = float(frac)
+        frac = _number(frac, "scale_c2_to_fraction")
         if not 0.0 < frac <= 1.0:
             raise ConfigError(
                 f"scale_c2_to_fraction must be in (0, 1], got {frac}"
@@ -197,8 +215,7 @@ def build_problem(
     grid = _build_grid(cfg)
     prob_sec = _section(cfg, "problem")
     solver_sec = _section(cfg, "solver", required=False)
-    margins = dict(DEFAULT_MARGINS)
-    margins.update(_section(cfg, "margins", required=False))
+    margins = _build_margins(cfg)
 
     try:
         rho = float(prob_sec.get("rho", 1.0))
@@ -230,15 +247,18 @@ def build_problem(
 
     # The background (and hence the state-ball radius and eps_max) depends
     # only on the grid and forcings, so it can be resolved before couplings.
-    base = Problem(
-        grid=grid,
-        eps=(0.0,) * g.N,
-        kernels=kernels,
-        forcings=forcings,
-        nonlinearity=g,
-        rho=rho,
-        c2_bound=c2_bound,
-    )
+    try:
+        base = Problem(
+            grid=grid,
+            eps=(0.0,) * g.N,
+            kernels=kernels,
+            forcings=forcings,
+            nonlinearity=g,
+            rho=rho,
+            c2_bound=c2_bound,
+        )
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     background, dropped = solve_background(base)
     background_h4 = norm_h4_vector(background)
 
@@ -273,7 +293,7 @@ def build_problem(
     elif cfg_fraction is not None and cfg_eps is not None:
         raise ConfigError("give either 'eps' or 'eps_fraction', not both")
     elif cfg_fraction is not None:
-        q = float(cfg_fraction)
+        q = _number(cfg_fraction, "eps_fraction")
         if not q > 0.0:
             raise ConfigError(f"eps_fraction must be positive, got {q}")
         eps = (q * eps_max,) * g.N
@@ -285,9 +305,9 @@ def build_problem(
             )
     elif cfg_eps is not None:
         if np.isscalar(cfg_eps):
-            eps = (float(cfg_eps),) * g.N
+            eps = (_number(cfg_eps, "eps"),) * g.N
         else:
-            eps = tuple(float(e) for e in cfg_eps)
+            eps = tuple(_number(e, "eps") for e in cfg_eps)
             if len(eps) != g.N:
                 raise ConfigError(
                     f"eps list has {len(eps)} entries for {g.N} components"

@@ -31,6 +31,21 @@ convolution once the kernel is put in displacement order
 full lattice through Hermitian weights: 1 on the last-axis modes 0 and
 n/2, 2 on the others, which stand for their conjugate partners.
 
+The transforms are dense per-axis DFTs done as BLAS matrix products, not
+FFTs: one real product for the last axis and one complex n x n product per
+other axis, with the matrices cached per n.  That costs O(n^(d+1))
+instead of O(n^d log n), but on small grids a matrix product beats an
+FFT's per-line overhead.  Timed against numpy's ``rfftn``/``irfftn`` on
+two cores with numpy's default BLAS threading, each transform was faster
+on every grid tried (d = 5 with n = 12 .. 32, d = 6 with n = 10 .. 16,
+d = 7 with n = 8 and 10): 2 to 7 times at n <= 12, 1.4 to 3 times on
+the larger grids.  With one BLAS thread the inverse is on par at d = 5,
+n = 24 and 32, and 13% slower at d = 6, n = 16.  Larger grids were not
+timed.  Results agree with numpy's ``rfftn``/``irfftn`` to about 1e-15
+relative.  Angles are reduced to j k mod n and are exact (0 or +-1) at
+multiples of pi/2, so the inverse discards the imaginary parts of
+self-conjugate modes exactly as ``irfftn`` does.
+
 H^4 norms are computed spectrally with the weight 1 + |p|^8.
 """
 
@@ -212,8 +227,38 @@ def _forward_scale(grid: Grid) -> float:
 
 
 def _inverse_scale(grid: Grid) -> float:
-    # numpy's inverse transforms already divide by the number of points
-    return _TWO_PI ** (-grid.d / 2.0) * grid.dp**grid.d * grid.npoints
+    return _TWO_PI ** (-grid.d / 2.0) * grid.dp**grid.d
+
+
+@functools.lru_cache(maxsize=16)
+def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unnormalised length-n DFT matrices ``(r2c, c2c, c2c_inv, c2r)``.
+
+    With h = n/2 + 1 and angles 2 pi (j k mod n) / n, exact (0 or +-1) at
+    multiples of pi/2:
+
+    - ``r2c``, n x 2h real: columns cos, -sin interleaved per mode k < h, so
+      ``x @ r2c`` viewed as complex is the half spectrum of each row x;
+    - ``c2c``, n x n: exp(-2 pi i j k / n), and ``c2c_inv`` its conjugate;
+    - ``c2r``, 2h x n real: rows w_k cos, -w_k sin with the Hermitian
+      weights w_k, so a row of half-spectrum coefficients viewed as real
+      times ``c2r`` is its full inverse sum.  The sin rows of the modes 0
+      and n/2 are exactly zero: their imaginary parts are discarded.
+    """
+    m = np.arange(n)
+    cos = np.cos(_TWO_PI * m / n)
+    sin = np.sin(_TWO_PI * m / n)
+    quarter = (4 * m) % n == 0
+    cos[quarter] = np.rint(cos[quarter])
+    sin[quarter] = np.rint(sin[quarter])
+    phase = np.outer(m, m) % n
+    c2c = cos[phase] - 1j * sin[phase]
+    half = phase[:, : n // 2 + 1]
+    r2c = np.stack([cos[half], -sin[half]], axis=-1).reshape(n, -1)
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = w[-1] = 1.0
+    c2r = np.stack([w * cos[half], -w * sin[half]], axis=-1).reshape(n, -1).T
+    return r2c, c2c, c2c.conj(), c2r
 
 
 def forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -222,17 +267,37 @@ def forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
     ``values`` holds ``grid.npoints`` samples in natural layout, flat or of
     shape ``grid.shape``.  Returns the scaled ``rfftn``, shape
     ``grid.half_shape``, unshifted (see the module docstring).
+
+    One real product transforms the last axis to its half spectrum; each
+    of d - 1 complex products then transforms the leading axis and
+    rotates it to the end, which leaves the half axis leading.
     """
-    out = np.fft.rfftn(np.reshape(values, grid.shape))
-    out *= _forward_scale(grid)
-    return out
+    n = grid.n
+    r2c, c2c, _, _ = _dft_matrices(n)
+    rows = np.reshape(np.asarray(values, dtype=np.float64), (-1, n))
+    out = (rows @ (_forward_scale(grid) * r2c)).view(np.complex128)
+    for _ in range(grid.d - 1):
+        out = out.reshape(n, -1).T @ c2c
+    out = out.reshape((n // 2 + 1,) + grid.shape[1:])
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Samples, shape ``grid.shape``, of half-spectrum coefficients."""
-    out = np.fft.irfftn(coeffs, s=grid.shape, axes=tuple(range(grid.d)))
-    out *= _inverse_scale(grid)
-    return out
+    """Samples, shape ``grid.shape``, of half-spectrum coefficients.
+
+    The mirror image of :func:`forward_coeffs`: with the half axis moved
+    to the front, d - 1 complex products each transform the trailing axis
+    and rotate it to the front, and one real product against ``c2r`` sums
+    the half axis with its Hermitian weights.
+    """
+    n = grid.n
+    _, _, c2c_inv, c2r = _dft_matrices(n)
+    hat = np.reshape(np.asarray(coeffs, dtype=np.complex128), grid.half_shape)
+    out = np.moveaxis(hat, -1, 0).copy()
+    for _ in range(grid.d - 1):
+        out = c2c_inv @ out.reshape(-1, n).T
+    rows = out.view(np.float64).reshape(-1, c2r.shape[0])
+    return (rows @ (_inverse_scale(grid) * c2r)).reshape(grid.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ import numpy as np
 from .bounds import (
     AssumptionsNotValidated,
     BoundsReport,
-    _require_valid,
     compute_bounds,
     continuity_bound_raw,
 )
@@ -274,22 +273,27 @@ def _eval_stack(g: Nonlinearity, stack: np.ndarray) -> np.ndarray:
 
 
 def _apply(
-    ctx: _Context, g: Nonlinearity, v: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
-    """One application of T to the stack v; returns (samples, coeffs, dropped)."""
+    ctx: _Context, g: Nonlinearity, v: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """One application of T to the stack v; returns (coeffs, dropped).
+
+    Only the coefficients are computed, into ``out`` when given; callers
+    that need the samples of T(v) transform them back with
+    :func:`_inverse_stack`.
+    """
     grid = ctx.grid
     gz = _eval_stack(g, ctx.background + v)
     inv_sym = inverse_symbol(grid)
     zero = (0,) * grid.d
-    values = np.empty_like(v)
-    hats = np.empty((len(v),) + grid.half_shape, dtype=np.complex128)
+    hats = out if out is not None else np.empty(
+        (len(v),) + grid.half_shape, dtype=np.complex128
+    )
     dropped = []
     for m in range(len(v)):
         rhs = np.multiply(ctx.coupling[m], forward_coeffs(grid, gz[m]), out=hats[m])
         dropped.append(float(np.abs(rhs[zero])))
         rhs *= inv_sym
-        values[m] = inverse_values(grid, rhs)
-    return values, hats, tuple(dropped)
+    return hats, tuple(dropped)
 
 
 def apply_fixed_point_map(
@@ -312,8 +316,8 @@ def apply_fixed_point_map(
             stacklevel=2,
         )
     ctx = _Context(problem, background)
-    values, _, _ = _apply(ctx, problem.nonlinearity, _stack(v))
-    return _field(problem.grid, values)
+    hats, _ = _apply(ctx, problem.nonlinearity, _stack(v))
+    return _field(problem.grid, _inverse_stack(problem.grid, hats))
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +363,26 @@ def residual(
 # ---------------------------------------------------------------------------
 
 def _bounds_with_warnings(
-    problem: Problem, background_h4: float, budget: int, seed: int
+    problem: Problem,
+    background_h4: float,
+    budget: int,
+    seed: int,
+    validated: BoundsReport | None,
 ) -> tuple[BoundsReport, list[str]]:
     warnings: list[str] = []
-    try:
-        report = compute_bounds(problem, background_h4, budget=budget, seed=seed)
-    except AssumptionsNotValidated as err:
-        warnings.append(
-            "requirements failed (" + ", ".join(err.failures) + "); "
-            "bounds reported without certification"
-        )
-        report = compute_bounds(
-            problem, background_h4, budget=budget, seed=seed, validate=False
-        )
+    if validated is not None:
+        report = validated
+    else:
+        try:
+            report = compute_bounds(problem, background_h4, budget=budget, seed=seed)
+        except AssumptionsNotValidated as err:
+            warnings.append(
+                "requirements failed (" + ", ".join(err.failures) + "); "
+                "bounds reported without certification"
+            )
+            report = compute_bounds(
+                problem, background_h4, budget=budget, seed=seed, validate=False
+            )
     if report.eps_used > report.eps_max:
         warnings.append(
             f"coupling {report.eps_used:.6g} exceeds the certified threshold "
@@ -390,6 +401,7 @@ def picard(
     background: VectorField | None = None,
     *,
     _context: _Context | None = None,
+    _bounds: BoundsReport | None = None,
 ) -> SolveReport:
     """Iterate T from v = 0 (or ``initial``) to the fixed point.
 
@@ -397,7 +409,9 @@ def picard(
     :func:`nlrd.config.build_problem` does); otherwise it is solved here.
     ``_context`` is for this module's own callers: a context built for the
     same grid, couplings, kernels and forcings, whose coefficients are
-    reused (``background`` is then ignored).
+    reused (``background`` is then ignored).  ``_bounds``, also private, is
+    this problem's report from a validated :func:`compute_bounds` call on
+    that context's background, used instead of validating again.
 
     Returns the full report on convergence; raises
     :class:`DivergenceDetected` / :class:`MaxIterExceeded` (each carrying
@@ -414,7 +428,7 @@ def picard(
     g = problem.nonlinearity
     background_h4 = _norm_h4(grid, ctx.background_hat)
     bounds_report, warn = _bounds_with_warnings(
-        problem, background_h4, budget, seed
+        problem, background_h4, budget, seed, _bounds
     )
 
     if initial is None:
@@ -433,7 +447,7 @@ def picard(
     t0 = time.perf_counter()
 
     for k in range(1, max_iter + 1):
-        new_values, new_hats, dropped = _apply(ctx, g, v_values)
+        new_hats, dropped = _apply(ctx, g, v_values)
         step_h4 = _norm_h4(grid, (new - old for new, old in zip(new_hats, v_hats)))
         norm_h4 = _norm_h4(grid, new_hats)
         ratio = None
@@ -461,7 +475,7 @@ def picard(
                 tuple(warn), steps, converged=False, tol=tol, with_residual=False,
             )
             raise DivergenceDetected(report)
-        v_values, v_hats = new_values, new_hats
+        v_values, v_hats = _inverse_stack(grid, new_hats), new_hats
         if first_step is None:
             first_step = step_h4
         prev_step = step_h4
@@ -544,17 +558,48 @@ def random_ball_field(
     whole vector is rescaled to the requested norm, so draws are H^4-generic
     but well resolved on the lattice.
     """
+    hats = _ball_hats(grid, n_components, rng, target_norm)
+    return _field(grid, _inverse_stack(grid, hats))
+
+
+def _ball_hats(
+    grid: Grid, n_components: int, rng: np.random.Generator, target_norm: float
+) -> np.ndarray:
+    """Coefficients of the draw :func:`random_ball_field` makes."""
     if target_norm < 0.0:
         raise ValueError("target norm must be nonnegative")
+    hats = np.zeros((n_components,) + grid.half_shape, dtype=np.complex128)
     if target_norm == 0.0:
-        return VectorField.zeros(grid, n_components)
+        return hats
     envelope = _ball_envelope(grid)
-    hats = np.empty((n_components,) + grid.half_shape, dtype=np.complex128)
     for m in range(n_components):
-        hats[m] = np.fft.rfftn(rng.standard_normal(grid.shape))
-        hats[m] *= envelope
+        noise = rng.standard_normal(grid.shape)
+        np.multiply(forward_coeffs(grid, noise), envelope, out=hats[m])
     hats *= target_norm / _norm_h4(grid, hats)
-    return _field(grid, _inverse_stack(grid, hats))
+    return hats
+
+
+def _probe_ratio(
+    ctx: _Context, problem: Problem, rng: np.random.Generator
+) -> float | None:
+    """|T(v1) - T(v2)| / |v1 - v2| for one drawn pair; None when v1 = v2.
+
+    T(v) is written over the draw's coefficients, which are spent once the
+    denominator and the samples are taken, and every array of the pair is
+    released on return; this holds two field stacks fewer than fresh
+    outputs would.
+    """
+    grid = problem.grid
+    r1 = problem.rho * rng.random()
+    r2 = problem.rho * rng.random()
+    v1 = _ball_hats(grid, problem.n_components, rng, r1)
+    v2 = _ball_hats(grid, problem.n_components, rng, r2)
+    denom = _norm_h4(grid, (a - b for a, b in zip(v1, v2)))
+    if denom == 0.0:
+        return None
+    t1, _ = _apply(ctx, problem.nonlinearity, _inverse_stack(grid, v1), out=v1)
+    t2, _ = _apply(ctx, problem.nonlinearity, _inverse_stack(grid, v2), out=v2)
+    return _norm_h4(grid, (a - b for a, b in zip(t1, t2))) / denom
 
 
 @dataclass(frozen=True)
@@ -574,25 +619,21 @@ def contraction_probe(
     seed: int = 0,
     background: VectorField | None = None,
 ) -> ProbeReport:
-    """Measure |T(v1) - T(v2)| / |v1 - v2| on random pairs in the rho-ball."""
+    """Measure |T(v1) - T(v2)| / |v1 - v2| on random pairs in the rho-ball.
+
+    Each pair is drawn as :func:`random_ball_field` draws it, from the same
+    random stream, but stays in coefficients: both H^4 norms come from
+    them, and only the draws are transformed to samples.
+    """
     if pairs < 1:
         raise ValueError("need at least one pair")
     ctx = _Context(problem, background)
-    grid = problem.grid
-    g = problem.nonlinearity
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(pairs):
-        r1 = problem.rho * rng.random()
-        r2 = problem.rho * rng.random()
-        v1 = _stack(random_ball_field(grid, problem.n_components, rng, r1))
-        v2 = _stack(random_ball_field(grid, problem.n_components, rng, r2))
-        denom = _norm_h4(grid, (forward_coeffs(grid, a - b) for a, b in zip(v1, v2)))
-        if denom == 0.0:
-            continue
-        _, hats1, _ = _apply(ctx, g, v1)
-        _, hats2, _ = _apply(ctx, g, v2)
-        ratios.append(_norm_h4(grid, (h1 - h2 for h1, h2 in zip(hats1, hats2))) / denom)
+        ratio = _probe_ratio(ctx, problem, rng)
+        if ratio is not None:
+            ratios.append(ratio)
     return ProbeReport(
         pairs=pairs,
         seed=seed,
@@ -637,7 +678,8 @@ def continuity_experiment(
 
     The bound assumes that both maps contract, so the problem is validated
     with each nonlinearity before either solve; a failure raises
-    :class:`AssumptionsNotValidated`.  Both solves share one background
+    :class:`AssumptionsNotValidated`, and each solve reuses its validated
+    bounds instead of validating again.  Both solves share one background
     (``background`` when given) and one set of forcing and kernel
     coefficients.  The pass rule allows the stated relative margin plus an
     absolute slack of 10 * tol (two converged solves cannot be
@@ -645,12 +687,15 @@ def continuity_experiment(
     """
     ctx = _Context(problem, background)
     background_h4 = _norm_h4(problem.grid, ctx.background_hat)
-    for g in (g1, g2):
-        _require_valid(problem.with_nonlinearity(g), background_h4, budget, seed)
-    rep1 = picard(problem.with_nonlinearity(g1), tol=tol, max_iter=max_iter,
-                  budget=budget, seed=seed, _context=ctx)
-    rep2 = picard(problem.with_nonlinearity(g2), tol=tol, max_iter=max_iter,
-                  budget=budget, seed=seed, _context=ctx)
+    problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
+    bounds = [
+        compute_bounds(p, background_h4, budget=budget, seed=seed) for p in problems
+    ]
+    rep1, rep2 = [
+        picard(p, tol=tol, max_iter=max_iter, budget=budget, seed=seed,
+               _context=ctx, _bounds=b)
+        for p, b in zip(problems, bounds)
+    ]
     diff = VectorField(
         tuple(
             RealField(problem.grid, a.values - b.values)

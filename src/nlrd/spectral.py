@@ -58,9 +58,15 @@ def inverse_symbol(grid: Grid) -> np.ndarray:
 
 
 def apply_operator(u: RealField) -> RealField:
-    """Apply -Laplacian + Laplacian^2 spectrally."""
+    """Apply -Laplacian + Laplacian^2 spectrally.
+
+    The operator annihilates constants, so the mean is removed before the
+    transform: its roundoff would otherwise leak out of the zero mode and
+    be amplified by the symbol.
+    """
     g = u.grid
-    coeffs = half_operator_symbol(g) * lattice.forward_coeffs(g, u.values)
+    coeffs = lattice.forward_coeffs(g, u.values - np.mean(u.values))
+    coeffs *= half_operator_symbol(g)
     return RealField(g, lattice.inverse_values(g, coeffs))
 
 

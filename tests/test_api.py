@@ -2,13 +2,15 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 import nlrd
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACING = REPO / "perfbench" / "tracing.py"
 
 #: names that once duplicated live code and were deleted; none may come back
 DELETED = (
@@ -55,3 +57,11 @@ def test_traced_bindings_exist():
     for module, attr in bindings:
         assert module.startswith("nlrd.")
         assert callable(getattr(importlib.import_module(module), attr)), (module, attr)
+
+
+def test_one_transform_implementation():
+    """The package transforms only through ``lattice`` and imports no scipy."""
+    for path in sorted((REPO / "src" / "nlrd").glob("*.py")):
+        text = path.read_text()
+        assert not re.search(r"np\.fft\.i?r?fftn?\(", text), path.name
+        assert not re.search(r"^\s*(import|from)\s+scipy", text, re.M), path.name

@@ -99,6 +99,29 @@ def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"problem": {"eps_fraction": "abc"}},
+        {"problem": {"eps_fraction": None, "eps": [0.01, "x"]}},
+        {"nonlinearity": {"scale_c2_to_fraction": "x"}},
+        {"problem": {"rho": 0}},
+        {"grid": {"d": 4}},
+        {"margins": {"contraction": "abc"}},
+        {"margins": {"continuity": -0.1}},
+        {"margins": {"contraction": float("inf")}},
+    ],
+)
+def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
+    cfg = small_config(**overrides)
+    # a None override removes the key (eps replaces eps_fraction)
+    cfg["problem"] = {k: v for k, v in cfg["problem"].items() if v is not None}
+    code, out, err = run(capsys, "bounds", write_cfg(tmp_path, cfg))
+    assert code == 2
+    assert "config error" in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Lattice geometry, unitary transforms, and spectral norms."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -183,6 +185,72 @@ def test_half_spectrum_norms_match_full_complex(d, n):
     back = inverse_values(g, half)
     assert back.shape == g.shape
     assert_allclose(back.reshape(-1), f.values, rtol=0, atol=1e-12 * np.max(np.abs(f.values)))
+
+
+# every d = 1 .. 7 with n in {2, 4, 6, 8, 10, 12}, up to 300 000 points
+KERNEL_CASES = [
+    (d, n) for d in range(1, 8) for n in (2, 4, 6, 8, 10, 12) if n**d <= 300_000
+]
+
+
+def strided_copy(a: np.ndarray) -> np.ndarray:
+    """The values of ``a`` as a non-contiguous view into a larger array."""
+    big = np.zeros(a.shape + (2,), dtype=a.dtype)
+    big[..., 0] = a
+    view = big[..., 0]
+    assert not view.flags.c_contiguous
+    return view
+
+
+@pytest.mark.parametrize("d,n", KERNEL_CASES)
+def test_forward_kernel_matches_numpy_rfftn(d, n):
+    g = Grid(d=d, n=n, L=2.5)
+    x = np.random.default_rng(d * 100 + n).standard_normal(g.shape)
+    oracle = TWO_PI ** (-d / 2.0) * g.h**d * np.fft.rfftn(x)
+    tol = 1e-13 * np.max(np.abs(oracle))
+    for values in (x.reshape(-1), x, strided_copy(x)):
+        got = forward_coeffs(g, values)
+        assert got.shape == g.half_shape
+        assert got.flags.c_contiguous
+        assert_allclose(got, oracle, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("d,n", KERNEL_CASES)
+def test_inverse_kernel_matches_numpy_irfftn(d, n):
+    # random half spectra, not Hermitian-consistent: the imaginary parts of
+    # the self-conjugate modes must be discarded as irfftn discards them
+    g = Grid(d=d, n=n, L=2.5)
+    rng = np.random.default_rng(d * 100 + n + 1)
+    hat = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
+    oracle = (
+        TWO_PI ** (-d / 2.0) * g.dp**d * g.npoints
+        * np.fft.irfftn(hat, s=g.shape, axes=tuple(range(d)))
+    )
+    tol = 1e-13 * np.max(np.abs(oracle))
+    before = hat.copy()
+    for coeffs in (hat, strided_copy(hat)):
+        got = inverse_values(g, coeffs)
+        assert got.shape == g.shape
+        assert_allclose(got, oracle, rtol=0, atol=tol)
+    assert np.array_equal(hat, before)
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4), (5, 6)])
+def test_self_conjugate_modes_are_exactly_real(d, n):
+    """Modes with every index 0 or n/2 carry no imaginary part, exactly.
+
+    The forward transform of real samples gives them none, and the inverse
+    discards what a half spectrum puts there.
+    """
+    g = Grid(d=d, n=n, L=2.5)
+    corners = list(itertools.product((0, n // 2), repeat=d))
+    x = np.random.default_rng(d + n).standard_normal(g.shape)
+    hat = forward_coeffs(g, x)
+    assert all(hat[c].imag == 0.0 for c in corners)
+    imaginary = np.zeros(g.half_shape, dtype=complex)
+    for i, c in enumerate(corners):
+        imaginary[c] = 1j * (i + 1)
+    assert not np.any(inverse_values(g, imaginary))
 
 
 # ---------------------------------------------------------------------------

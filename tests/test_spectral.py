@@ -60,6 +60,13 @@ def test_apply_operator_annihilates_constants():
     assert np.max(np.abs(out.values)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [8, 10, 12])
+def test_apply_operator_of_a_constant_is_exactly_zero(n):
+    g = Grid(d=2, n=n, L=2.0)
+    out = apply_operator(RealField(g, np.full(g.npoints, 3.0)))
+    assert not np.any(out.values)
+
+
 def test_apply_and_solve_on_single_mode():
     g = Grid(d=3, n=8, L=2.0)
     f = cosine_mode(g)
