@@ -193,7 +193,7 @@ def _cmd_solve(args) -> int:
     try:
         rep = picard(
             built.problem, tol=tol, max_iter=max_iter,
-            budget=built.budget, seed=built.seed, background=built.background,
+            budget=built.budget, seed=built.seed,
         )
     except (MaxIterExceeded, DivergenceDetected) as err:
         rep = err.report
@@ -214,6 +214,8 @@ def _cmd_solve(args) -> int:
 def _cmd_probe(args) -> int:
     if args.pairs < 1:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     built = _build(args)
     try:
         theory = compute_bounds(
@@ -262,7 +264,7 @@ def _cmd_continuity(args) -> int:
         rep = continuity_experiment(
             built.problem, g1, g2,
             tol=built.tol, max_iter=built.max_iter, margin=margin,
-            budget=built.budget, seed=built.seed, background=built.background,
+            budget=built.budget, seed=built.seed,
         )
     except AssumptionsNotValidated as err:
         _diag(str(err))

@@ -113,6 +113,16 @@ def _number(value: Any, what: str) -> float:
         raise ConfigError(f"{what} must be a number, got {value!r}") from err
 
 
+def _integer(value: Any, what: str) -> int:
+    """An integral setting; 4.9 is rejected, not truncated to 4."""
+    if isinstance(value, int):
+        return value
+    number = _number(value, what)
+    if not number.is_integer():
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return int(number)
+
+
 def _build_margins(cfg: dict) -> dict:
     margins = dict(DEFAULT_MARGINS)
     for key, value in _section(cfg, "margins", required=False).items():
@@ -137,7 +147,8 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
 def _build_grid(cfg: dict) -> Grid:
     sec = _section(cfg, "grid")
     try:
-        return Grid(d=int(sec["d"]), n=int(sec["n"]), L=float(sec["L"]))
+        d, n = (_integer(sec[key], f"grid.{key}") for key in ("d", "n"))
+        return Grid(d=d, n=n, L=float(sec["L"]))
     except KeyError as err:
         raise ConfigError(f"grid section is missing {err}") from err
     except (TypeError, ValueError) as err:
@@ -221,14 +232,16 @@ def build_problem(
         rho = float(prob_sec.get("rho", 1.0))
         c2_bound = float(prob_sec.get("c2_bound", 1.0))
         tol = float(solver_sec.get("tol", DEFAULT_TOL))
-        max_iter = int(solver_sec.get("max_iter", DEFAULT_MAX_ITER))
-        seed = int(solver_sec.get("seed", 0))
-        budget = int(solver_sec.get("budget", DEFAULT_C2_BUDGET))
     except (TypeError, ValueError) as err:
         raise ConfigError(f"bad scalar setting: {err}") from err
+    max_iter = _integer(solver_sec.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter")
+    seed = _integer(solver_sec.get("seed", 0), "solver.seed")
+    budget = _integer(solver_sec.get("budget", DEFAULT_C2_BUDGET), "solver.budget")
     check_solver_settings(tol, max_iter)
     if budget < 1:
         raise ConfigError(f"solver.budget must be >= 1, got {budget}")
+    if seed < 0:
+        raise ConfigError(f"solver.seed must be >= 0, got {seed}")
 
     kernels = _build_fields(grid, cfg, "kernels")
     forcings = _build_fields(grid, cfg, "forcings")

@@ -18,8 +18,8 @@ under which the discrete Parseval identity
     h^d sum_j |f(x_j)|^2 = dp^d sum_k |F(p_k)|^2
 
 holds exactly.  Physical samples are stored flat (row-major over axes) in
-their natural layout, j = 0 .. n-1; a vector field inside the solver is a
-component-major stack of shape (N, *grid.shape).
+their natural layout, j = 0 .. n-1; a :class:`VectorField` is one
+component-major stack of shape (N, *grid.shape), which the solver uses.
 
 Coefficients (``forward_coeffs`` / ``inverse_values`` /
 ``h4_norm_sq_coeffs``) are the unitary half spectrum ``rfftn`` of the
@@ -189,33 +189,45 @@ class RealField:
         return self.values.reshape(self.grid.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VectorField:
-    """Tuple of real fields sharing one grid (one per system component)."""
+    """N real fields on one grid as one stack ``values``, shape (N, *grid.shape).
 
-    components: tuple[RealField, ...]
+    Built as ``VectorField(grid, values)``, copying only to make ``values``
+    contiguous float64, or as ``VectorField(components)``, which stacks a
+    sequence of :class:`RealField` on one grid.
+    """
 
-    def __post_init__(self) -> None:
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("a vector field needs at least one component")
-        g0 = comps[0].grid
-        for c in comps[1:]:
-            if c.grid != g0:
+    grid: Grid
+    values: np.ndarray = field(repr=False)
+
+    def __init__(self, grid, values=None) -> None:
+        if values is None:
+            comps = tuple(grid)
+            values = np.stack([c.reshaped() for c in comps])  # ValueError if empty
+            grid = comps[0].grid
+            if any(c.grid != grid for c in comps):
                 raise ValueError("all components must share one grid")
-        object.__setattr__(self, "components", comps)
+        vals = np.ascontiguousarray(values, dtype=np.float64)
+        if vals.shape[1:] != grid.shape or len(vals) < 1:
+            raise ValueError(f"need shape (N >= 1, *{grid.shape}), got {vals.shape}")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def zeros(cls, grid: Grid, n_components: int) -> "VectorField":
-        return cls(tuple(RealField.zeros(grid) for _ in range(n_components)))
-
-    @property
-    def grid(self) -> Grid:
-        return self.components[0].grid
+        return cls(grid, np.zeros((n_components,) + grid.shape))
 
     @property
     def n_components(self) -> int:
-        return len(self.components)
+        return len(self.values)
+
+    @property
+    def components(self) -> tuple[RealField, ...]:
+        """One :class:`RealField` per row, each a view of ``values``."""
+        return tuple(RealField(self.grid, row.reshape(-1)) for row in self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +358,11 @@ def norm_h4(f: RealField) -> float:
 
 def norm_l2_vector(u: VectorField) -> float:
     """Root-sum-square of component L^2 norms."""
-    return float(np.sqrt(sum(norm_l2(c) ** 2 for c in u.components)))
+    return float(np.sqrt(u.grid.h**u.grid.d * np.sum(u.values**2)))
 
 
 def norm_h4_vector(u: VectorField) -> float:
     """Root-sum-square of component H^4 norms."""
-    return float(np.sqrt(sum(norm_h4(c) ** 2 for c in u.components)))
+    return float(np.sqrt(sum(
+        h4_norm_sq_coeffs(u.grid, forward_coeffs(u.grid, row)) for row in u.values
+    )))

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import _kernels
 from .lattice import Grid, RealField, norm_l1, norm_l2
 
 #: dimensions for which the certified bounds are derived
@@ -147,6 +146,36 @@ def _quadratic_c2_ball_norm(mats: np.ndarray, radius: float) -> float:
     return total
 
 
+def _quadratic_values(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Evaluate z^T A_m z for every point and component.
+
+    z: (P, N) points, mats: (N, N, N) stack of symmetric matrices.  Returns
+    (P, N), as the transpose of a component-major (N, P) array, so each
+    component's values are contiguous.  The form is summed term by term
+    over the products z_i z_j with i <= j, each off-diagonal term counted
+    twice; one product is live at a time, which bounds the extra memory.
+    """
+    P, N = z.shape
+    out = np.zeros((N, P))
+    zz = np.empty(P)
+    for i in range(N):
+        for j in range(i, N):
+            np.multiply(z[:, i], z[:, j], out=zz)
+            for m in range(N):
+                coef = mats[m, i, i] if i == j else 2.0 * mats[m, i, j]
+                out[m] += coef * zz
+    return out.T
+
+
+def _quadratic_gradients(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Gradients 2 A_m z of the quadratic forms; returns (P, N, N).
+
+    Entry [p, m, i] is 2 sum_j A_m[i, j] z[p, j].
+    """
+    P, N = z.shape
+    return 2.0 * (z @ mats.reshape(N * N, N).T).reshape(P, N, N)
+
+
 def quadratic_nonlinearity(
     matrices: Sequence[np.ndarray], label: str = "quadratic"
 ) -> Nonlinearity:
@@ -169,11 +198,11 @@ def quadratic_nonlinearity(
 
     def _eval(z: np.ndarray) -> np.ndarray:
         z2 = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return _kernels.quadratic_values(z2, mats).reshape(*np.shape(z)[:-1], N)
+        return _quadratic_values(z2, mats).reshape(*np.shape(z)[:-1], N)
 
     def _grad(z: np.ndarray) -> np.ndarray:
         z2 = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return _kernels.quadratic_gradients(z2, mats).reshape(*np.shape(z)[:-1], N, N)
+        return _quadratic_gradients(z2, mats).reshape(*np.shape(z)[:-1], N, N)
 
     def _hess(z: np.ndarray) -> np.ndarray:
         z2 = np.atleast_2d(np.asarray(z, dtype=np.float64))

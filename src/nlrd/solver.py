@@ -8,11 +8,12 @@ is the fixed point of
 
 iterated from v = 0.
 
-Inside the solver a vector field is a component-major stack of real
-samples, shape (N, *grid.shape), in natural layout, and its coefficients
-are the unitary half spectra of :func:`nlrd.lattice.forward_coeffs`, shape
-(N, *grid.half_shape), with no index shifts.  Each kernel is transformed
-once in displacement order, rfftn(ifftshift(H_m)), which makes
+A vector field is the ``values`` stack of a :class:`VectorField`, shape
+(N, *grid.shape), in natural layout, used without copying; its
+coefficients are the unitary half spectra of
+:func:`nlrd.lattice.forward_coeffs`, shape (N, *grid.half_shape), with no
+index shifts.  Each kernel is transformed once in displacement order,
+rfftn(ifftshift(H_m)), which makes
 
     T(v)_m = irfftn( M_m rfftn(g_m(u0 + v)) ),
     M_m = eps_m (2 pi)^(d/2) H^_m / (|p|^2 + |p|^4),   M_m(0) = 0,
@@ -52,7 +53,6 @@ from .bounds import (
 )
 from .lattice import (
     Grid,
-    RealField,
     VectorField,
     forward_coeffs,
     h4_norm_sq_coeffs,
@@ -60,7 +60,7 @@ from .lattice import (
     inverse_values,
     l2_norm_sq_coeffs,
     norm_h4_vector,
-    norm_l2_vector,
+    norm_l2,
 )
 from .model import DEFAULT_C2_BUDGET, Nonlinearity, Problem, c2_gap
 from .spectral import half_operator_symbol, inverse_symbol, solve_linear
@@ -168,15 +168,6 @@ class SolveReport:
 # stacks and the problem context
 # ---------------------------------------------------------------------------
 
-def _stack(u: VectorField) -> np.ndarray:
-    """Component-major samples (N, *grid.shape) of a vector field."""
-    return np.stack([c.reshaped() for c in u.components])
-
-
-def _field(grid: Grid, stack: np.ndarray) -> VectorField:
-    return VectorField(tuple(RealField(grid, row) for row in stack))
-
-
 def _forward_stack(grid: Grid, stack) -> np.ndarray:
     out = np.empty((len(stack),) + grid.half_shape, dtype=np.complex128)
     for m, values in enumerate(stack):
@@ -196,21 +187,30 @@ def _norm_h4(grid: Grid, hats) -> float:
     return math.sqrt(sum(h4_norm_sq_coeffs(grid, hat) for hat in hats))
 
 
+def _require_match(problem: Problem, u: VectorField, what: str) -> None:
+    if u.grid != problem.grid or u.n_components != problem.n_components:
+        raise ValueError(
+            f"{what} does not match the problem: {u.n_components} components "
+            f"on {u.grid}, expected {problem.n_components} on {problem.grid}"
+        )
+
+
 class _Context:
     """Half-spectrum data of one problem, each array computed on first use.
 
     ``forcing_hat`` and ``coupling`` (eps_m (2 pi)^(d/2) H^_m, the kernels
     in displacement order) depend on the problem's data but not on its
     nonlinearity, so one context serves solves with several nonlinearities.
-    The background is solved from ``forcing_hat`` unless given.
+    The background is solved from ``forcing_hat``; given background samples
+    replace only its samples.
     """
 
     def __init__(self, problem: Problem, background: VectorField | None = None):
-        if background is not None and background.grid != problem.grid:
-            raise ValueError("background lives on the wrong grid")
         self.problem = problem
         self.grid = problem.grid
-        self._given = background
+        if background is not None:
+            _require_match(problem, background, "background")
+            self.background = background.values  # takes the cached property's place
 
     @functools.cached_property
     def forcing_hat(self) -> np.ndarray:
@@ -228,22 +228,12 @@ class _Context:
 
     @functools.cached_property
     def background_hat(self) -> np.ndarray:
-        if self._given is None:
-            return self.forcing_hat * inverse_symbol(self.grid)
-        return _forward_stack(self.grid, [c.values for c in self._given.components])
+        return self.forcing_hat * inverse_symbol(self.grid)
 
     @functools.cached_property
     def background(self) -> np.ndarray:
         """Samples of u0, shape (N, *grid.shape)."""
-        if self._given is None:
-            return _inverse_stack(self.grid, self.background_hat)
-        return _stack(self._given)
-
-    @functools.cached_property
-    def background_field(self) -> VectorField:
-        if self._given is None:
-            return _field(self.grid, self.background)
-        return self._given
+        return _inverse_stack(self.grid, self.background_hat)
 
     @property
     def background_dropped(self) -> tuple[float, ...]:
@@ -254,13 +244,9 @@ class _Context:
 
 def solve_background(problem: Problem) -> tuple[VectorField, tuple[float, ...]]:
     """Solve the linear problem componentwise; returns (u0, dropped masses)."""
-    comps = []
-    dropped = []
-    for f in problem.forcings:
-        u, mass = solve_linear(f)
-        comps.append(u)
-        dropped.append(mass)
-    return VectorField(tuple(comps)), tuple(dropped)
+    solved = [solve_linear(f) for f in problem.forcings]
+    values = np.stack([u.reshaped() for u, _ in solved])
+    return VectorField(problem.grid, values), tuple(mass for _, mass in solved)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +291,7 @@ def apply_fixed_point_map(
     points too) but flagged with a warning, since the certified bounds only
     speak about the ball.
     """
-    if v.grid != problem.grid or v.n_components != problem.n_components:
-        raise ValueError("perturbation shape does not match the problem")
+    _require_match(problem, v, "perturbation")
     v_norm = norm_h4_vector(v)
     if v_norm > problem.rho * (1.0 + 1e-12):
         warnings.warn(
@@ -316,8 +301,8 @@ def apply_fixed_point_map(
             stacklevel=2,
         )
     ctx = _Context(problem, background)
-    hats, _ = _apply(ctx, problem.nonlinearity, _stack(v))
-    return _field(problem.grid, _inverse_stack(problem.grid, hats))
+    hats, _ = _apply(ctx, problem.nonlinearity, v.values)
+    return VectorField(problem.grid, _inverse_stack(problem.grid, hats))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +322,11 @@ def residual(
     of this problem's forcing and kernel coefficients; without it they are
     computed here.  u and g(u) are always transformed from their samples.
     """
-    if u.grid != problem.grid or u.n_components != problem.n_components:
-        raise ValueError("candidate solution shape does not match the problem")
+    _require_match(problem, u, "candidate solution")
     ctx = _Context(problem) if _context is None else _context
     grid = problem.grid
     sym = half_operator_symbol(grid)
-    values = _stack(u)
+    values = u.values
     gz = _eval_stack(problem.nonlinearity, values)
     zero = (0,) * grid.d
     total_sq = 0.0
@@ -353,7 +337,7 @@ def residual(
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))
-    f_l2 = norm_l2_vector(VectorField(problem.forcings))
+    f_l2 = math.sqrt(sum(norm_l2(f) ** 2 for f in problem.forcings))
     relative = absolute / f_l2 if f_l2 > 0.0 else absolute
     return ResidualReport(absolute=absolute, relative=relative, forcing_l2=f_l2)
 
@@ -398,20 +382,17 @@ def picard(
     initial: VectorField | None = None,
     budget: int = DEFAULT_C2_BUDGET,
     seed: int = 0,
-    background: VectorField | None = None,
     *,
     _context: _Context | None = None,
     _bounds: BoundsReport | None = None,
 ) -> SolveReport:
     """Iterate T from v = 0 (or ``initial``) to the fixed point.
 
-    ``background`` is u0 when the caller has already solved it (as
-    :func:`nlrd.config.build_problem` does); otherwise it is solved here.
     ``_context`` is for this module's own callers: a context built for the
     same grid, couplings, kernels and forcings, whose coefficients are
-    reused (``background`` is then ignored).  ``_bounds``, also private, is
-    this problem's report from a validated :func:`compute_bounds` call on
-    that context's background, used instead of validating again.
+    reused.  ``_bounds``, also private, is this problem's report from a
+    validated :func:`compute_bounds` call on that context's background,
+    used instead of validating again.
 
     Returns the full report on convergence; raises
     :class:`DivergenceDetected` / :class:`MaxIterExceeded` (each carrying
@@ -423,7 +404,7 @@ def picard(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
-    ctx = _Context(problem, background) if _context is None else _context
+    ctx = _Context(problem) if _context is None else _context
     grid = problem.grid
     g = problem.nonlinearity
     background_h4 = _norm_h4(grid, ctx.background_hat)
@@ -435,9 +416,8 @@ def picard(
         v_values = np.zeros((problem.n_components,) + grid.shape)
         v_hats = np.zeros((problem.n_components,) + grid.half_shape, dtype=np.complex128)
     else:
-        if initial.grid != grid or initial.n_components != problem.n_components:
-            raise ValueError("initial perturbation shape does not match the problem")
-        v_values = _stack(initial)
+        _require_match(problem, initial, "initial perturbation")
+        v_values = initial.values
         v_hats = _forward_stack(grid, v_values)
 
     steps: list[IterationStep] = []
@@ -506,11 +486,11 @@ def _assemble_report(
     with_residual: bool,
 ) -> SolveReport:
     grid = problem.grid
-    solution = _field(grid, ctx.background + v_values)
+    solution = VectorField(grid, ctx.background + v_values)
     res = residual(problem, solution, _context=ctx) if with_residual else None
     return SolveReport(
-        background=ctx.background_field,
-        perturbation=_field(grid, v_values),
+        background=VectorField(grid, ctx.background),
+        perturbation=VectorField(grid, v_values),
         solution=solution,
         background_h4=background_h4,
         perturbation_h4=_norm_h4(grid, v_hats),
@@ -559,7 +539,7 @@ def random_ball_field(
     but well resolved on the lattice.
     """
     hats = _ball_hats(grid, n_components, rng, target_norm)
-    return _field(grid, _inverse_stack(grid, hats))
+    return VectorField(grid, _inverse_stack(grid, hats))
 
 
 def _ball_hats(
@@ -672,7 +652,6 @@ def continuity_experiment(
     margin: float = 0.05,
     budget: int = DEFAULT_C2_BUDGET,
     seed: int = 0,
-    background: VectorField | None = None,
 ) -> ContinuityReport:
     """Solve with g1 and g2 and compare |u1 - u2|_H4 to the certified bound.
 
@@ -680,12 +659,11 @@ def continuity_experiment(
     with each nonlinearity before either solve; a failure raises
     :class:`AssumptionsNotValidated`, and each solve reuses its validated
     bounds instead of validating again.  Both solves share one background
-    (``background`` when given) and one set of forcing and kernel
-    coefficients.  The pass rule allows the stated relative margin plus an
-    absolute slack of 10 * tol (two converged solves cannot be
-    distinguished below that).
+    and one set of forcing and kernel coefficients.  The pass rule allows
+    the stated relative margin plus an absolute slack of 10 * tol (two
+    converged solves cannot be distinguished below that).
     """
-    ctx = _Context(problem, background)
+    ctx = _Context(problem)
     background_h4 = _norm_h4(problem.grid, ctx.background_hat)
     problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
     bounds = [
@@ -696,13 +674,9 @@ def continuity_experiment(
                _context=ctx, _bounds=b)
         for p, b in zip(problems, bounds)
     ]
-    diff = VectorField(
-        tuple(
-            RealField(problem.grid, a.values - b.values)
-            for a, b in zip(rep1.solution.components, rep2.solution.components)
-        )
+    measured = norm_h4_vector(
+        VectorField(problem.grid, rep1.solution.values - rep2.solution.values)
     )
-    measured = norm_h4_vector(diff)
     gap = c2_gap(g1, g2, rep1.bounds.state_ball_radius, budget=budget, seed=seed)
     bound = continuity_bound_raw(
         rep1.bounds.eps_used,

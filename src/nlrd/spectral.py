@@ -27,7 +27,7 @@ import functools
 
 import numpy as np
 
-from . import _kernels, lattice
+from . import lattice
 from .lattice import Grid, RealField, half_squared_wavenumber
 
 _TWO_PI = 2.0 * np.pi
@@ -111,5 +111,20 @@ def convolve_direct(H: RealField, G: RealField) -> RealField:
     # Reindex H so that displacement x_j - x_j' maps to lattice index
     # (j - j') mod n on every axis: H_disp[w] = H_periodic(w * h).
     h_disp = np.fft.ifftshift(H.reshaped())
-    out = _kernels.circular_convolve(h_disp, G.reshaped())
+    out = circular_convolve(h_disp, G.reshaped())
     return RealField(g, g.h**g.d * out.reshape(-1))
+
+
+def circular_convolve(h_disp: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Direct circular convolution out[j] = sum_{j'} h_disp[j - j'] g[j'].
+
+    Both arrays are d-dimensional with matching shape; indices wrap on every
+    axis.  O(P^2) by construction - this is the oracle, not the fast path.
+    """
+    axes = tuple(range(h_disp.ndim))
+    out = np.zeros_like(h_disp)
+    for src in np.ndindex(g.shape):
+        w = g[src]
+        if w != 0.0:
+            out += w * np.roll(h_disp, shift=src, axis=axes)
+    return out

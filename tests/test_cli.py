@@ -7,7 +7,9 @@ import pytest
 from conftest import small_config
 
 from nlrd.cli import main
+from nlrd.config import build_problem
 from nlrd.fieldio import read_field
+from nlrd.solver import picard
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -89,6 +91,10 @@ def test_nonpositive_eps_fraction_is_a_config_error(tmp_path, capsys):
         ("solve", {}, ("--tol", "-1")),
         ("solve", {}, ("--tol", "0")),
         ("solve", {}, ("--max-iter", "0")),
+        ("probe-contraction", {}, ("--seed", "-1")),
+        ("probe-contraction", {"seed": -1}, ()),
+        # validate_nonlinearity draws with seed + 1
+        ("bounds", {"seed": -2}, ()),
     ],
 )
 def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver, extra):
@@ -110,6 +116,12 @@ def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver
         {"margins": {"contraction": "abc"}},
         {"margins": {"continuity": -0.1}},
         {"margins": {"contraction": float("inf")}},
+        # integral settings are not truncated
+        {"grid": {"n": 4.9}},
+        {"grid": {"d": 5.5}},
+        {"solver": {"max_iter": 2.5}},
+        {"solver": {"seed": 0.5}},
+        {"solver": {"budget": 1000.5}},
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
@@ -172,6 +184,20 @@ def test_solve_converges_and_reports(tmp_path, capsys):
     assert trace and trace[0]["k"] == 1
     assert trace[-1]["step_h4"] <= 1e-10 * max(1.0, payload["perturbation_h4"])
     assert payload["config"]["solver"]["tol"] == 1e-10
+
+
+def test_solve_prints_what_picard_returns(tmp_path, capsys):
+    """The CLI solve is picard on the built problem, bit for bit."""
+    cfg = small_config()
+    code, payload, err = run_json(capsys, "solve", write_cfg(tmp_path, cfg))
+    assert code == 0
+    built = build_problem(cfg)
+    rep = picard(built.problem, tol=built.tol, max_iter=built.max_iter,
+                 budget=built.budget, seed=built.seed)
+    assert payload["background_h4"] == rep.background_h4
+    assert payload["perturbation_h4"] == rep.perturbation_h4
+    assert payload["solution_h4"] == rep.solution_h4
+    assert payload["bounds"]["eps_max"] == rep.bounds.eps_max
 
 
 def test_solve_iteration_budget_exit_code(tmp_path, capsys):

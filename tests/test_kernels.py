@@ -1,9 +1,11 @@
-"""Non-FFT numeric kernels against plain-loop references."""
+"""Non-FFT numeric kernels (the quadratic forms of :mod:`nlrd.model`, the
+direct convolution of :mod:`nlrd.spectral`) against plain-loop references."""
 
 import numpy as np
 from numpy.testing import assert_allclose
 
-from nlrd import _kernels
+from nlrd.model import _quadratic_gradients, _quadratic_values
+from nlrd.spectral import circular_convolve
 
 
 def random_mats(rng, N):
@@ -26,12 +28,12 @@ def test_numpy_quadratic_matches_plain_loops():
     z = rng.standard_normal((40, 3))
     mats = random_mats(rng, 3)
     assert_allclose(
-        _kernels.quadratic_values(z, mats),
+        _quadratic_values(z, mats),
         quadratic_oracle(z, mats),
         rtol=1e-13,
     )
     # gradient of z^T A z with symmetric A is 2 A z
-    grads = _kernels.quadratic_gradients(z, mats)
+    grads = _quadratic_gradients(z, mats)
     for p in range(5):
         for m in range(3):
             assert_allclose(grads[p, m], 2.0 * mats[m] @ z[p], rtol=1e-13)
@@ -41,12 +43,12 @@ def test_numpy_quadratic_matches_plain_loops():
         z = np.ascontiguousarray(rng.standard_normal((N, 40))).T
         mats = random_mats(rng, N)
         assert_allclose(
-            _kernels.quadratic_values(z, mats),
+            _quadratic_values(z, mats),
             quadratic_oracle(z, mats),
             rtol=1e-13,
         )
         assert_allclose(
-            _kernels.quadratic_gradients(z, mats),
+            _quadratic_gradients(z, mats),
             2.0 * np.einsum("mij,pj->pmi", mats, z),
             rtol=1e-13,
         )
@@ -56,7 +58,7 @@ def test_numpy_convolve_matches_plain_loops():
     rng = np.random.default_rng(1)
     h = rng.standard_normal((4, 5))
     g = rng.standard_normal((4, 5))
-    out = _kernels.circular_convolve(h, g)
+    out = circular_convolve(h, g)
     expected = np.zeros_like(h)
     for j0 in range(4):
         for j1 in range(5):

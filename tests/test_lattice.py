@@ -105,6 +105,44 @@ def test_field_containers_validate():
         VectorField((RealField.zeros(g), RealField.zeros(other)))
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [(0, 4, 4), (4, 4), (2, 16), (2, 4, 6), (2, 4, 4, 1), (1, 2, 4, 4)],
+)
+def test_vector_field_rejects_wrong_stack_shapes(shape):
+    g = Grid(d=2, n=4, L=1.0)
+    with pytest.raises(ValueError, match="shape"):
+        VectorField(g, np.zeros(shape))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vector_field_rejects_non_finite_values(bad):
+    g = Grid(d=2, n=4, L=1.0)
+    values = np.zeros((2,) + g.shape)
+    values[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        VectorField(g, values)
+
+
+def test_vector_field_is_one_stack_with_component_views():
+    g = Grid(d=2, n=4, L=1.0)
+    values = np.arange(3.0 * g.npoints).reshape((3,) + g.shape)
+    u = VectorField(g, values)
+    assert u.values is values  # float64 and contiguous: taken without a copy
+    assert u.n_components == 3
+    for m, comp in enumerate(u.components):
+        assert comp.grid == g
+        assert np.shares_memory(comp.values, u.values)
+        assert np.array_equal(comp.values, values[m].reshape(-1))
+    # a sequence of components is stacked into the same layout
+    again = VectorField(u.components)
+    assert again.grid == g
+    assert np.array_equal(again.values, values)
+    assert not np.shares_memory(again.values, values)
+    z = VectorField.zeros(g, 2)
+    assert z.values.shape == (2,) + g.shape and not z.values.any()
+
+
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------

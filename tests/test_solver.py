@@ -181,8 +181,21 @@ def test_map_rejects_mismatched_perturbations():
     bad = random_ball_field(other, 2, rng, target_norm=0.1)
     with pytest.raises(ValueError, match="does not match"):
         apply_fixed_point_map(p, bg, bad)
-    with pytest.raises(ValueError, match="wrong grid"):
+    with pytest.raises(ValueError, match="background does not match"):
         apply_fixed_point_map(p, VectorField.zeros(other, 2), VectorField.zeros(p.grid, 2))
+
+
+@pytest.mark.parametrize("n_bg", [1, 3])
+def test_background_with_wrong_component_count_is_rejected(small_built, n_bg):
+    """One component would broadcast against the problem's two into a wrong
+    answer, and three would fail inside numpy."""
+    p = small_built.problem
+    bg = VectorField.zeros(p.grid, n_bg)
+    v = VectorField.zeros(p.grid, p.n_components)
+    with pytest.raises(ValueError, match=f"background does not match.*{n_bg} components"):
+        apply_fixed_point_map(p, bg, v)
+    with pytest.raises(ValueError, match=f"background does not match.*{n_bg} components"):
+        contraction_probe(p, pairs=1, seed=0, background=bg)
 
 
 def test_single_mode_linear_response_matches_hand_multiplier():
