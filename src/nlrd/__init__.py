@@ -84,7 +84,6 @@ from .solver import (
     picard,
     random_ball_field,
     residual,
-    solve_background,
 )
 from .config import BuiltProblem, ConfigError, build_field, build_problem, load_config
 
@@ -117,7 +116,6 @@ __all__ = [
     "IterationTrace", "MaxIterExceeded", "ProbeReport", "ResidualReport",
     "SolveReport", "apply_fixed_point_map", "continuity_experiment",
     "contraction_probe", "picard", "random_ball_field", "residual",
-    "solve_background",
     # config
     "BuiltProblem", "ConfigError", "build_field", "build_problem",
     "load_config",

@@ -226,9 +226,7 @@ def _cmd_probe(args) -> int:
         return EXIT_REQUIREMENTS
     pairs = args.pairs
     seed = args.seed if args.seed is not None else built.seed
-    probe = contraction_probe(
-        built.problem, pairs=pairs, seed=seed, background=built.background
-    )
+    probe = contraction_probe(built.problem, pairs=pairs, seed=seed)
     margin = built.margins["contraction"]
     passed = probe.max_ratio <= theory.contraction_constant * (1.0 + margin)
     _emit(

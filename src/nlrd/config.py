@@ -27,9 +27,9 @@ the configured forcings.  ``scale_c2_to_fraction`` rescales the
 nonlinearity so its exact C^2 norm over the relevant state ball equals that
 fraction of ``c2_bound``.
 
-``build_problem`` resolves everything (solving the linear background once)
-and returns the problem together with the fully resolved configuration
-dictionary that reports embed.
+``build_problem`` resolves everything around the background the problem
+caches (see :class:`nlrd.model.Problem`) and returns the problem together
+with the fully resolved configuration dictionary that reports embed.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__
 from .bounds import coupling_threshold_raw, sobolev_embedding_constant
 from .fieldio import read_field
-from .lattice import Grid, RealField, VectorField, norm_h4_vector
+from .lattice import Grid, RealField, VectorField
 from .model import (
     DEFAULT_C2_BUDGET,
     GaussianSpec,
@@ -57,7 +57,7 @@ from .model import (
     quadratic_nonlinearity,
     scale_nonlinearity,
 )
-from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_background
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 DEFAULT_MARGINS = {"contraction": 0.05, "continuity": 0.05}
 
@@ -72,15 +72,20 @@ class BuiltProblem:
 
     problem: Problem
     resolved: dict = field(repr=False)
-    background: VectorField = field(repr=False)
-    background_h4: float
-    background_dropped: tuple[float, ...]
     tol: float
     max_iter: int
     seed: int
     budget: int
     margins: dict
     warnings: tuple[str, ...]
+
+    @property
+    def background(self) -> VectorField:
+        return self.problem.background
+
+    @property
+    def background_h4(self) -> float:
+        return self.problem.background_h4
 
 
 def load_config(path: str | Path) -> dict:
@@ -202,6 +207,8 @@ def _build_nonlinearity(cfg: dict) -> tuple[Nonlinearity, float | None]:
         raise ConfigError(f"unknown nonlinearity family {family!r}")
     try:
         mats = [np.asarray(A, dtype=float) for A in params["matrices"]]
+        if not all(np.all(np.isfinite(A)) for A in mats):
+            raise ValueError("matrix entries must be finite")
         g = quadratic_nonlinearity(mats)
     except (KeyError, TypeError, ValueError) as err:
         raise ConfigError(f"bad quadratic nonlinearity: {err}") from err
@@ -272,8 +279,12 @@ def build_problem(
         )
     except ValueError as err:
         raise ConfigError(str(err)) from err
-    background, dropped = solve_background(base)
-    background_h4 = norm_h4_vector(background)
+    try:
+        background_h4 = base.background_h4
+        if not math.isfinite(background_h4):
+            raise ValueError(f"its H^4 norm is {background_h4}")
+    except ValueError as err:
+        raise ConfigError(f"the forcings give no finite background: {err}") from err
 
     scale_applied = None
     if c2_fraction is not None:
@@ -331,15 +342,7 @@ def build_problem(
         eps_source = "default_zero"
 
     try:
-        problem = Problem(
-            grid=grid,
-            eps=eps,
-            kernels=kernels,
-            forcings=forcings,
-            nonlinearity=g,
-            rho=rho,
-            c2_bound=c2_bound,
-        )
+        problem = base.with_nonlinearity(g).with_eps(eps)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
@@ -371,9 +374,6 @@ def build_problem(
     return BuiltProblem(
         problem=problem,
         resolved=resolved,
-        background=background,
-        background_h4=background_h4,
-        background_dropped=dropped,
         tol=tol,
         max_iter=max_iter,
         seed=seed,

@@ -312,6 +312,22 @@ def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return (rows @ (_inverse_scale(grid) * c2r)).reshape(grid.shape)
 
 
+def forward_stack(grid: Grid, stack) -> np.ndarray:
+    """:func:`forward_coeffs` of each of N sample arrays, shape (N, *grid.half_shape)."""
+    out = np.empty((len(stack),) + grid.half_shape, dtype=np.complex128)
+    for m, values in enumerate(stack):
+        out[m] = forward_coeffs(grid, values)
+    return out
+
+
+def inverse_stack(grid: Grid, hats: np.ndarray) -> np.ndarray:
+    """:func:`inverse_values` of each row of ``hats``, shape (N, *grid.shape)."""
+    out = np.empty((len(hats),) + grid.shape)
+    for m, hat in enumerate(hats):
+        out[m] = inverse_values(grid, hat)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------

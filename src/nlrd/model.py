@@ -8,8 +8,9 @@ stationary nonlocal reaction-diffusion system
 
 truncated to the periodic box carried by its grid: the coupling amplitudes
 eps_m, the convolution kernels H_m, the forcings f_m, and the nonlinearity
-g.  The certified-bounds layer (:mod:`nlrd.bounds`) consumes these through
-the validators defined here:
+g.  It caches the linear background u0 = L^(-1) f and the kernel
+coefficients the solver shares.  The certified-bounds layer
+(:mod:`nlrd.bounds`) consumes these through the validators defined here:
 
 * ``validate_problem_data`` checks integrability and nontriviality of the
   kernels and forcings and reports the aggregate kernel norms.
@@ -23,13 +24,16 @@ one) or from a seeded boundary-biased Monte Carlo estimate.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .lattice import Grid, RealField, norm_l1, norm_l2
+from . import lattice
+from .lattice import Grid, RealField, VectorField, norm_l1, norm_l2
+from .spectral import inverse_symbol
 
 #: dimensions for which the certified bounds are derived
 SUPPORTED_DIMENSIONS = (5, 6, 7)
@@ -349,7 +353,13 @@ def image_ball_radius(background_h4: float, embedding_constant: float) -> float:
 
 @dataclass(frozen=True)
 class Problem:
-    """One instance of the truncated nonlocal reaction-diffusion system."""
+    """One instance of the truncated nonlocal reaction-diffusion system.
+
+    The background u0 and the coupling coefficients are computed on first
+    use and cached.  Derived problems share the caches by reference, so
+    each array exists once: :meth:`with_nonlinearity` shares both,
+    :meth:`with_eps` only u0, as the coupling scales with eps.
+    """
 
     grid: Grid
     eps: tuple[float, ...]
@@ -358,6 +368,8 @@ class Problem:
     nonlinearity: Nonlinearity
     rho: float = 1.0
     c2_bound: float = 1.0
+    _u0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _coupling: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.grid.d not in SUPPORTED_DIMENSIONS:
@@ -414,10 +426,54 @@ class Problem:
     def with_eps(self, eps: Sequence[float] | float) -> "Problem":
         if np.isscalar(eps):
             eps = (float(eps),) * self.n_components
-        return replace(self, eps=tuple(float(e) for e in eps))
+        derived = replace(self, eps=tuple(float(e) for e in eps))
+        object.__setattr__(derived, "_u0", self._u0)
+        return derived
 
     def with_nonlinearity(self, g: Nonlinearity) -> "Problem":
-        return replace(self, nonlinearity=g)
+        derived = replace(self, nonlinearity=g)
+        object.__setattr__(derived, "_u0", self._u0)
+        object.__setattr__(derived, "_coupling", self._coupling)
+        return derived
+
+    @property
+    def background(self) -> VectorField:
+        """Samples of u0, the zero-mode-free solution of L u0_m = f_m."""
+        return self._background()["background"]
+
+    @property
+    def background_h4(self) -> float:
+        return self._background()["h4"]
+
+    @property
+    def background_dropped(self) -> tuple[float, ...]:
+        """Zero-mode masses |f^_m(0)| the background solve projects out."""
+        return self._background()["dropped"]
+
+    def _background(self) -> dict:
+        if not self._u0:
+            grid = self.grid
+            hats = lattice.forward_stack(grid, [f.values for f in self.forcings])
+            dropped = tuple(float(np.abs(hat[(0,) * grid.d])) for hat in hats)
+            hats *= inverse_symbol(grid)
+            u0 = VectorField(grid, lattice.inverse_stack(grid, hats))  # checks finiteness
+            u0.values.flags.writeable = False  # shared by every derived problem
+            h4 = math.sqrt(sum(lattice.h4_norm_sq_coeffs(grid, hat) for hat in hats))
+            self._u0.update(background=u0, h4=h4, dropped=dropped)
+        return self._u0
+
+    @property
+    def coupling(self) -> np.ndarray:
+        """eps_m (2 pi)^(d/2) H^_m, the kernels in displacement order
+        (see :mod:`nlrd.spectral`); shape (N, *grid.half_shape)."""
+        if not self._coupling:
+            out = np.empty((self.n_components,) + self.grid.half_shape, dtype=np.complex128)
+            for m, (eps, H) in enumerate(zip(self.eps, self.kernels)):
+                out[m] = lattice.forward_coeffs(self.grid, np.fft.ifftshift(H.reshaped()))
+                out[m] *= eps * (2.0 * np.pi) ** (self.d / 2.0)
+            out.flags.writeable = False
+            self._coupling["coupling"] = out
+        return self._coupling["coupling"]
 
 
 def kernel_aggregates(kernels: Sequence[RealField]) -> tuple[float, float]:

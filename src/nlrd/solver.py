@@ -21,9 +21,9 @@ rfftn(ifftshift(H_m)), which makes
 exact for even n: two transforms per component per step.  The zero mode of
 the right-hand side is projected out and its mass recorded.  H^4 and L^2
 norms come from the half-spectrum coefficients with Hermitian weights.  The
-forcing, background and kernel coefficients are computed once per problem
-(:class:`_Context`) and reused by ``picard``, ``residual``,
-``contraction_probe`` and ``continuity_experiment``.
+background u0 and the coefficients eps_m (2 pi)^(d/2) H^_m are cached on
+the problem (:class:`nlrd.model.Problem`); ``picard`` transforms the forcing
+once per call, for the residual and the H^4 norm of the solution.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -55,17 +55,18 @@ from .lattice import (
     Grid,
     VectorField,
     forward_coeffs,
+    forward_stack,
     h4_norm_sq_coeffs,
     half_squared_wavenumber,
-    inverse_values,
+    inverse_stack,
+    inverse_values,  # noqa: F401  (a binding perfbench/tracing.py wraps)
     l2_norm_sq_coeffs,
     norm_h4_vector,
     norm_l2,
 )
 from .model import DEFAULT_C2_BUDGET, Nonlinearity, Problem, c2_gap
-from .spectral import half_operator_symbol, inverse_symbol, solve_linear
-
-_TWO_PI = 2.0 * np.pi
+from .spectral import half_operator_symbol, inverse_symbol
+from .spectral import solve_linear  # noqa: F401  (as inverse_values above)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -165,22 +166,8 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# stacks and the problem context
+# helpers
 # ---------------------------------------------------------------------------
-
-def _forward_stack(grid: Grid, stack) -> np.ndarray:
-    out = np.empty((len(stack),) + grid.half_shape, dtype=np.complex128)
-    for m, values in enumerate(stack):
-        out[m] = forward_coeffs(grid, values)
-    return out
-
-
-def _inverse_stack(grid: Grid, hats: np.ndarray) -> np.ndarray:
-    out = np.empty((len(hats),) + grid.shape)
-    for m, hat in enumerate(hats):
-        out[m] = inverse_values(grid, hat)
-    return out
-
 
 def _norm_h4(grid: Grid, hats) -> float:
     """Root-sum-square H^4 norm of per-component half-spectrum coefficients."""
@@ -195,60 +182,6 @@ def _require_match(problem: Problem, u: VectorField, what: str) -> None:
         )
 
 
-class _Context:
-    """Half-spectrum data of one problem, each array computed on first use.
-
-    ``forcing_hat`` and ``coupling`` (eps_m (2 pi)^(d/2) H^_m, the kernels
-    in displacement order) depend on the problem's data but not on its
-    nonlinearity, so one context serves solves with several nonlinearities.
-    The background is solved from ``forcing_hat``; given background samples
-    replace only its samples.
-    """
-
-    def __init__(self, problem: Problem, background: VectorField | None = None):
-        self.problem = problem
-        self.grid = problem.grid
-        if background is not None:
-            _require_match(problem, background, "background")
-            self.background = background.values  # takes the cached property's place
-
-    @functools.cached_property
-    def forcing_hat(self) -> np.ndarray:
-        return _forward_stack(self.grid, [f.values for f in self.problem.forcings])
-
-    @functools.cached_property
-    def coupling(self) -> np.ndarray:
-        grid = self.grid
-        conv = _TWO_PI ** (grid.d / 2.0)
-        out = np.empty((self.problem.n_components,) + grid.half_shape, dtype=np.complex128)
-        for m, (eps, H) in enumerate(zip(self.problem.eps, self.problem.kernels)):
-            out[m] = forward_coeffs(grid, np.fft.ifftshift(H.reshaped()))
-            out[m] *= eps * conv
-        return out
-
-    @functools.cached_property
-    def background_hat(self) -> np.ndarray:
-        return self.forcing_hat * inverse_symbol(self.grid)
-
-    @functools.cached_property
-    def background(self) -> np.ndarray:
-        """Samples of u0, shape (N, *grid.shape)."""
-        return _inverse_stack(self.grid, self.background_hat)
-
-    @property
-    def background_dropped(self) -> tuple[float, ...]:
-        """Zero-mode masses |f^_m(0)| the background solve projects out."""
-        zero = (0,) * self.grid.d
-        return tuple(float(np.abs(hat[zero])) for hat in self.forcing_hat)
-
-
-def solve_background(problem: Problem) -> tuple[VectorField, tuple[float, ...]]:
-    """Solve the linear problem componentwise; returns (u0, dropped masses)."""
-    solved = [solve_linear(f) for f in problem.forcings]
-    values = np.stack([u.reshaped() for u, _ in solved])
-    return VectorField(problem.grid, values), tuple(mass for _, mass in solved)
-
-
 # ---------------------------------------------------------------------------
 # fixed-point map
 # ---------------------------------------------------------------------------
@@ -259,16 +192,18 @@ def _eval_stack(g: Nonlinearity, stack: np.ndarray) -> np.ndarray:
 
 
 def _apply(
-    ctx: _Context, g: Nonlinearity, v: np.ndarray, out: np.ndarray | None = None
+    problem: Problem, background: np.ndarray, v: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[float, ...]]:
-    """One application of T to the stack v; returns (coeffs, dropped).
+    """One application of T to the stack v around u0 = background.
 
-    Only the coefficients are computed, into ``out`` when given; callers
-    that need the samples of T(v) transform them back with
-    :func:`_inverse_stack`.
+    Returns (coeffs, dropped).  Only the coefficients are computed, into
+    ``out`` when given; callers that need the samples of T(v) transform
+    them back with :func:`~nlrd.lattice.inverse_stack`.
     """
-    grid = ctx.grid
-    gz = _eval_stack(g, ctx.background + v)
+    grid = problem.grid
+    coupling = problem.coupling
+    gz = _eval_stack(problem.nonlinearity, background + v)
     inv_sym = inverse_symbol(grid)
     zero = (0,) * grid.d
     hats = out if out is not None else np.empty(
@@ -276,7 +211,7 @@ def _apply(
     )
     dropped = []
     for m in range(len(v)):
-        rhs = np.multiply(ctx.coupling[m], forward_coeffs(grid, gz[m]), out=hats[m])
+        rhs = np.multiply(coupling[m], forward_coeffs(grid, gz[m]), out=hats[m])
         dropped.append(float(np.abs(rhs[zero])))
         rhs *= inv_sym
     return hats, tuple(dropped)
@@ -300,9 +235,9 @@ def apply_fixed_point_map(
             UserWarning,
             stacklevel=2,
         )
-    ctx = _Context(problem, background)
-    hats, _ = _apply(ctx, problem.nonlinearity, v.values)
-    return VectorField(problem.grid, _inverse_stack(problem.grid, hats))
+    _require_match(problem, background, "background")
+    hats, _ = _apply(problem, background.values, v.values)
+    return VectorField(problem.grid, inverse_stack(problem.grid, hats))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +245,7 @@ def apply_fixed_point_map(
 # ---------------------------------------------------------------------------
 
 def residual(
-    problem: Problem, u: VectorField, *, _context: _Context | None = None
+    problem: Problem, u: VectorField, *, _forcing_hat: np.ndarray | None = None
 ) -> ResidualReport:
     """L^2 residual of the full equation at u, zero mode excluded.
 
@@ -318,22 +253,24 @@ def residual(
     -(L u)_m + eps_m (H_m * g_m(u)) + f_m, evaluated spectrally with the
     p = 0 mode removed (the solve is defined modulo that mode).  The
     relative value is against the L^2 norm of the forcing vector, or
-    absolute when the forcing vanishes.  ``_context`` is the solver's cache
-    of this problem's forcing and kernel coefficients; without it they are
-    computed here.  u and g(u) are always transformed from their samples.
+    absolute when the forcing vanishes.  ``_forcing_hat``, private, holds
+    the forcing's coefficients when the caller has them already; u and g(u)
+    are always transformed from their samples.
     """
     _require_match(problem, u, "candidate solution")
-    ctx = _Context(problem) if _context is None else _context
     grid = problem.grid
+    if _forcing_hat is None:
+        _forcing_hat = forward_stack(grid, [f.values for f in problem.forcings])
+    coupling = problem.coupling
     sym = half_operator_symbol(grid)
     values = u.values
     gz = _eval_stack(problem.nonlinearity, values)
     zero = (0,) * grid.d
     total_sq = 0.0
     for m in range(problem.n_components):
-        r_hat = ctx.coupling[m] * forward_coeffs(grid, gz[m])
+        r_hat = coupling[m] * forward_coeffs(grid, gz[m])
         r_hat -= sym * forward_coeffs(grid, values[m])
-        r_hat += ctx.forcing_hat[m]
+        r_hat += _forcing_hat[m]
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))
@@ -348,12 +285,12 @@ def residual(
 
 def _bounds_with_warnings(
     problem: Problem,
-    background_h4: float,
     budget: int,
     seed: int,
     validated: BoundsReport | None,
 ) -> tuple[BoundsReport, list[str]]:
     warnings: list[str] = []
+    background_h4 = problem.background_h4
     if validated is not None:
         report = validated
     else:
@@ -383,16 +320,13 @@ def picard(
     budget: int = DEFAULT_C2_BUDGET,
     seed: int = 0,
     *,
-    _context: _Context | None = None,
     _bounds: BoundsReport | None = None,
 ) -> SolveReport:
     """Iterate T from v = 0 (or ``initial``) to the fixed point.
 
-    ``_context`` is for this module's own callers: a context built for the
-    same grid, couplings, kernels and forcings, whose coefficients are
-    reused.  ``_bounds``, also private, is this problem's report from a
-    validated :func:`compute_bounds` call on that context's background,
-    used instead of validating again.
+    ``_bounds`` is for this module's own callers: this problem's report
+    from a validated :func:`compute_bounds` call, used instead of
+    validating again.
 
     Returns the full report on convergence; raises
     :class:`DivergenceDetected` / :class:`MaxIterExceeded` (each carrying
@@ -404,13 +338,9 @@ def picard(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
-    ctx = _Context(problem) if _context is None else _context
     grid = problem.grid
-    g = problem.nonlinearity
-    background_h4 = _norm_h4(grid, ctx.background_hat)
-    bounds_report, warn = _bounds_with_warnings(
-        problem, background_h4, budget, seed, _bounds
-    )
+    background = problem.background.values
+    bounds_report, warn = _bounds_with_warnings(problem, budget, seed, _bounds)
 
     if initial is None:
         v_values = np.zeros((problem.n_components,) + grid.shape)
@@ -418,7 +348,7 @@ def picard(
     else:
         _require_match(problem, initial, "initial perturbation")
         v_values = initial.values
-        v_hats = _forward_stack(grid, v_values)
+        v_hats = forward_stack(grid, v_values)
 
     steps: list[IterationStep] = []
     first_step = None
@@ -427,7 +357,7 @@ def picard(
     t0 = time.perf_counter()
 
     for k in range(1, max_iter + 1):
-        new_hats, dropped = _apply(ctx, g, v_values)
+        new_hats, dropped = _apply(problem, background, v_values)
         step_h4 = _norm_h4(grid, (new - old for new, old in zip(new_hats, v_hats)))
         norm_h4 = _norm_h4(grid, new_hats)
         ratio = None
@@ -451,11 +381,11 @@ def picard(
         if not finite or blown_up:
             # report the last finite iterate, not the runaway one
             report = _assemble_report(
-                ctx, problem, v_values, v_hats, background_h4, bounds_report,
+                problem, v_values, v_hats, bounds_report,
                 tuple(warn), steps, converged=False, tol=tol, with_residual=False,
             )
             raise DivergenceDetected(report)
-        v_values, v_hats = _inverse_stack(grid, new_hats), new_hats
+        v_values, v_hats = inverse_stack(grid, new_hats), new_hats
         if first_step is None:
             first_step = step_h4
         prev_step = step_h4
@@ -464,7 +394,7 @@ def picard(
             break
 
     report = _assemble_report(
-        ctx, problem, v_values, v_hats, background_h4, bounds_report,
+        problem, v_values, v_hats, bounds_report,
         tuple(warn), steps, converged=converged, tol=tol, with_residual=converged,
     )
     if not converged:
@@ -473,11 +403,9 @@ def picard(
 
 
 def _assemble_report(
-    ctx: _Context,
     problem: Problem,
     v_values: np.ndarray,
     v_hats: np.ndarray,
-    background_h4: float,
     bounds_report: BoundsReport,
     warnings: tuple[str, ...],
     steps: list[IterationStep],
@@ -486,16 +414,18 @@ def _assemble_report(
     with_residual: bool,
 ) -> SolveReport:
     grid = problem.grid
-    solution = VectorField(grid, ctx.background + v_values)
-    res = residual(problem, solution, _context=ctx) if with_residual else None
+    solution = VectorField(grid, problem.background.values + v_values)
+    forcing_hat = forward_stack(grid, [f.values for f in problem.forcings])
+    res = residual(problem, solution, _forcing_hat=forcing_hat) if with_residual else None
+    inv_sym = inverse_symbol(grid)
     return SolveReport(
-        background=VectorField(grid, ctx.background),
+        background=problem.background,
         perturbation=VectorField(grid, v_values),
         solution=solution,
-        background_h4=background_h4,
+        background_h4=problem.background_h4,
         perturbation_h4=_norm_h4(grid, v_hats),
-        solution_h4=_norm_h4(grid, (b + v for b, v in zip(ctx.background_hat, v_hats))),
-        background_dropped=ctx.background_dropped,
+        solution_h4=_norm_h4(grid, (f * inv_sym + v for f, v in zip(forcing_hat, v_hats))),
+        background_dropped=problem.background_dropped,
         converged=converged,
         iterations=len(steps),
         tol=tol,
@@ -539,7 +469,7 @@ def random_ball_field(
     but well resolved on the lattice.
     """
     hats = _ball_hats(grid, n_components, rng, target_norm)
-    return VectorField(grid, _inverse_stack(grid, hats))
+    return VectorField(grid, inverse_stack(grid, hats))
 
 
 def _ball_hats(
@@ -560,7 +490,7 @@ def _ball_hats(
 
 
 def _probe_ratio(
-    ctx: _Context, problem: Problem, rng: np.random.Generator
+    problem: Problem, background: np.ndarray, rng: np.random.Generator
 ) -> float | None:
     """|T(v1) - T(v2)| / |v1 - v2| for one drawn pair; None when v1 = v2.
 
@@ -577,8 +507,8 @@ def _probe_ratio(
     denom = _norm_h4(grid, (a - b for a, b in zip(v1, v2)))
     if denom == 0.0:
         return None
-    t1, _ = _apply(ctx, problem.nonlinearity, _inverse_stack(grid, v1), out=v1)
-    t2, _ = _apply(ctx, problem.nonlinearity, _inverse_stack(grid, v2), out=v2)
+    t1, _ = _apply(problem, background, inverse_stack(grid, v1), out=v1)
+    t2, _ = _apply(problem, background, inverse_stack(grid, v2), out=v2)
     return _norm_h4(grid, (a - b for a, b in zip(t1, t2))) / denom
 
 
@@ -603,15 +533,18 @@ def contraction_probe(
 
     Each pair is drawn as :func:`random_ball_field` draws it, from the same
     random stream, but stays in coefficients: both H^4 norms come from
-    them, and only the draws are transformed to samples.
+    them, and only the draws are transformed to samples.  A given
+    ``background`` replaces the samples of the problem's own.
     """
     if pairs < 1:
         raise ValueError("need at least one pair")
-    ctx = _Context(problem, background)
+    if background is None:
+        background = problem.background
+    _require_match(problem, background, "background")
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(pairs):
-        ratio = _probe_ratio(ctx, problem, rng)
+        ratio = _probe_ratio(problem, background.values, rng)
         if ratio is not None:
             ratios.append(ratio)
     return ProbeReport(
@@ -658,20 +591,18 @@ def continuity_experiment(
     The bound assumes that both maps contract, so the problem is validated
     with each nonlinearity before either solve; a failure raises
     :class:`AssumptionsNotValidated`, and each solve reuses its validated
-    bounds instead of validating again.  Both solves share one background
-    and one set of forcing and kernel coefficients.  The pass rule allows
+    bounds instead of validating again.  Both solves share the problem's
+    background and coupling coefficients.  The pass rule allows
     the stated relative margin plus an absolute slack of 10 * tol (two
     converged solves cannot be distinguished below that).
     """
-    ctx = _Context(problem)
-    background_h4 = _norm_h4(problem.grid, ctx.background_hat)
     problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
     bounds = [
-        compute_bounds(p, background_h4, budget=budget, seed=seed) for p in problems
+        compute_bounds(p, problem.background_h4, budget=budget, seed=seed)
+        for p in problems
     ]
     rep1, rep2 = [
-        picard(p, tol=tol, max_iter=max_iter, budget=budget, seed=seed,
-               _context=ctx, _bounds=b)
+        picard(p, tol=tol, max_iter=max_iter, budget=budget, seed=seed, _bounds=b)
         for p, b in zip(problems, bounds)
     ]
     measured = norm_h4_vector(

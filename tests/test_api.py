@@ -17,7 +17,7 @@ DELETED = (
     "SpectralField", "forward_transform", "inverse_transform",
     "SYMMETRY_RTOL", "operator_symbol", "TOL_ZERO_MODE", "ZeroModePolicy",
     "ZeroModeRejected", "coupling_threshold", "lipschitz_coefficient",
-    "apriori_bound", "continuity_bound",
+    "apriori_bound", "continuity_bound", "solve_background",
 )
 
 

@@ -134,6 +134,32 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["bounds", "solve"])
+@pytest.mark.parametrize(
+    "path,value,message",
+    [
+        # the background samples overflow
+        (("forcings", 0, "params", "amplitude"), 1e308, "no finite background"),
+        # finite samples, but their H^4 norm overflows
+        (("forcings", 0, "params", "amplitude"), 1e160, "no finite background"),
+        (("nonlinearity", "params", "matrices", 0, 0, 0), float("nan"), "must be finite"),
+        (("nonlinearity", "params", "matrices", 1, 0, 1), float("inf"), "must be finite"),
+    ],
+)
+def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, value, message):
+    cfg = small_config(n=4)
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    code, out, err = run(capsys, command, write_cfg(tmp_path, cfg))
+    assert code == 2
+    assert "config error" in err
+    assert message in err
+    assert "Traceback" not in err
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

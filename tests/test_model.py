@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nlrd.lattice import Grid, RealField, norm_l1, norm_l2
+from nlrd.lattice import Grid, RealField, forward_coeffs, norm_h4_vector, norm_l1, norm_l2
 from nlrd.model import (
     GaussianSpec,
     Nonlinearity,
@@ -22,6 +22,7 @@ from nlrd.model import (
     validate_nonlinearity,
     validate_problem_data,
 )
+from nlrd.spectral import solve_linear
 
 TWO_PI = 2.0 * np.pi
 
@@ -324,6 +325,39 @@ def test_problem_helpers():
     assert p.with_nonlinearity(g2).nonlinearity.label == "other"
     # original untouched
     assert p.eps == (0.0, 0.0)
+
+
+def test_derived_problems_share_the_spectral_cache():
+    p = small_problem(eps=0.03)
+    g2 = quadratic_nonlinearity([np.eye(2), np.eye(2)], label="other")
+    same_eps = p.with_nonlinearity(g2)
+    doubled = p.with_eps(0.06)
+    # computed on a derived problem, the background exists once for all
+    assert doubled.background is p.background
+    assert same_eps.background is p.background
+    assert same_eps.background_h4 == p.background_h4
+    assert same_eps.background_dropped == p.background_dropped
+    assert same_eps.coupling is p.coupling
+    # the coupling scales with eps, so with_eps must not reuse it
+    assert np.array_equal(doubled.coupling, 2.0 * p.coupling)
+    assert doubled.coupling is not p.coupling
+    # shared arrays cannot be changed through one of the problems
+    assert not p.background.values.flags.writeable
+    assert not p.coupling.flags.writeable
+
+
+def test_background_and_coupling_match_their_definitions():
+    p = small_problem(eps=0.03)
+    g = p.grid
+    for m in range(2):
+        u0, dropped = solve_linear(p.forcings[m])
+        scale = np.max(np.abs(u0.values))
+        assert_allclose(p.background.values[m], u0.reshaped(), rtol=0, atol=1e-14 * scale)
+        assert p.background_dropped[m] == pytest.approx(dropped, rel=1e-15)
+        k_hat = forward_coeffs(g, np.fft.ifftshift(p.kernels[m].reshaped()))
+        expected = 0.03 * TWO_PI ** (g.d / 2.0) * k_hat
+        assert_allclose(p.coupling[m], expected, rtol=1e-15)
+    assert p.background_h4 == pytest.approx(norm_h4_vector(p.background), rel=1e-13)
 
 
 def test_kernel_aggregates_on_constant_fields():

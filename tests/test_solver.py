@@ -4,7 +4,11 @@ import functools
 
 import numpy as np
 import pytest
+from conftest import small_config
 
+import nlrd.lattice
+import nlrd.solver
+from nlrd.config import build_problem
 from nlrd.lattice import (
     Grid,
     RealField,
@@ -23,7 +27,6 @@ from nlrd.solver import (
     picard,
     random_ball_field,
     residual,
-    solve_background,
 )
 from nlrd.spectral import apply_operator, convolve, solve_linear
 
@@ -83,9 +86,8 @@ def test_solve_background_inverts_the_operator():
     w = random_ball_field(g, 2, rng, target_norm=0.5)
     forcings = tuple(apply_operator(c) for c in w.components)
     p = tiny_problem(forcings=forcings)
-    u0, dropped = solve_background(p)
-    assert max(dropped) <= 1e-12
-    for got, ref in zip(u0.components, w.components):
+    assert max(p.background_dropped) <= 1e-12
+    for got, ref in zip(p.background.components, w.components):
         expected = ref.values - ref.values.mean()
         err = np.linalg.norm(got.values - expected)
         assert err <= 1e-10 * max(np.linalg.norm(expected), 1.0)
@@ -94,9 +96,10 @@ def test_solve_background_inverts_the_operator():
 def test_solve_background_of_zero_forcing_is_zero():
     g = Grid(d=5, n=4, L=4.0)
     zero = RealField.zeros(g)
-    u0, dropped = solve_background(tiny_problem(forcings=(zero, zero)))
-    assert norm_h4_vector(u0) == 0.0
-    assert dropped == (0.0, 0.0)
+    p = tiny_problem(forcings=(zero, zero))
+    assert norm_h4_vector(p.background) == 0.0
+    assert p.background_h4 == 0.0
+    assert p.background_dropped == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +108,7 @@ def test_solve_background_of_zero_forcing_is_zero():
 
 def test_map_vanishes_without_coupling_or_nonlinearity():
     p = tiny_problem(eps=0.0)
-    bg, _ = solve_background(p)
+    bg = p.background
     rng = np.random.default_rng(3)
     v = random_ball_field(p.grid, 2, rng, target_norm=0.4)
     out = apply_fixed_point_map(p, bg, v)
@@ -119,7 +122,7 @@ def test_map_vanishes_without_coupling_or_nonlinearity():
 
 def test_map_matches_manual_convolve_and_solve():
     p = tiny_problem(eps=0.03)
-    bg, _ = solve_background(p)
+    bg = p.background
     rng = np.random.default_rng(4)
     v = random_ball_field(p.grid, 2, rng, target_norm=0.3)
     out = apply_fixed_point_map(p, bg, v)
@@ -157,7 +160,7 @@ def full_complex_map(problem, background, v):
 @pytest.mark.parametrize("d,n", [(5, 2), (5, 6), (6, 4), (7, 2), (7, 4)])
 def test_map_matches_full_complex_reference(d, n):
     p = tiny_problem(n=n, eps=0.03, d=d)
-    bg, _ = solve_background(p)
+    bg = p.background
     v = random_ball_field(p.grid, 2, np.random.default_rng(d * 10 + n), 0.3)
     out = apply_fixed_point_map(p, bg, v)
     for got, ref in zip(out.components, full_complex_map(p, bg, v)):
@@ -166,7 +169,7 @@ def test_map_matches_full_complex_reference(d, n):
 
 def test_map_warns_outside_certified_ball():
     p = tiny_problem(eps=0.01)
-    bg, _ = solve_background(p)
+    bg = p.background
     rng = np.random.default_rng(5)
     v = random_ball_field(p.grid, 2, rng, target_norm=2.0 * p.rho)
     with pytest.warns(UserWarning, match="outside the radius"):
@@ -175,7 +178,7 @@ def test_map_warns_outside_certified_ball():
 
 def test_map_rejects_mismatched_perturbations():
     p = tiny_problem()
-    bg, _ = solve_background(p)
+    bg = p.background
     other = Grid(d=5, n=6, L=4.0)
     rng = np.random.default_rng(6)
     bad = random_ball_field(other, 2, rng, target_norm=0.1)
@@ -345,8 +348,7 @@ def test_residual_of_zero_candidate_is_the_forcing():
 
 def test_residual_vanishes_at_linear_solution():
     p = tiny_problem(eps=0.0)
-    u0, _ = solve_background(p)
-    rep = residual(p, u0)
+    rep = residual(p, p.background)
     assert rep.relative <= 1e-12
     assert rep.forcing_l2 > 0.0
 
@@ -434,6 +436,40 @@ def test_probe_is_deterministic_and_bounded(small_built, small_solution):
 def test_probe_of_uncoupled_problem_is_zero(small_built):
     rep = contraction_probe(small_built.problem.with_eps(0.0), pairs=4, seed=0)
     assert rep.max_ratio == 0.0
+
+
+def count_transforms(monkeypatch) -> dict:
+    """Count forward/inverse transforms through every binding that makes them."""
+    counts = {"forward": 0, "inverse": 0}
+    for module in (nlrd.lattice, nlrd.solver):
+        for name, key in (("forward_coeffs", "forward"), ("inverse_values", "inverse")):
+            def counted(*args, _original=getattr(module, name), _key=key):
+                counts[_key] += 1
+                return _original(*args)
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_repeated_calls_transform_no_kernel_and_no_background(monkeypatch):
+    """After the first call on a problem, a probe transforms only its draws
+    and images, and a solve only its iterates, its residual and the forcing
+    once: the kernel coefficients and the background are cached."""
+    built = build_problem(small_config())
+    p = built.problem
+    N = p.n_components
+    counts = count_transforms(monkeypatch)
+    contraction_probe(p, pairs=2, seed=0)
+    for seed in (1, 2):
+        counts.update(forward=0, inverse=0)
+        contraction_probe(p, pairs=2, seed=seed)
+        # per pair: 2 draws forward, 2 draws inverse, 2 images of T forward
+        assert counts == {"forward": 4 * N * 2, "inverse": 2 * N * 2}
+    for _ in range(2):
+        counts.update(forward=0, inverse=0)
+        rep = picard(p, tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+        k = rep.iterations
+        # per step N forward and N inverse; then the forcing and the residual
+        assert counts == {"forward": N * (k + 3), "inverse": N * k}
 
 
 def test_probe_rejects_empty_request(small_built):
