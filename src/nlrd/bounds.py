@@ -24,15 +24,15 @@ the convolution estimate (:func:`frequency_split_minimum`); a d-independent
 
 ``*_raw`` functions evaluate the formulas on plain numbers with no
 preconditions (useful for algebraic checks); :func:`compute_bounds`
-validates the data and nonlinearity requirements first, raises
-:class:`AssumptionsNotValidated` when they fail, and reports every
-constant for one problem.
+validates the data and nonlinearity requirements and reports every
+constant for one problem, raising :class:`AssumptionsNotValidated`, which
+carries the uncertified report, when a requirement fails.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .model import (
     NonlinearityReport,
     Problem,
     image_ball_radius,
-    kernel_aggregates,
     validate_nonlinearity,
     validate_problem_data,
 )
@@ -65,18 +64,21 @@ class ContractionNotStrict(ValueError):
 class AssumptionsNotValidated(RuntimeError):
     """Raised when problem data or nonlinearity requirements fail.
 
-    Carries the failing clause names and the underlying reports.
+    Carries the failing clause names, the underlying reports, and the
+    bounds ``report`` evaluated anyway, which certifies nothing.
     """
 
     def __init__(
         self,
         failures: tuple[str, ...],
-        data_report: DataReport | None = None,
-        nonlinearity_report: NonlinearityReport | None = None,
+        data_report: DataReport,
+        nonlinearity_report: NonlinearityReport,
+        report: "BoundsReport",
     ):
         self.failures = failures
         self.data_report = data_report
         self.nonlinearity_report = nonlinearity_report
+        self.report = report
         super().__init__(
             "problem requirements failed: " + ", ".join(failures)
         )
@@ -139,15 +141,19 @@ def frequency_split_minimum(alpha: float, d: int) -> tuple[float, float]:
 def _kernel_bracket(
     d: int, kernel_l1_rss: float, kernel_l2_rss: float, shifted_norm: float
 ) -> float:
-    """The bracketed kernel factor [ l1^2 b^(8/d-2) ... + l2^2 ]."""
-    low = (
-        kernel_l1_rss**2
-        * shifted_norm ** (8.0 / d - 2.0)
-        * (sphere_measure(d) / 4.0) ** (4.0 / d)
-        * d
-        / ((d - 4.0) * _TWO_PI**4)
-    )
-    return low + kernel_l2_rss**2
+    """The bracketed kernel factor [ l1^2 b^(8/d-2) ... + l2^2 ]; inf when
+    a square overflows."""
+    try:
+        low = (
+            kernel_l1_rss**2
+            * shifted_norm ** (8.0 / d - 2.0)
+            * (sphere_measure(d) / 4.0) ** (4.0 / d)
+            * d
+            / ((d - 4.0) * _TWO_PI**4)
+        )
+        return low + kernel_l2_rss**2
+    except OverflowError:
+        return math.inf
 
 
 def lipschitz_coefficient_raw(
@@ -174,12 +180,13 @@ def coupling_threshold_raw(
     kernel_l2_rss: float,
     background_h4: float,
 ) -> float:
-    """Largest coupling for which the map contracts the radius-rho ball."""
+    """Largest coupling for which the map contracts the radius-rho ball;
+    inf when kappa = 0 (no coupling reaches the nonlinearity)."""
     b = background_h4 + 1.0
     kappa = lipschitz_coefficient_raw(
         d, c2_bound, kernel_l1_rss, kernel_l2_rss, background_h4
     )
-    return rho / (b * kappa)
+    return rho / (b * kappa) if kappa != 0.0 else math.inf
 
 
 def apriori_bound_raw(
@@ -243,23 +250,8 @@ class BoundsReport:
     apriori_bound: float
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "rho": self.rho,
-            "c2_bound": self.c2_bound,
-            "kernel_l1_rss": self.kernel_l1_rss,
-            "kernel_l2_rss": self.kernel_l2_rss,
-            "background_h4": self.background_h4,
-            "sobolev_constant": self.sobolev_constant,
-            "state_ball_radius": self.state_ball_radius,
-            "eps": list(self.eps),
-            "eps_used": self.eps_used,
-            "eps_max": self.eps_max,
-            "lipschitz_coeff": self.lipschitz_coeff,
-            "contraction_constant": self.contraction_constant,
-            "contractive": self.contractive,
-            "apriori_bound": self.apriori_bound,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 def validate_problem(
@@ -284,26 +276,22 @@ def compute_bounds(
     background_h4: float,
     budget: int = DEFAULT_C2_BUDGET,
     seed: int = 0,
-    validate: bool = True,
 ) -> BoundsReport:
     """Assemble the full certified-bounds report for a problem.
 
-    Validates the data and nonlinearity requirements first (unless
-    ``validate=False``, for diagnostic use) and evaluates every constant at
-    eps_used = max_m eps_m, the coupling the contraction argument sees.
+    Validates the data and nonlinearity requirements and evaluates every
+    constant from the kernel norms and state-ball radius the validators
+    measured, at eps_used = max_m eps_m, the coupling the contraction
+    argument sees.  When a requirement fails, the report certifies nothing
+    and is raised as ``report`` of :class:`AssumptionsNotValidated`.
     """
-    if validate:
-        data, nl = validate_problem(problem, background_h4, budget=budget, seed=seed)
-        if not (data.passed and nl.passed):
-            raise AssumptionsNotValidated(
-                tuple(data.failures) + tuple(nl.failures), data, nl
-            )
-    l1_rss, l2_rss = kernel_aggregates(problem.kernels)
+    data, nl = validate_problem(problem, background_h4, budget=budget, seed=seed)
+    l1_rss, l2_rss = data.kernel_l1_rss, data.kernel_l2_rss
     d = problem.d
     c2 = problem.c2_bound
     kappa = lipschitz_coefficient_raw(d, c2, l1_rss, l2_rss, background_h4)
     eps_used = problem.eps_max_component
-    return BoundsReport(
+    report = BoundsReport(
         d=d,
         rho=problem.rho,
         c2_bound=problem.c2_bound,
@@ -311,9 +299,7 @@ def compute_bounds(
         kernel_l2_rss=l2_rss,
         background_h4=float(background_h4),
         sobolev_constant=sobolev_embedding_constant(d),
-        state_ball_radius=image_ball_radius(
-            background_h4, sobolev_embedding_constant(d)
-        ),
+        state_ball_radius=nl.c2.radius,
         eps=problem.eps,
         eps_used=eps_used,
         eps_max=coupling_threshold_raw(
@@ -326,3 +312,6 @@ def compute_bounds(
             d, eps_used, c2, l1_rss, l2_rss, background_h4
         ),
     )
+    if not (data.passed and nl.passed):
+        raise AssumptionsNotValidated(data.failures + nl.failures, data, nl, report)
+    return report

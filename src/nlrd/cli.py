@@ -10,8 +10,8 @@ Subcommands::
 
 Reports go to stdout as JSON (keys sorted; only wall-time fields vary
 between identical runs); diagnostics go to stderr.  Exit codes: 0 success,
-1 requirement/certification failure, 2 configuration error, 3 solver
-failure (divergence or iteration budget).
+1 requirement/certification failure, 2 configuration error or unwritable
+output path, 3 solver failure (divergence or iteration budget).
 """
 
 from __future__ import annotations
@@ -202,11 +202,14 @@ def _cmd_solve(args) -> int:
         _diag(f"solver failure: {err}")
     payload = _solve_payload(built, rep, error)
     payload["wall_time_total"] = time.perf_counter() - t0
-    if args.dump_fields:
-        payload["dumped_fields"] = _dump_fields(rep, args.dump_fields)
-    if args.trace_csv:
-        _write_trace_csv(rep, args.trace_csv)
-        payload["trace_csv"] = args.trace_csv
+    try:
+        if args.dump_fields:
+            payload["dumped_fields"] = _dump_fields(rep, args.dump_fields)
+        if args.trace_csv:
+            _write_trace_csv(rep, args.trace_csv)
+            payload["trace_csv"] = args.trace_csv
+    except OSError as err:
+        raise ConfigError(f"cannot write solver output: {err}") from err
     _emit(payload)
     return code
 

@@ -187,7 +187,7 @@ def build_field(grid: Grid, spec: Any) -> RealField:
             return f
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, OSError) as err:
+    except (KeyError, TypeError, ValueError, OSError, ArithmeticError) as err:
         raise ConfigError(f"cannot build {name!r} field: {err}") from err
     raise ConfigError(f"unknown field constructor {name!r}")
 
@@ -222,13 +222,15 @@ def _build_nonlinearity(cfg: dict) -> tuple[Nonlinearity, float | None]:
     return g, frac
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_problem(
     cfg: dict, eps_fraction: float | None = None
 ) -> BuiltProblem:
     """Build a problem from a parsed config, resolving couplings and scaling.
 
     ``eps_fraction`` (e.g. from the command line) overrides any coupling
-    settings in the file.
+    settings in the file.  Data that overflows is a :class:`ConfigError`,
+    so numpy's overflow warnings are silenced here.
     """
     grid = _build_grid(cfg)
     prob_sec = _section(cfg, "problem")
@@ -304,27 +306,26 @@ def build_problem(
 
     cfg_fraction = prob_sec.get("eps_fraction")
     cfg_eps = prob_sec.get("eps")
+    # (q, eps_source prefix, name in errors, adjective in warnings)
+    fraction = None
     if eps_fraction is not None:
-        if not eps_fraction > 0.0:
-            raise ConfigError(f"eps fraction must be positive, got {eps_fraction}")
-        eps = (float(eps_fraction) * eps_max,) * g.N
-        eps_source = f"cli_fraction={eps_fraction:g}"
-        if eps_fraction > 1.0:
-            warnings.append(
-                f"requested coupling fraction {eps_fraction:g} exceeds 1; "
-                "the solve is outside the certified regime"
-            )
+        fraction = (eps_fraction, "cli", "eps fraction", "requested")
     elif cfg_fraction is not None and cfg_eps is not None:
         raise ConfigError("give either 'eps' or 'eps_fraction', not both")
     elif cfg_fraction is not None:
         q = _number(cfg_fraction, "eps_fraction")
+        fraction = (q, "config", "eps_fraction", "configured")
+    if fraction is not None:
+        q, origin, name, adjective = fraction
         if not q > 0.0:
-            raise ConfigError(f"eps_fraction must be positive, got {q}")
-        eps = (q * eps_max,) * g.N
-        eps_source = f"config_fraction={q:g}"
+            raise ConfigError(f"{name} must be positive, got {q}")
+        if not 0.0 < eps_max < math.inf:
+            raise ConfigError(f"{name} needs a positive finite eps_max, got {eps_max}")
+        eps = (float(q) * eps_max,) * g.N
+        eps_source = f"{origin}_fraction={q:g}"
         if q > 1.0:
             warnings.append(
-                f"configured coupling fraction {q:g} exceeds 1; "
+                f"{adjective} coupling fraction {q:g} exceeds 1; "
                 "the solve is outside the certified regime"
             )
     elif cfg_eps is not None:

@@ -75,6 +75,11 @@ class Grid:
         if not (self.L > 0.0 and np.isfinite(self.L)):
             raise ValueError(f"box half-width must be positive and finite, got {self.L}")
         object.__setattr__(self, "L", float(self.L))
+        if max(abs(self.d * np.log10(s)) for s in (self.h, self.dp)) > 300.0:
+            raise ValueError(
+                f"box half-width {self.L} puts the transform scales h^d and "
+                f"dp^d outside 1e-300 .. 1e300 for d = {self.d}, n = {self.n}"
+            )
 
     @property
     def h(self) -> float:

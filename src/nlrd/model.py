@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -483,9 +483,15 @@ def kernel_aggregates(kernels: Sequence[RealField]) -> tuple[float, float]:
     l2_rss = (sum_m |H_m|_L2^2)^(1/2); these are the two kernel constants
     entering every certified bound.
     """
-    l1_sq = sum(norm_l1(H) ** 2 for H in kernels)
-    l2_sq = sum(norm_l2(H) ** 2 for H in kernels)
-    return float(np.sqrt(l1_sq)), float(np.sqrt(l2_sq))
+    return _rss([norm_l1(H) for H in kernels]), _rss([norm_l2(H) for H in kernels])
+
+
+def _rss(norms: Sequence[float]) -> float:
+    """(sum of squares)^(1/2); inf when a square overflows."""
+    try:
+        return float(np.sqrt(sum(v**2 for v in norms)))
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -506,34 +512,28 @@ class DataReport:
     kernel_l2_rss: float
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "forcing_l1": list(self.forcing_l1),
-            "forcing_l2": list(self.forcing_l2),
-            "kernel_l1": list(self.kernel_l1),
-            "kernel_l2": list(self.kernel_l2),
-            "kernel_l1_rss": self.kernel_l1_rss,
-            "kernel_l2_rss": self.kernel_l2_rss,
-        }
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
+@np.errstate(over="ignore")
 def validate_problem_data(problem: Problem) -> DataReport:
     """Check the integrability and nontriviality requirements on the data.
 
-    Every kernel and forcing must have finite L^1 and L^2 norms (guaranteed
-    for sampled fields, but recorded), at least one forcing and at least one
-    kernel must be nontrivial, and the aggregate kernel norms must be
-    positive so the certified-bound formulas are meaningful.
+    Every kernel and forcing must have finite L^1 and L^2 norms, and so
+    must the aggregate kernel norms of :func:`kernel_aggregates` (a finite
+    norm can still overflow its square; the check replaces numpy's
+    overflow warning); at least one forcing and at least one kernel must
+    be nontrivial, so the certified-bound formulas are meaningful.
     """
     f_l1 = tuple(norm_l1(f) for f in problem.forcings)
     f_l2 = tuple(norm_l2(f) for f in problem.forcings)
     k_l1 = tuple(norm_l1(H) for H in problem.kernels)
     k_l2 = tuple(norm_l2(H) for H in problem.kernels)
-    l1_rss, l2_rss = kernel_aggregates(problem.kernels)
+    l1_rss, l2_rss = _rss(k_l1), _rss(k_l2)
 
     failures: list[str] = []
-    if not all(np.isfinite(v) for v in (*f_l1, *f_l2, *k_l1, *k_l2)):
+    if not all(np.isfinite(v) for v in (*f_l1, *f_l2, *k_l1, *k_l2, l1_rss, l2_rss)):
         failures.append("norms_finite")
     if max(f_l2, default=0.0) == 0.0:
         failures.append("forcing_nontrivial")

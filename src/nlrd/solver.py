@@ -290,20 +290,18 @@ def _bounds_with_warnings(
     validated: BoundsReport | None,
 ) -> tuple[BoundsReport, list[str]]:
     warnings: list[str] = []
-    background_h4 = problem.background_h4
-    if validated is not None:
-        report = validated
-    else:
+    report = validated
+    if report is None:
         try:
-            report = compute_bounds(problem, background_h4, budget=budget, seed=seed)
+            report = compute_bounds(
+                problem, problem.background_h4, budget=budget, seed=seed
+            )
         except AssumptionsNotValidated as err:
             warnings.append(
                 "requirements failed (" + ", ".join(err.failures) + "); "
                 "bounds reported without certification"
             )
-            report = compute_bounds(
-                problem, background_h4, budget=budget, seed=seed, validate=False
-            )
+            report = err.report
     if report.eps_used > report.eps_max:
         warnings.append(
             f"coupling {report.eps_used:.6g} exceeds the certified threshold "

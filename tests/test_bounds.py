@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+import nlrd.model
 from nlrd.bounds import (
     AssumptionsNotValidated,
     BadDimension,
@@ -24,6 +25,7 @@ from nlrd.bounds import (
 )
 from nlrd.lattice import Grid, RealField
 from nlrd.model import Problem, gaussian_field, quadratic_nonlinearity
+from nlrd.solver import picard
 
 TWO_PI = 2.0 * np.pi
 
@@ -302,9 +304,45 @@ def test_validated_layer_requires_sound_data():
     assert "forcing_nontrivial" in err.value.failures
     assert err.value.data_report is not None
     assert err.value.nonlinearity_report is not None
-    # the diagnostic escape hatch still evaluates the formulas
-    rep = compute_bounds(p, background_h4=0.0, budget=500, validate=False)
+    # the failed validation still carries the formulas' values, uncertified
+    rep = err.value.report
     assert rep.eps_max > 0.0
+
+
+@pytest.mark.parametrize(
+    "amplitude,clause,eps_max",
+    [(0.0, "kernel_nontrivial", math.inf), (1e200, "norms_finite", 0.0)],
+)
+def test_degenerate_kernels_fail_validation_not_arithmetic(amplitude, clause, eps_max):
+    g = Grid(d=5, n=4, L=4.0)
+    p = tiny_problem(kernels=(gaussian_field(g, 1.0, amplitude),) * 2, c2_bound=10.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(AssumptionsNotValidated) as err:
+            compute_bounds(p, p.background_h4, budget=500)
+    assert clause in err.value.failures
+    assert err.value.report.eps_max == eps_max
+
+
+def test_each_norm_is_taken_once_per_certification(monkeypatch):
+    """compute_bounds measures each kernel and forcing once (2N calls of
+    norm_l1 and of norm_l2), and so does picard on a problem that fails
+    validation: the uncertified report reuses the failed pass."""
+    calls = {"norm_l1": 0, "norm_l2": 0}
+    for name in calls:
+        def counted(f, _original=getattr(nlrd.model, name), _name=name):
+            calls[_name] += 1
+            return _original(f)
+        monkeypatch.setattr(nlrd.model, name, counted)
+    p = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0)
+    N = p.n_components
+    compute_bounds(p, p.background_h4, budget=500)
+    assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
+    zero = RealField.zeros(p.grid)
+    failing = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0, kernels=(zero, zero))
+    calls.update(norm_l1=0, norm_l2=0)
+    rep = picard(failing, tol=1e-10, max_iter=10, budget=500)
+    assert "kernel_nontrivial" in rep.warnings[0]
+    assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
 
 
 def test_validated_wrappers_agree_with_report():

@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 from conftest import small_config
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nlrd.cli import main
 from nlrd.config import build_problem
@@ -30,6 +32,10 @@ def run_json(capsys, *argv):
 
 
 ZERO_FORCINGS = [{"constructor": "zero"}, {"constructor": "zero"}]
+
+
+def gaussian(width, amplitude):
+    return {"constructor": "gaussian", "params": {"width": width, "amplitude": amplitude}}
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +140,7 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["bounds", "solve"])
 @pytest.mark.parametrize(
     "path,value,message",
@@ -144,6 +151,13 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
         (("forcings", 0, "params", "amplitude"), 1e160, "no finite background"),
         (("nonlinearity", "params", "matrices", 0, 0, 0), float("nan"), "must be finite"),
         (("nonlinearity", "params", "matrices", 1, 0, 1), float("inf"), "must be finite"),
+        # kappa = 0 or inf: eps_fraction has no threshold to scale
+        (("kernels",), [{"constructor": "zero"}] * 2, "positive finite eps_max"),
+        (("kernels",), [gaussian(1.0, 1e-300), gaussian(0.9, 1e-300)], "positive finite eps_max"),
+        (("kernels", 0, "params", "amplitude"), 1e200, "positive finite eps_max"),
+        (("kernels", 0, "params", "width"), 1e200, "cannot build 'gaussian' field"),
+        (("forcings", 0, "params", "width"), 1e200, "cannot build 'gaussian' field"),
+        (("grid", "L"), 1e-300, "outside 1e-300 .. 1e300"),
     ],
 )
 def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, value, message):
@@ -154,10 +168,65 @@ def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, valu
     target[path[-1]] = value
     code, out, err = run(capsys, command, write_cfg(tmp_path, cfg))
     assert code == 2
-    assert "config error" in err
+    assert err.startswith("config error:")
     assert message in err
-    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "option,target",
+    [("--dump-fields", "a_file/fields"), ("--trace-csv", "missing_dir/trace.csv")],
+)
+def test_unwritable_solver_output_is_a_config_error(tmp_path, capsys, option, target):
+    (tmp_path / "a_file").write_text("")
+    cfg = write_cfg(tmp_path, small_config(n=4))
+    code, out, err = run(capsys, "solve", cfg, option, str(tmp_path / target))
+    assert code == 2
+    assert err.startswith("config error: cannot write solver output")
+    assert len(err.splitlines()) == 1
+    assert out == ""
+
+
+# config entries the property test below sets to extreme values
+MUTABLE_ENTRIES = [
+    ("grid", "L"),
+    ("kernels", 0, "params", "amplitude"),
+    ("kernels", 1, "params", "width"),
+    ("forcings", 0, "params", "amplitude"),
+    ("forcings", 1, "params", "width"),
+    ("problem", "eps"),
+    ("problem", "eps_fraction"),
+    ("problem", "rho"),
+    ("problem", "c2_bound"),
+]
+EXTREMES = [0.0, 1e-300, -1e-300, 1e160, 1e200, 1e308, -1.0, float("nan")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(
+    derandomize=True, max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(["validate", "bounds"]),
+    edits=st.lists(
+        st.tuples(st.sampled_from(MUTABLE_ENTRIES), st.sampled_from(EXTREMES)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_extreme_config_values_keep_the_exit_code_contract(tmp_path, capsys, command, edits):
+    cfg = small_config(n=4)
+    for path, value in edits:
+        if path == ("problem", "eps"):
+            cfg["problem"].pop("eps_fraction", None)
+        target = cfg
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    code = main([command, write_cfg(tmp_path, cfg)])
+    capsys.readouterr()
+    assert code in (0, 1, 2)
 
 
 # ---------------------------------------------------------------------------

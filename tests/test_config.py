@@ -84,12 +84,16 @@ def test_cli_fraction_overrides_config():
 
 
 def test_cli_fraction_validation():
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="^eps fraction must be positive, got 0.0$"):
         build_problem(small_config(), eps_fraction=0.0)
     with pytest.raises(ConfigError, match="positive"):
         build_problem(small_config(), eps_fraction=-1.0)
     built = build_problem(small_config(), eps_fraction=2.0)
-    assert any("outside the certified regime" in w for w in built.warnings)
+    assert built.warnings == (
+        "requested coupling fraction 2 exceeds 1; "
+        "the solve is outside the certified regime",
+    )
+    assert built.resolved["eps_source"] == "cli_fraction=2"
     assert built.resolved["eps"][0] == 2.0 * built.resolved["eps_max_at_build"]
 
 
@@ -132,10 +136,14 @@ def test_config_default_zero_coupling():
 
 def test_config_fraction_validation():
     cfg = small_config(problem={"eps_fraction": -0.5})
-    with pytest.raises(ConfigError, match="positive"):
+    with pytest.raises(ConfigError, match="^eps_fraction must be positive, got -0.5$"):
         build_problem(cfg)
     built = build_problem(small_config(problem={"eps_fraction": 1.5}))
-    assert any("outside the certified regime" in w for w in built.warnings)
+    assert built.warnings == (
+        "configured coupling fraction 1.5 exceeds 1; "
+        "the solve is outside the certified regime",
+    )
+    assert built.resolved["eps_source"] == "config_fraction=1.5"
 
 
 # ---------------------------------------------------------------------------

@@ -85,6 +85,10 @@ def test_grid_spacings():
         {"d": 2, "n": 4, "L": 0.0},
         {"d": 2, "n": 4, "L": -3.0},
         {"d": 2, "n": 4, "L": float("inf")},
+        # dp^d overflows, h^d underflows
+        {"d": 5, "n": 4, "L": 1e-300},
+        # h^d overflows
+        {"d": 5, "n": 4, "L": 1e160},
     ],
 )
 def test_grid_rejects_bad_parameters(kwargs):

@@ -397,6 +397,22 @@ def test_validate_problem_data_flags_trivial_data():
     assert "kernel_nontrivial" in rep.failures
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("amplitude", [1e153, 1e160])
+def test_validate_problem_data_flags_overflowing_norms(amplitude):
+    """1e153: finite norms whose squares overflow the aggregate; 1e160: the
+    L^2 norm itself overflows.  Flagged, with no numpy warning."""
+    p = small_problem()
+    big = gaussian_field(p.grid, 1.0, amplitude)
+    rep = validate_problem_data(small_problem(kernels=(big, p.kernels[1])))
+    assert rep.failures == ("norms_finite",)
+    assert rep.kernel_l1_rss == np.inf
+    assert np.isfinite(rep.kernel_l1[0])
+    with np.errstate(over="ignore"):
+        aggregates = kernel_aggregates((big, p.kernels[1]))
+    assert (rep.kernel_l1_rss, rep.kernel_l2_rss) == aggregates
+
+
 def test_validate_nonlinearity_passes_with_ample_bound():
     g = quadratic_nonlinearity([np.eye(2), np.eye(2)])
     rep = validate_nonlinearity(g, radius=0.5, c2_bound=100.0, budget=2000)

@@ -270,6 +270,19 @@ def test_picard_zero_forcing_converges_with_requirement_warning():
     assert any("forcing_nontrivial" in w for w in rep.warnings)
 
 
+def test_picard_zero_kernels_converge_with_requirement_warning():
+    """kappa = 0: the uncertified report gives eps_max = inf, no division."""
+    g = Grid(d=5, n=4, L=4.0)
+    zero = RealField.zeros(g)
+    p = tiny_problem(eps=0.01, kernels=(zero, zero))
+    rep = picard(p, tol=1e-10, max_iter=10, budget=500)
+    assert rep.converged
+    assert rep.perturbation_h4 == 0.0
+    assert any("kernel_nontrivial" in w for w in rep.warnings)
+    assert rep.bounds.lipschitz_coeff == 0.0
+    assert rep.bounds.eps_max == np.inf
+
+
 def test_picard_reaches_a_fixed_point(small_built, small_solution):
     rep = small_solution
     assert rep.converged
