@@ -17,11 +17,13 @@ output path, 3 solver failure (divergence or iteration budget).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -87,218 +89,135 @@ def _build(args) -> BuiltProblem:
     return built
 
 
+def _report(built: BuiltProblem, args, payload: dict) -> None:
+    """Emit a subcommand's payload with the command and resolved config."""
+    _emit({"command": args.command, "config": built.resolved, **payload})
+
+
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (built, args) -> (payload, failure line or None)
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(args) -> int:
-    built = _build(args)
+def _cmd_validate(built: BuiltProblem, args) -> tuple[dict, str | None]:
     data, nl = validate_problem(
         built.problem, built.background_h4, budget=built.budget, seed=built.seed
     )
     passed = data.passed and nl.passed
-    _emit(
-        {
-            "command": "validate",
-            "config": built.resolved,
-            "data": data.as_dict(),
-            "nonlinearity": nl.as_dict(),
-            "passed": passed,
-        }
-    )
-    if not passed:
-        failures = list(data.failures) + list(nl.failures)
-        _diag("validation failed: " + ", ".join(failures))
-    return EXIT_OK if passed else EXIT_REQUIREMENTS
+    payload = {"data": data.as_dict(), "nonlinearity": nl.as_dict(), "passed": passed}
+    failures = list(data.failures) + list(nl.failures)
+    return payload, None if passed else "validation failed: " + ", ".join(failures)
 
 
-def _cmd_bounds(args) -> int:
-    built = _build(args)
+def _cmd_bounds(built: BuiltProblem, args) -> tuple[dict, str | None]:
     try:
         rep = compute_bounds(
             built.problem, built.background_h4, budget=built.budget, seed=built.seed
         )
     except AssumptionsNotValidated as err:
-        _emit(
-            {
-                "command": "bounds",
-                "config": built.resolved,
-                "error": "requirements_failed",
-                "failures": list(err.failures),
-            }
-        )
-        _diag(str(err))
-        return EXIT_REQUIREMENTS
-    _emit({"command": "bounds", "config": built.resolved, "bounds": rep.as_dict()})
-    return EXIT_OK
+        failures = list(err.failures)
+        _report(built, args, {"error": "requirements_failed", "failures": failures})
+        raise
+    return {"bounds": rep.as_dict()}, None
 
 
-def _solve_payload(built: BuiltProblem, rep: SolveReport, error: str | None) -> dict:
-    return {
-        "command": "solve",
-        "config": built.resolved,
-        "error": error,
-        "converged": rep.converged,
-        "iterations": rep.iterations,
-        "tol": rep.tol,
-        "background_h4": rep.background_h4,
-        "perturbation_h4": rep.perturbation_h4,
-        "solution_h4": rep.solution_h4,
-        "background_dropped": list(rep.background_dropped),
-        "residual_abs": rep.residual.absolute if rep.residual else None,
-        "residual_rel": rep.residual.relative if rep.residual else None,
-        "bounds": rep.bounds.as_dict(),
-        "warnings": list(rep.warnings),
-        "trace": rep.trace.rows(),
-    }
-
-
-def _dump_fields(rep: SolveReport, directory: str) -> list[str]:
-    out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, vf in (
-        ("background", rep.background),
-        ("perturbation", rep.perturbation),
-        ("solution", rep.solution),
-    ):
-        for m, comp in enumerate(vf.components):
-            path = out_dir / f"{name}_{m}.bfx1"
-            write_field(path, comp)
-            written.append(str(path))
-    return written
-
-
-def _write_trace_csv(rep: SolveReport, path: str) -> None:
-    rows = rep.trace.rows()
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["k", "norm_h4", "step_h4", "ratio", "dropped_mass", "wall_time"]
-        )
-        writer.writeheader()
-        for row in rows:
-            if row["ratio"] is None:
-                row = dict(row, ratio="")
-            writer.writerow(row)
-
-
-def _cmd_solve(args) -> int:
-    built = _build(args)
-    tol = args.tol if args.tol is not None else built.tol
-    max_iter = args.max_iter if args.max_iter is not None else built.max_iter
-    check_solver_settings(tol, max_iter)
-    t0 = time.perf_counter()
-    error = None
-    code = EXIT_OK
-    try:
-        rep = picard(
-            built.problem, tol=tol, max_iter=max_iter,
-            budget=built.budget, seed=built.seed,
-        )
-    except (MaxIterExceeded, DivergenceDetected) as err:
-        rep = err.report
-        error = type(err).__name__
-        code = EXIT_SOLVER
-        _diag(f"solver failure: {err}")
-    payload = _solve_payload(built, rep, error)
-    payload["wall_time_total"] = time.perf_counter() - t0
+def _open_outputs(args):
+    """Create the --dump-fields directory and open --trace-csv, before solving."""
     try:
         if args.dump_fields:
-            payload["dumped_fields"] = _dump_fields(rep, args.dump_fields)
-        if args.trace_csv:
-            _write_trace_csv(rep, args.trace_csv)
+            Path(args.dump_fields).mkdir(parents=True, exist_ok=True)
+        return open(args.trace_csv, "w", newline="") if args.trace_csv else None
+    except OSError as err:
+        raise ConfigError(f"cannot write solver output: {err}") from err
+
+
+def _write_outputs(rep: SolveReport, args, trace_fh, payload: dict) -> None:
+    try:
+        if args.dump_fields:
+            payload["dumped_fields"] = written = []
+            for name in ("background", "perturbation", "solution"):
+                for m, comp in enumerate(getattr(rep, name).components):
+                    path = Path(args.dump_fields) / f"{name}_{m}.bfx1"
+                    write_field(path, comp)
+                    written.append(str(path))
+        if trace_fh is not None:
+            writer = csv.DictWriter(trace_fh, fieldnames=[
+                "k", "norm_h4", "step_h4", "ratio", "dropped_mass", "wall_time",
+            ])
+            writer.writeheader()
+            for row in rep.trace.rows():
+                writer.writerow(dict(row, ratio="") if row["ratio"] is None else row)
+            trace_fh.flush()  # a failed write surfaces here, not at close
             payload["trace_csv"] = args.trace_csv
     except OSError as err:
         raise ConfigError(f"cannot write solver output: {err}") from err
-    _emit(payload)
-    return code
 
 
-def _cmd_probe(args) -> int:
-    if args.pairs < 1:
-        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    built = _build(args)
-    try:
-        theory = compute_bounds(
-            built.problem, built.background_h4, budget=built.budget, seed=built.seed
-        )
-    except AssumptionsNotValidated as err:
-        _diag(str(err))
-        return EXIT_REQUIREMENTS
-    pairs = args.pairs
-    seed = args.seed if args.seed is not None else built.seed
-    probe = contraction_probe(built.problem, pairs=pairs, seed=seed)
-    margin = built.margins["contraction"]
-    passed = probe.max_ratio <= theory.contraction_constant * (1.0 + margin)
-    _emit(
-        {
-            "command": "probe-contraction",
-            "config": built.resolved,
-            "pairs": probe.pairs,
-            "seed": probe.seed,
-            "ratios": list(probe.ratios),
-            "max_ratio": probe.max_ratio,
-            "mean_ratio": probe.mean_ratio,
-            "contraction_constant": theory.contraction_constant,
-            "margin": margin,
-            "passed": passed,
+def _cmd_solve(built: BuiltProblem, args) -> tuple[dict, str | None]:
+    tol = args.tol if args.tol is not None else built.tol
+    max_iter = args.max_iter if args.max_iter is not None else built.max_iter
+    check_solver_settings(tol, max_iter)
+    trace_fh = _open_outputs(args)
+    with trace_fh or contextlib.nullcontext():
+        t0 = time.perf_counter()
+        error = None
+        try:
+            rep = picard(
+                built.problem, tol=tol, max_iter=max_iter,
+                budget=built.budget, seed=built.seed,
+            )
+        except (MaxIterExceeded, DivergenceDetected) as err:
+            error, rep = err, err.report
+        payload = {
+            "error": type(error).__name__ if error else None,
+            "converged": rep.converged,
+            "iterations": rep.iterations,
+            "tol": rep.tol,
+            "background_h4": rep.background_h4,
+            "perturbation_h4": rep.perturbation_h4,
+            "solution_h4": rep.solution_h4,
+            "background_dropped": list(rep.background_dropped),
+            "residual_abs": rep.residual.absolute if rep.residual else None,
+            "residual_rel": rep.residual.relative if rep.residual else None,
+            "bounds": rep.bounds.as_dict(),
+            "warnings": list(rep.warnings),
+            "trace": rep.trace.rows(),
+            "wall_time_total": time.perf_counter() - t0,
         }
+        _write_outputs(rep, args, trace_fh, payload)
+    if error is not None:
+        _report(built, args, payload)
+        raise error
+    return payload, None
+
+
+def _cmd_probe(built: BuiltProblem, args) -> tuple[dict, str | None]:
+    theory = compute_bounds(
+        built.problem, built.background_h4, budget=built.budget, seed=built.seed
     )
-    if not passed:
-        _diag(
-            f"empirical ratio {probe.max_ratio:.6g} exceeds certified "
-            f"{theory.contraction_constant:.6g} (+{margin:.0%} margin)"
-        )
-    return EXIT_OK if passed else EXIT_REQUIREMENTS
+    seed = args.seed if args.seed is not None else built.seed
+    probe = contraction_probe(built.problem, pairs=args.pairs, seed=seed)
+    kappa = theory.contraction_constant
+    margin = built.margins["contraction"]
+    passed = probe.max_ratio <= kappa * (1.0 + margin)
+    payload = {**asdict(probe), "contraction_constant": kappa, "margin": margin}
+    return {**payload, "passed": passed}, None if passed else (
+        f"empirical ratio {probe.max_ratio:.6g} exceeds certified "
+        f"{kappa:.6g} (+{margin:.0%} margin)"
+    )
 
 
-def _cmd_continuity(args) -> int:
-    if not math.isfinite(args.delta):
-        raise ConfigError(f"--delta must be finite, got {args.delta}")
-    built = _build(args)
+def _cmd_continuity(built: BuiltProblem, args) -> tuple[dict, str | None]:
     g1 = built.problem.nonlinearity
     g2 = scale_nonlinearity(g1, 1.0 + args.delta)
-    margin = built.margins["continuity"]
-    try:
-        rep = continuity_experiment(
-            built.problem, g1, g2,
-            tol=built.tol, max_iter=built.max_iter, margin=margin,
-            budget=built.budget, seed=built.seed,
-        )
-    except AssumptionsNotValidated as err:
-        _diag(str(err))
-        return EXIT_REQUIREMENTS
-    except ContractionNotStrict as err:
-        _diag(str(err))
-        return EXIT_REQUIREMENTS
-    except (MaxIterExceeded, DivergenceDetected) as err:
-        _diag(f"solver failure: {err}")
-        return EXIT_SOLVER
-    _emit(
-        {
-            "command": "continuity",
-            "config": built.resolved,
-            "delta": args.delta,
-            "measured": rep.measured,
-            "bound": rep.bound,
-            "margin": rep.margin,
-            "slack": rep.slack,
-            "nonlinearity_gap": rep.nonlinearity_gap,
-            "gap_method": rep.gap_method,
-            "contraction_constant": rep.contraction_constant,
-            "iterations": list(rep.iterations),
-            "residuals": list(rep.residuals),
-            "passed": rep.passed,
-        }
+    rep = continuity_experiment(
+        built.problem, g1, g2,
+        tol=built.tol, max_iter=built.max_iter, margin=built.margins["continuity"],
+        budget=built.budget, seed=built.seed,
     )
-    if not rep.passed:
-        _diag(
-            f"measured shift {rep.measured:.6g} exceeds bound {rep.bound:.6g} "
-            f"(+{margin:.0%} margin)"
-        )
-    return EXIT_OK if rep.passed else EXIT_REQUIREMENTS
+    return {"delta": args.delta, **asdict(rep)}, None if rep.passed else (
+        f"measured shift {rep.measured:.6g} exceeds bound {rep.bound:.6g} "
+        f"(+{rep.margin:.0%} margin)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -366,14 +285,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_options(args) -> None:
+    """Reject command-line values no build can make sense of."""
+    if getattr(args, "pairs", 1) < 1:
+        raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not math.isfinite(getattr(args, "delta", 0.0)):
+        raise ConfigError(f"--delta must be finite, got {args.delta}")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand; the only place that turns outcomes into exit codes."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        _check_options(args)
+        built = _build(args)
+        payload, failure = args.handler(built, args)
+        _report(built, args, payload)
     except ConfigError as err:
         _diag(f"config error: {err}")
         return EXIT_CONFIG
+    except (AssumptionsNotValidated, ContractionNotStrict) as err:
+        _diag(str(err))
+        return EXIT_REQUIREMENTS
+    except (MaxIterExceeded, DivergenceDetected) as err:
+        _diag(f"solver failure: {err}")
+        return EXIT_SOLVER
+    if failure is not None:
+        _diag(failure)
+        return EXIT_REQUIREMENTS
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -45,7 +46,7 @@ import numpy as np
 from . import __version__
 from .bounds import coupling_threshold_raw, sobolev_embedding_constant
 from .fieldio import read_field
-from .lattice import Grid, RealField, VectorField
+from .lattice import Grid, RealField, VectorField, norm_l1
 from .model import (
     DEFAULT_C2_BUDGET,
     GaussianSpec,
@@ -60,6 +61,10 @@ from .model import (
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 DEFAULT_MARGINS = {"contraction": 0.05, "continuity": 0.05}
+
+#: peak resident bytes of a solve per grid point per component, above the
+#: interpreter's own; calibrated against measured benchmark peaks
+_PEAK_BYTES_PER_POINT = 128
 
 
 class ConfigError(ValueError):
@@ -192,11 +197,31 @@ def build_field(grid: Grid, spec: Any) -> RealField:
     raise ConfigError(f"unknown field constructor {name!r}")
 
 
-def _build_fields(grid: Grid, cfg: dict, section: str) -> tuple[RealField, ...]:
+def _field_specs(cfg: dict, section: str) -> list:
     specs = cfg.get(section)
     if not isinstance(specs, list) or not specs:
         raise ConfigError(f"config section {section!r} must be a nonempty list")
-    return tuple(build_field(grid, s) for s in specs)
+    return specs
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where the OS does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _check_grid_size(grid: Grid, n_components: int) -> None:
+    """Refuse a grid whose solve would not fit in physical memory."""
+    need = _PEAK_BYTES_PER_POINT * n_components * grid.n**grid.d
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"a solve on {grid.n}^{grid.d} points x {n_components} components "
+            f"needs about {need / 1e9:.3g} GB, more than the {have / 1e9:.3g} GB "
+            "of physical memory"
+        )
 
 
 def _build_nonlinearity(cfg: dict) -> tuple[Nonlinearity, float | None]:
@@ -252,13 +277,16 @@ def build_problem(
     if seed < 0:
         raise ConfigError(f"solver.seed must be >= 0, got {seed}")
 
-    kernels = _build_fields(grid, cfg, "kernels")
-    forcings = _build_fields(grid, cfg, "forcings")
-    if len(kernels) != len(forcings):
+    kernel_specs = _field_specs(cfg, "kernels")
+    forcing_specs = _field_specs(cfg, "forcings")
+    if len(kernel_specs) != len(forcing_specs):
         raise ConfigError(
-            f"{len(kernels)} kernels vs {len(forcings)} forcings; "
+            f"{len(kernel_specs)} kernels vs {len(forcing_specs)} forcings; "
             "need one of each per component"
         )
+    _check_grid_size(grid, len(kernel_specs))
+    kernels = tuple(build_field(grid, s) for s in kernel_specs)
+    forcings = tuple(build_field(grid, s) for s in forcing_specs)
     g, c2_fraction = _build_nonlinearity(cfg)
     if g.N != len(kernels):
         raise ConfigError(
@@ -346,6 +374,14 @@ def build_problem(
         problem = base.with_nonlinearity(g).with_eps(eps)
     except ValueError as err:
         raise ConfigError(str(err)) from err
+    # |eps_m (2 pi)^(d/2) H^_m| <= eps_m |H_m|_L1 bounds the coupling coefficients
+    scale = (2.0 * math.pi) ** (grid.d / 2.0)
+    for m, (e, H) in enumerate(zip(eps, kernels)):
+        l1 = norm_l1(H)
+        if not (math.isfinite(e * scale) and math.isfinite(e * l1)):
+            raise ConfigError(
+                f"coupling {m} overflows: eps = {e:g} on a kernel of L1 norm {l1:g}"
+            )
 
     resolved = {
         "version": __version__,

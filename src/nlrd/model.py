@@ -402,8 +402,13 @@ class Problem:
         for f in (*kernels, *forcings):
             if f.grid != self.grid:
                 raise ValueError("kernels and forcings must live on the problem grid")
-        if not (0.0 < self.rho and np.isfinite(self.rho)):
-            raise ValueError(f"perturbation ball radius must be positive, got {self.rho}")
+        # H^4 norms square coefficients far below rho; for smaller balls
+        # they underflow to 0 and the probe cannot tell its pairs apart
+        if not (1e-100 <= self.rho and np.isfinite(self.rho)):
+            raise ValueError(
+                "perturbation ball radius must be positive, at least 1e-100, "
+                f"got {self.rho}"
+            )
         if self.rho > 1.0:
             raise ValueError(
                 f"perturbation ball radius must be <= 1, got {self.rho}"

@@ -380,7 +380,7 @@ def picard(
             # report the last finite iterate, not the runaway one
             report = _assemble_report(
                 problem, v_values, v_hats, bounds_report,
-                tuple(warn), steps, converged=False, tol=tol, with_residual=False,
+                tuple(warn), steps, converged=False, tol=tol,
             )
             raise DivergenceDetected(report)
         v_values, v_hats = inverse_stack(grid, new_hats), new_hats
@@ -393,7 +393,7 @@ def picard(
 
     report = _assemble_report(
         problem, v_values, v_hats, bounds_report,
-        tuple(warn), steps, converged=converged, tol=tol, with_residual=converged,
+        tuple(warn), steps, converged=converged, tol=tol,
     )
     if not converged:
         raise MaxIterExceeded(report)
@@ -409,12 +409,11 @@ def _assemble_report(
     steps: list[IterationStep],
     converged: bool,
     tol: float,
-    with_residual: bool,
 ) -> SolveReport:
     grid = problem.grid
     solution = VectorField(grid, problem.background.values + v_values)
     forcing_hat = forward_stack(grid, [f.values for f in problem.forcings])
-    res = residual(problem, solution, _forcing_hat=forcing_hat) if with_residual else None
+    res = residual(problem, solution, _forcing_hat=forcing_hat) if converged else None
     inv_sym = inverse_symbol(grid)
     return SolveReport(
         background=problem.background,

@@ -158,6 +158,8 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
         (("kernels", 0, "params", "width"), 1e200, "cannot build 'gaussian' field"),
         (("forcings", 0, "params", "width"), 1e200, "cannot build 'gaussian' field"),
         (("grid", "L"), 1e-300, "outside 1e-300 .. 1e300"),
+        # finite eps, but eps * |H|_L1 (a bound on the coupling coefficients) overflows
+        (("problem",), {"rho": 1.0, "c2_bound": 1.0, "eps": 1e308}, "coupling 0 overflows"),
     ],
 )
 def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, value, message):
@@ -178,7 +180,13 @@ def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, valu
     "option,target",
     [("--dump-fields", "a_file/fields"), ("--trace-csv", "missing_dir/trace.csv")],
 )
-def test_unwritable_solver_output_is_a_config_error(tmp_path, capsys, option, target):
+def test_unwritable_solver_output_is_a_config_error(
+    tmp_path, capsys, monkeypatch, option, target
+):
+    def no_solve(*args, **kwargs):
+        pytest.fail("the output path must be checked before solving")
+
+    monkeypatch.setattr("nlrd.cli.picard", no_solve)
     (tmp_path / "a_file").write_text("")
     cfg = write_cfg(tmp_path, small_config(n=4))
     code, out, err = run(capsys, "solve", cfg, option, str(tmp_path / target))
@@ -188,7 +196,18 @@ def test_unwritable_solver_output_is_a_config_error(tmp_path, capsys, option, ta
     assert out == ""
 
 
-# config entries the property test below sets to extreme values
+def test_grid_beyond_physical_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # 2 x 16^5 points need about 270 MB; pretend the machine has 100 MB
+    monkeypatch.setattr("nlrd.config._physical_memory", lambda: 100e6)
+    code, out, err = run(capsys, "solve", write_cfg(tmp_path, small_config(n=16)))
+    assert code == 2
+    assert err.startswith("config error: a solve on 16^5 points x 2 components")
+    assert "physical memory" in err
+    assert len(err.splitlines()) == 1
+    assert out == ""
+
+
+# config entries the property tests below set to extreme values
 MUTABLE_ENTRIES = [
     ("grid", "L"),
     ("kernels", 0, "params", "amplitude"),
@@ -216,6 +235,12 @@ EXTREMES = [0.0, 1e-300, -1e-300, 1e160, 1e200, 1e308, -1.0, float("nan")]
     ),
 )
 def test_extreme_config_values_keep_the_exit_code_contract(tmp_path, capsys, command, edits):
+    code = main([command, write_cfg(tmp_path, mutated_config(edits))])
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+
+
+def mutated_config(edits):
     cfg = small_config(n=4)
     for path, value in edits:
         if path == ("problem", "eps"):
@@ -224,9 +249,29 @@ def test_extreme_config_values_keep_the_exit_code_contract(tmp_path, capsys, com
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
-    code = main([command, write_cfg(tmp_path, cfg)])
+    return cfg
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(
+    derandomize=True, max_examples=1000, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    command=st.sampled_from(
+        [["solve"], ["continuity"], ["probe-contraction", "--pairs", "4"]]
+    ),
+    edits=st.lists(
+        st.tuples(st.sampled_from(MUTABLE_ENTRIES), st.sampled_from(EXTREMES)),
+        min_size=1, max_size=3,
+    ),
+)
+def test_extreme_config_values_keep_the_solver_exit_code_contract(
+    tmp_path, capsys, command, edits
+):
+    code = main([command[0], write_cfg(tmp_path, mutated_config(edits)), *command[1:]])
     capsys.readouterr()
-    assert code in (0, 1, 2)
+    assert code in (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +433,15 @@ def test_probe_without_pairs_is_a_config_error(tmp_path, capsys, pairs):
     code, out, err = run(capsys, "probe-contraction", cfg, "--pairs", pairs)
     assert code == 2
     assert "--pairs" in err
+    assert out == ""
+
+
+def test_probe_on_a_vanishing_ball_is_a_config_error(tmp_path, capsys):
+    # the H^4 norms of every pair difference underflow to 0 on so small a ball
+    cfg = write_cfg(tmp_path, small_config(n=4, problem={"rho": 1e-300}))
+    code, out, err = run(capsys, "probe-contraction", cfg, "--pairs", "4")
+    assert code == 2
+    assert err.startswith("config error: perturbation ball radius")
     assert out == ""
 
 
