@@ -46,7 +46,6 @@ from .model import (
     c2_norm,
     gaussian_field,
     image_ball_radius,
-    kernel_aggregates,
     quadratic_nonlinearity,
     scale_nonlinearity,
     validate_nonlinearity,
@@ -101,9 +100,8 @@ __all__ = [
     # model
     "C2Norm", "DataReport", "GaussianSpec", "Nonlinearity",
     "NonlinearityReport", "Problem", "ball_samples", "c2_gap", "c2_norm",
-    "gaussian_field", "image_ball_radius", "kernel_aggregates",
-    "quadratic_nonlinearity", "scale_nonlinearity", "validate_nonlinearity",
-    "validate_problem_data",
+    "gaussian_field", "image_ball_radius", "quadratic_nonlinearity",
+    "scale_nonlinearity", "validate_nonlinearity", "validate_problem_data",
     # bounds
     "AssumptionsNotValidated", "BadDimension", "BoundsReport",
     "ContractionNotStrict", "NonPositiveAlpha",

@@ -8,8 +8,9 @@ Subcommands::
     nlrd probe-contraction CONFIG    empirical Lipschitz ratios vs. theory
     nlrd continuity CONFIG           fixed-point shift vs. certified bound
 
-Reports go to stdout as JSON (keys sorted; only wall-time fields vary
-between identical runs); diagnostics go to stderr.  Exit codes: 0 success,
+Reports go to stdout as strict JSON (keys sorted; only wall-time fields
+vary between identical runs; non-finite numbers are written as the strings
+"inf", "-inf" and "nan"); diagnostics go to stderr.  Exit codes: 0 success,
 1 requirement/certification failure, 2 configuration error or unwritable
 output path, 3 solver failure (divergence or iteration budget).
 """
@@ -59,7 +60,8 @@ EXIT_SOLVER = 3
 
 
 def _jsonable(obj):
-    """Coerce report structures to plain JSON types."""
+    """Coerce report structures to plain JSON types; non-finite floats,
+    which RFC 8259 has no literal for, become "inf", "-inf" or "nan"."""
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -67,14 +69,14 @@ def _jsonable(obj):
     if isinstance(obj, (bool, np.bool_)):  # before int: bool is an int subclass
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if math.isfinite(obj) else str(float(obj))
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _diag(msg: str) -> None:

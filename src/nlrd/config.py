@@ -27,9 +27,11 @@ the configured forcings.  ``scale_c2_to_fraction`` rescales the
 nonlinearity so its exact C^2 norm over the relevant state ball equals that
 fraction of ``c2_bound``.
 
-``build_problem`` resolves everything around the background the problem
-caches (see :class:`nlrd.model.Problem`) and returns the problem together
-with the fully resolved configuration dictionary that reports embed.
+``build_problem`` resolves everything around the background and the data
+report the problem caches (see :class:`nlrd.model.Problem`), so the kernel
+and forcing norms are measured once per build and shared by the problem it
+returns, together with the fully resolved configuration dictionary that
+reports embed.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import numpy as np
 from . import __version__
 from .bounds import coupling_threshold_raw, sobolev_embedding_constant
 from .fieldio import read_field
-from .lattice import Grid, RealField, VectorField, norm_l1
+from .lattice import Grid, RealField, VectorField
 from .model import (
     DEFAULT_C2_BUDGET,
     GaussianSpec,
@@ -54,9 +56,9 @@ from .model import (
     Problem,
     c2_norm,
     image_ball_radius,
-    kernel_aggregates,
     quadratic_nonlinearity,
     scale_nonlinearity,
+    validate_problem_data,
 )
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
@@ -327,9 +329,9 @@ def build_problem(
         scale_applied = c2_fraction * c2_bound / current.value
         g = scale_nonlinearity(g, scale_applied)
 
-    l1_rss, l2_rss = kernel_aggregates(kernels)
+    data = validate_problem_data(base)
     eps_max = coupling_threshold_raw(
-        grid.d, rho, c2_bound, l1_rss, l2_rss, background_h4
+        grid.d, rho, c2_bound, data.kernel_l1_rss, data.kernel_l2_rss, background_h4
     )
 
     cfg_fraction = prob_sec.get("eps_fraction")
@@ -376,8 +378,7 @@ def build_problem(
         raise ConfigError(str(err)) from err
     # |eps_m (2 pi)^(d/2) H^_m| <= eps_m |H_m|_L1 bounds the coupling coefficients
     scale = (2.0 * math.pi) ** (grid.d / 2.0)
-    for m, (e, H) in enumerate(zip(eps, kernels)):
-        l1 = norm_l1(H)
+    for m, (e, l1) in enumerate(zip(eps, data.kernel_l1)):
         if not (math.isfinite(e * scale) and math.isfinite(e * l1)):
             raise ConfigError(
                 f"coupling {m} overflows: eps = {e:g} on a kernel of L1 norm {l1:g}"

@@ -352,6 +352,7 @@ def norm_linf(f: RealField) -> float:
     return float(np.max(np.abs(f.values)))
 
 
+@np.errstate(over="ignore")  # callers check the result for finiteness
 def _weighted_sum_sq(grid: Grid, weight: np.ndarray, coeffs: np.ndarray) -> float:
     abs_sq = coeffs.real**2
     abs_sq += coeffs.imag**2

@@ -8,12 +8,14 @@ stationary nonlocal reaction-diffusion system
 
 truncated to the periodic box carried by its grid: the coupling amplitudes
 eps_m, the convolution kernels H_m, the forcings f_m, and the nonlinearity
-g.  It caches the linear background u0 = L^(-1) f and the kernel
-coefficients the solver shares.  The certified-bounds layer
-(:mod:`nlrd.bounds`) consumes these through the validators defined here:
+g.  It caches the linear background u0 = L^(-1) f, the report on its
+data and the kernel coefficients the solver shares.  The certified-bounds
+layer (:mod:`nlrd.bounds`) consumes these through the validators defined
+here:
 
 * ``validate_problem_data`` checks integrability and nontriviality of the
-  kernels and forcings and reports the aggregate kernel norms.
+  kernels and forcings and reports their norms and the aggregate kernel
+  norms; it is the one place these norms are measured, once per problem.
 * ``validate_nonlinearity`` checks g(0) = 0, grad g(0) = 0, and that the
   C^2 norm of g over the relevant ball of state values stays within the
   declared bound.
@@ -355,10 +357,12 @@ def image_ball_radius(background_h4: float, embedding_constant: float) -> float:
 class Problem:
     """One instance of the truncated nonlocal reaction-diffusion system.
 
-    The background u0 and the coupling coefficients are computed on first
-    use and cached.  Derived problems share the caches by reference, so
-    each array exists once: :meth:`with_nonlinearity` shares both,
-    :meth:`with_eps` only u0, as the coupling scales with eps.
+    The background u0, the data report of :func:`validate_problem_data`
+    and the coupling coefficients are computed on first use and cached.
+    Derived problems share the caches by reference, so each array exists
+    once: :meth:`with_nonlinearity` shares all three, :meth:`with_eps`
+    u0 and the data report, as the coupling scales with eps.
+    ``dataclasses.replace`` starts with empty caches.
     """
 
     grid: Grid
@@ -368,7 +372,7 @@ class Problem:
     nonlinearity: Nonlinearity
     rho: float = 1.0
     c2_bound: float = 1.0
-    _u0: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _data: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _coupling: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -432,12 +436,12 @@ class Problem:
         if np.isscalar(eps):
             eps = (float(eps),) * self.n_components
         derived = replace(self, eps=tuple(float(e) for e in eps))
-        object.__setattr__(derived, "_u0", self._u0)
+        object.__setattr__(derived, "_data", self._data)
         return derived
 
     def with_nonlinearity(self, g: Nonlinearity) -> "Problem":
         derived = replace(self, nonlinearity=g)
-        object.__setattr__(derived, "_u0", self._u0)
+        object.__setattr__(derived, "_data", self._data)
         object.__setattr__(derived, "_coupling", self._coupling)
         return derived
 
@@ -456,7 +460,7 @@ class Problem:
         return self._background()["dropped"]
 
     def _background(self) -> dict:
-        if not self._u0:
+        if "background" not in self._data:
             grid = self.grid
             hats = lattice.forward_stack(grid, [f.values for f in self.forcings])
             dropped = tuple(float(np.abs(hat[(0,) * grid.d])) for hat in hats)
@@ -464,8 +468,8 @@ class Problem:
             u0 = VectorField(grid, lattice.inverse_stack(grid, hats))  # checks finiteness
             u0.values.flags.writeable = False  # shared by every derived problem
             h4 = math.sqrt(sum(lattice.h4_norm_sq_coeffs(grid, hat) for hat in hats))
-            self._u0.update(background=u0, h4=h4, dropped=dropped)
-        return self._u0
+            self._data.update(background=u0, h4=h4, dropped=dropped)
+        return self._data
 
     @property
     def coupling(self) -> np.ndarray:
@@ -479,16 +483,6 @@ class Problem:
             out.flags.writeable = False
             self._coupling["coupling"] = out
         return self._coupling["coupling"]
-
-
-def kernel_aggregates(kernels: Sequence[RealField]) -> tuple[float, float]:
-    """Root-sum-square aggregates of kernel norms.
-
-    Returns (l1_rss, l2_rss) with l1_rss = (sum_m |H_m|_L1^2)^(1/2) and
-    l2_rss = (sum_m |H_m|_L2^2)^(1/2); these are the two kernel constants
-    entering every certified bound.
-    """
-    return _rss([norm_l1(H) for H in kernels]), _rss([norm_l2(H) for H in kernels])
 
 
 def _rss(norms: Sequence[float]) -> float:
@@ -526,11 +520,18 @@ def validate_problem_data(problem: Problem) -> DataReport:
     """Check the integrability and nontriviality requirements on the data.
 
     Every kernel and forcing must have finite L^1 and L^2 norms, and so
-    must the aggregate kernel norms of :func:`kernel_aggregates` (a finite
-    norm can still overflow its square; the check replaces numpy's
-    overflow warning); at least one forcing and at least one kernel must
-    be nontrivial, so the certified-bound formulas are meaningful.
+    must the root-sum-square aggregates kernel_l1_rss and kernel_l2_rss
+    that enter every certified bound (a finite norm can still overflow its
+    square; the check replaces numpy's overflow warning); at least one
+    forcing and at least one kernel must be nontrivial, so the
+    certified-bound formulas are meaningful.
+
+    The report depends on the kernels and forcings only, so it is
+    measured once per problem and cached beside the background, where
+    the problems derived from it find it too.
     """
+    if "report" in problem._data:
+        return problem._data["report"]
     f_l1 = tuple(norm_l1(f) for f in problem.forcings)
     f_l2 = tuple(norm_l2(f) for f in problem.forcings)
     k_l1 = tuple(norm_l1(H) for H in problem.kernels)
@@ -544,7 +545,7 @@ def validate_problem_data(problem: Problem) -> DataReport:
         failures.append("forcing_nontrivial")
     if max(k_l2, default=0.0) == 0.0:
         failures.append("kernel_nontrivial")
-    return DataReport(
+    report = problem._data["report"] = DataReport(
         passed=not failures,
         failures=tuple(failures),
         forcing_l1=f_l1,
@@ -554,6 +555,7 @@ def validate_problem_data(problem: Problem) -> DataReport:
         kernel_l1_rss=l1_rss,
         kernel_l2_rss=l2_rss,
     )
+    return report
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,14 @@ from .lattice import (
     inverse_values,  # noqa: F401  (a binding perfbench/tracing.py wraps)
     l2_norm_sq_coeffs,
     norm_h4_vector,
-    norm_l2,
 )
-from .model import DEFAULT_C2_BUDGET, Nonlinearity, Problem, c2_gap
+from .model import (
+    DEFAULT_C2_BUDGET,
+    Nonlinearity,
+    Problem,
+    c2_gap,
+    validate_problem_data,
+)
 from .spectral import half_operator_symbol, inverse_symbol
 from .spectral import solve_linear  # noqa: F401  (as inverse_values above)
 
@@ -116,11 +121,6 @@ class IterationTrace:
     @property
     def ratios(self) -> tuple[float, ...]:
         return tuple(s.ratio for s in self.steps if s.ratio is not None)
-
-    @property
-    def max_ratio(self) -> float | None:
-        r = self.ratios
-        return max(r) if r else None
 
     def rows(self) -> list[dict]:
         return [
@@ -252,8 +252,8 @@ def residual(
     The residual of component m is
     -(L u)_m + eps_m (H_m * g_m(u)) + f_m, evaluated spectrally with the
     p = 0 mode removed (the solve is defined modulo that mode).  The
-    relative value is against the L^2 norm of the forcing vector, or
-    absolute when the forcing vanishes.  ``_forcing_hat``, private, holds
+    relative value is against the L^2 norm of the forcing vector (from
+    the problem's data report), or absolute when the forcing vanishes.  ``_forcing_hat``, private, holds
     the forcing's coefficients when the caller has them already; u and g(u)
     are always transformed from their samples.
     """
@@ -274,7 +274,7 @@ def residual(
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))
-    f_l2 = math.sqrt(sum(norm_l2(f) ** 2 for f in problem.forcings))
+    f_l2 = math.sqrt(sum(v**2 for v in validate_problem_data(problem).forcing_l2))
     relative = absolute / f_l2 if f_l2 > 0.0 else absolute
     return ResidualReport(absolute=absolute, relative=relative, forcing_l2=f_l2)
 
@@ -284,24 +284,17 @@ def residual(
 # ---------------------------------------------------------------------------
 
 def _bounds_with_warnings(
-    problem: Problem,
-    budget: int,
-    seed: int,
-    validated: BoundsReport | None,
+    problem: Problem, budget: int, seed: int
 ) -> tuple[BoundsReport, list[str]]:
     warnings: list[str] = []
-    report = validated
-    if report is None:
-        try:
-            report = compute_bounds(
-                problem, problem.background_h4, budget=budget, seed=seed
-            )
-        except AssumptionsNotValidated as err:
-            warnings.append(
-                "requirements failed (" + ", ".join(err.failures) + "); "
-                "bounds reported without certification"
-            )
-            report = err.report
+    try:
+        report = compute_bounds(problem, problem.background_h4, budget=budget, seed=seed)
+    except AssumptionsNotValidated as err:
+        warnings.append(
+            "requirements failed (" + ", ".join(err.failures) + "); "
+            "bounds reported without certification"
+        )
+        report = err.report
     if report.eps_used > report.eps_max:
         warnings.append(
             f"coupling {report.eps_used:.6g} exceeds the certified threshold "
@@ -317,14 +310,8 @@ def picard(
     initial: VectorField | None = None,
     budget: int = DEFAULT_C2_BUDGET,
     seed: int = 0,
-    *,
-    _bounds: BoundsReport | None = None,
 ) -> SolveReport:
     """Iterate T from v = 0 (or ``initial``) to the fixed point.
-
-    ``_bounds`` is for this module's own callers: this problem's report
-    from a validated :func:`compute_bounds` call, used instead of
-    validating again.
 
     Returns the full report on convergence; raises
     :class:`DivergenceDetected` / :class:`MaxIterExceeded` (each carrying
@@ -338,7 +325,7 @@ def picard(
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
     grid = problem.grid
     background = problem.background.values
-    bounds_report, warn = _bounds_with_warnings(problem, budget, seed, _bounds)
+    bounds_report, warn = _bounds_with_warnings(problem, budget, seed)
 
     if initial is None:
         v_values = np.zeros((problem.n_components,) + grid.shape)
@@ -587,20 +574,19 @@ def continuity_experiment(
 
     The bound assumes that both maps contract, so the problem is validated
     with each nonlinearity before either solve; a failure raises
-    :class:`AssumptionsNotValidated`, and each solve reuses its validated
-    bounds instead of validating again.  Both solves share the problem's
-    background and coupling coefficients.  The pass rule allows
+    :class:`AssumptionsNotValidated`.  Both solves share the problem's
+    background, data report and coupling coefficients, so certifying
+    each again inside :func:`picard` only re-checks its nonlinearity,
+    at a cost that does not grow with the grid.  The pass rule allows
     the stated relative margin plus an absolute slack of 10 * tol (two
     converged solves cannot be distinguished below that).
     """
     problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
-    bounds = [
+    for p in problems:
         compute_bounds(p, problem.background_h4, budget=budget, seed=seed)
-        for p in problems
-    ]
     rep1, rep2 = [
-        picard(p, tol=tol, max_iter=max_iter, budget=budget, seed=seed, _bounds=b)
-        for p, b in zip(problems, bounds)
+        picard(p, tol=tol, max_iter=max_iter, budget=budget, seed=seed)
+        for p in problems
     ]
     measured = norm_h4_vector(
         VectorField(problem.grid, rep1.solution.values - rep2.solution.values)

@@ -17,7 +17,7 @@ DELETED = (
     "SpectralField", "forward_transform", "inverse_transform",
     "SYMMETRY_RTOL", "operator_symbol", "TOL_ZERO_MODE", "ZeroModePolicy",
     "ZeroModeRejected", "coupling_threshold", "lipschitz_coefficient",
-    "apriori_bound", "continuity_bound", "solve_background",
+    "apriori_bound", "continuity_bound", "solve_background", "kernel_aggregates",
 )
 
 
@@ -47,7 +47,7 @@ def test_every_exported_name_resolves():
 @pytest.mark.parametrize("name", DELETED)
 def test_deleted_names_are_not_exported(name):
     assert name not in nlrd.__all__
-    for module in (nlrd, nlrd.lattice, nlrd.spectral, nlrd.bounds):
+    for module in (nlrd, nlrd.lattice, nlrd.spectral, nlrd.model, nlrd.bounds):
         assert not hasattr(module, name), module.__name__
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line interface tests (in-process)."""
 
+import functools
 import json
 
 import numpy as np
@@ -26,9 +27,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse RFC 8259 JSON: NaN and Infinity are not part of it."""
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
-    return code, json.loads(out), err
+    return code, strict_json(out), err
 
 
 ZERO_FORCINGS = [{"constructor": "zero"}, {"constructor": "zero"}]
@@ -207,6 +215,37 @@ def test_grid_beyond_physical_memory_is_a_config_error(tmp_path, capsys, monkeyp
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "command,expected",
+    [(["solve"], 3), (["continuity"], 3), (["probe-contraction", "--pairs", "2"], 1)],
+)
+def test_huge_finite_coupling_fails_in_one_line(tmp_path, capsys, command, expected):
+    """eps = 1e160 passes the overflow check and then overflows the solve:
+    a solver or certification failure, with no numpy warning."""
+    cfg = write_cfg(tmp_path, mutated_config([(("problem", "eps"), 1e160)]))
+    code, out, err = run(capsys, command[0], cfg, *command[1:])
+    assert code == expected
+    assert len(err.splitlines()) == 1
+    assert "Warning" not in err
+    if out:
+        strict_json(out)
+
+
+def test_non_finite_numbers_are_strict_json_strings(tmp_path, capsys):
+    # kernels that vanish leave no coupling, so no threshold: eps_max = inf
+    cfg = mutated_config([(("problem", "eps"), 0.01)])
+    cfg["kernels"] = [{"constructor": "zero"}] * 2
+    code, payload, err = run_json(capsys, "solve", write_cfg(tmp_path, cfg))
+    assert code == 0
+    assert payload["bounds"]["eps_max"] == "inf"
+    assert payload["config"]["eps_max_at_build"] == "inf"
+    huge = write_cfg(tmp_path, mutated_config([(("problem", "eps"), 1e160)]), "huge.json")
+    code, payload, err = run_json(capsys, "probe-contraction", huge, "--pairs", "2")
+    assert code == 1
+    assert payload["max_ratio"] == "inf"
+
+
 # config entries the property tests below set to extreme values
 MUTABLE_ENTRIES = [
     ("grid", "L"),
@@ -272,6 +311,53 @@ def test_extreme_config_values_keep_the_solver_exit_code_contract(
     code = main([command[0], write_cfg(tmp_path, mutated_config(edits)), *command[1:]])
     capsys.readouterr()
     assert code in (0, 1, 2, 3)
+
+
+def gaussians(widths, amplitudes):
+    return [gaussian(w, a) for w, a in zip(widths, amplitudes)]
+
+
+PAIR = functools.partial(st.lists, min_size=2, max_size=2)
+WIDTHS = PAIR(st.floats(0.5, 2.0))
+MATRIX_ENTRY = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def valid_configs(draw):
+    """n = 4 configs with every value in a physical range."""
+    matrices = draw(
+        st.lists(st.lists(PAIR(MATRIX_ENTRY), min_size=2, max_size=2),
+                 min_size=2, max_size=2)
+        .filter(lambda mats: np.any(mats))  # a vanishing g cannot be rescaled
+    )
+    return small_config(
+        n=4,
+        problem={
+            "rho": draw(st.floats(1e-3, 1.0)),
+            "eps_fraction": draw(st.floats(0.0, 20.0, exclude_min=True)),
+        },
+        kernels=gaussians(
+            draw(WIDTHS),
+            draw(PAIR(st.floats(-2.0, 2.0).filter(lambda a: abs(a) >= 0.1))),
+        ),
+        forcings=gaussians(draw(WIDTHS), draw(PAIR(st.floats(-1.0, 1.0)))),
+        nonlinearity={"params": {"matrices": matrices}},
+    )
+
+
+@settings(
+    derandomize=True, max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(cfg=valid_configs())
+def test_valid_configs_never_exit_as_config_errors(tmp_path, capsys, cfg):
+    path = write_cfg(tmp_path, cfg)
+    for command in (["solve"], ["continuity"], ["probe-contraction", "--pairs", "2"]):
+        code, out, err = run(capsys, command[0], path, *command[1:])
+        assert code in (0, 1, 3), (command, err)
+        assert "Traceback" not in err
+        if out:
+            strict_json(out)
 
 
 # ---------------------------------------------------------------------------

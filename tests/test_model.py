@@ -16,7 +16,6 @@ from nlrd.model import (
     c2_norm,
     gaussian_field,
     image_ball_radius,
-    kernel_aggregates,
     quadratic_nonlinearity,
     scale_nonlinearity,
     validate_nonlinearity,
@@ -346,6 +345,25 @@ def test_derived_problems_share_the_spectral_cache():
     assert not p.coupling.flags.writeable
 
 
+def test_derived_problems_share_the_data_report():
+    p = small_problem(eps=0.03)
+    g2 = quadratic_nonlinearity([np.eye(2), np.eye(2)], label="other")
+    # measured on a derived problem before any background exists
+    report = validate_problem_data(p.with_eps(0.06))
+    assert validate_problem_data(p) is report
+    assert validate_problem_data(p.with_nonlinearity(g2)) is report
+    # the cached report does not stand in for the background
+    assert p.background_h4 == pytest.approx(norm_h4_vector(p.background), rel=1e-13)
+    # dataclasses.replace starts with empty caches
+    halved = dataclasses.replace(p, forcings=tuple(
+        RealField(p.grid, 0.5 * f.values) for f in p.forcings
+    ))
+    assert validate_problem_data(halved).forcing_l2 == pytest.approx(
+        [0.5 * v for v in report.forcing_l2], rel=1e-15
+    )
+    assert halved.background_h4 == pytest.approx(0.5 * p.background_h4, rel=1e-13)
+
+
 def test_background_and_coupling_match_their_definitions():
     p = small_problem(eps=0.03)
     g = p.grid
@@ -360,14 +378,14 @@ def test_background_and_coupling_match_their_definitions():
     assert p.background_h4 == pytest.approx(norm_h4_vector(p.background), rel=1e-13)
 
 
-def test_kernel_aggregates_on_constant_fields():
-    g = Grid(d=2, n=4, L=1.0)
+def test_validate_problem_data_aggregates_constant_kernels():
+    g = Grid(d=5, n=4, L=1.0)
     vol = (2.0 * g.L) ** g.d
     k1 = RealField(g, np.full(g.npoints, 3.0))
     k2 = RealField(g, np.full(g.npoints, -4.0))
-    l1, l2 = kernel_aggregates([k1, k2])
-    assert l1 == pytest.approx(vol * 5.0, rel=1e-13)  # hypot(3, 4) * vol
-    assert l2 == pytest.approx(np.sqrt(vol) * 5.0, rel=1e-13)
+    rep = validate_problem_data(small_problem(L=1.0, kernels=(k1, k2), forcings=(k1, k2)))
+    assert rep.kernel_l1_rss == pytest.approx(vol * 5.0, rel=1e-13)  # hypot(3, 4) * vol
+    assert rep.kernel_l2_rss == pytest.approx(np.sqrt(vol) * 5.0, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +426,6 @@ def test_validate_problem_data_flags_overflowing_norms(amplitude):
     assert rep.failures == ("norms_finite",)
     assert rep.kernel_l1_rss == np.inf
     assert np.isfinite(rep.kernel_l1[0])
-    with np.errstate(over="ignore"):
-        aggregates = kernel_aggregates((big, p.kernels[1]))
-    assert (rep.kernel_l1_rss, rep.kernel_l2_rss) == aggregates
 
 
 def test_validate_nonlinearity_passes_with_ample_bound():

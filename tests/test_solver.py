@@ -1,13 +1,17 @@
 """Fixed-point iteration, probes, and the continuity experiment."""
 
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 from conftest import small_config
 
+import nlrd.config
 import nlrd.lattice
+import nlrd.model
 import nlrd.solver
+from nlrd.bounds import compute_bounds
 from nlrd.config import build_problem
 from nlrd.lattice import (
     Grid,
@@ -17,7 +21,14 @@ from nlrd.lattice import (
     h4_weight,
     norm_h4_vector,
 )
-from nlrd.model import Problem, gaussian_field, quadratic_nonlinearity, Nonlinearity
+from nlrd.model import (
+    Nonlinearity,
+    Problem,
+    gaussian_field,
+    quadratic_nonlinearity,
+    scale_nonlinearity,
+    validate_problem_data,
+)
 from nlrd.solver import (
     DivergenceDetected,
     MaxIterExceeded,
@@ -485,6 +496,48 @@ def test_repeated_calls_transform_no_kernel_and_no_background(monkeypatch):
         assert counts == {"forward": N * (k + 3), "inverse": N * k}
 
 
+def count_norms(monkeypatch) -> dict:
+    """Count L^1 and L^2 norms through every binding of the data layers."""
+    calls = {"norm_l1": 0, "norm_l2": 0}
+    for module in (nlrd.model, nlrd.config, nlrd.solver):
+        for name in calls:
+            if hasattr(module, name):
+                def counted(f, _original=getattr(module, name), _name=name):
+                    calls[_name] += 1
+                    return _original(f)
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_data_norms_are_measured_once_per_problem(monkeypatch):
+    """build_problem measures each kernel and forcing once; the problem it
+    returns and the problems derived from it reuse that measurement, and a
+    problem with other kernels measures its own."""
+    calls = count_norms(monkeypatch)
+    built = build_problem(small_config(n=4))
+    p = built.problem
+    N = p.n_components
+    assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
+    calls.update(norm_l1=0, norm_l2=0)
+    g2 = scale_nonlinearity(p.nonlinearity, 1.01)
+    for q in (p, p.with_eps(0.5 * max(p.eps)), p.with_nonlinearity(g2)):
+        compute_bounds(q, q.background_h4, budget=500)
+        rep = picard(q, tol=built.tol, max_iter=built.max_iter, budget=500)
+        residual(q, rep.solution)
+        contraction_probe(q, pairs=2)
+    continuity_experiment(p, p.nonlinearity, g2, budget=500)
+    assert calls == {"norm_l1": 0, "norm_l2": 0}
+
+    doubled = dataclasses.replace(
+        p, kernels=tuple(RealField(p.grid, 2.0 * H.values) for H in p.kernels)
+    )
+    data = validate_problem_data(doubled)
+    assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
+    before = validate_problem_data(p)
+    assert data.kernel_l1 == pytest.approx([2.0 * v for v in before.kernel_l1], rel=1e-15)
+    assert data.kernel_l2 == pytest.approx([2.0 * v for v in before.kernel_l2], rel=1e-15)
+
+
 def test_probe_rejects_empty_request(small_built):
     with pytest.raises(ValueError, match="at least one"):
         contraction_probe(small_built.problem, pairs=0)
@@ -504,8 +557,6 @@ def test_continuity_experiment_identical_nonlinearities(small_built):
 
 
 def test_continuity_experiment_small_scaling(small_built):
-    from nlrd.model import scale_nonlinearity
-
     g1 = small_built.problem.nonlinearity
     g2 = scale_nonlinearity(g1, 1.01)
     rep = continuity_experiment(small_built.problem, g1, g2, tol=1e-10, max_iter=50)
@@ -518,7 +569,6 @@ def test_continuity_experiment_small_scaling(small_built):
 
 def test_continuity_experiment_requires_both_nonlinearities_valid(small_built):
     from nlrd.bounds import AssumptionsNotValidated
-    from nlrd.model import scale_nonlinearity
 
     g1 = small_built.problem.nonlinearity
     big = scale_nonlinearity(g1, 2.5)  # C^2 norm 1.25 > c2_bound = 1
