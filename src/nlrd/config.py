@@ -327,6 +327,11 @@ def build_problem(
         if current.value <= 0.0:
             raise ConfigError("cannot rescale a vanishing nonlinearity")
         scale_applied = c2_fraction * c2_bound / current.value
+        if not math.isfinite(scale_applied):
+            raise ConfigError(
+                f"cannot rescale a nonlinearity of C^2 norm {current.value:.3g}: "
+                f"the scale {scale_applied} is not finite"
+            )
         g = scale_nonlinearity(g, scale_applied)
 
     data = validate_problem_data(base)

@@ -22,18 +22,21 @@ their natural layout, j = 0 .. n-1; a :class:`VectorField` is one
 component-major stack of shape (N, *grid.shape), which the solver uses.
 
 Coefficients (``forward_coeffs`` / ``inverse_values`` /
-``h4_norm_sq_coeffs``) are the unitary half spectrum ``rfftn`` of the
-natural-layout samples, shape ``grid.half_shape``, with no index shifts.
-Since x_j = -L + j h and p_k L = pi k, entry k equals F(p_k) times
+``h4_norm_sq_coeffs``) are the unitary half spectrum of the natural-layout
+samples, with no index shifts, in the order the transform makes them:
+shape ``grid.half_shape`` = (n/2 + 1, n, ..., n), the modes 0 .. n/2 of
+the last sample axis (the half axis) first, then sample axes 0 .. d-2.
+That is numpy's ``rfftn`` with its last axis moved to the front.  Since
+x_j = -L + j h and p_k L = pi k, entry k equals F(p_k) times
 (-1)^(k_1 + ... + k_d).  The sign cancels in every norm, and in a
-convolution once the kernel is put in displacement order
-(``rfftn(ifftshift(K))``, see :mod:`nlrd.spectral`).  Norms sum over the
-full lattice through Hermitian weights: 1 on the last-axis modes 0 and
-n/2, 2 on the others, which stand for their conjugate partners.
+convolution once the kernel is put in displacement order (the half
+spectrum of ``ifftshift(K)``, see :mod:`nlrd.spectral`).  Norms sum over
+the full lattice through Hermitian weights: 1 on the half-axis modes 0
+and n/2, 2 on the others, which stand for their conjugate partners.
 
 The transforms are dense per-axis DFTs done as BLAS matrix products, not
-FFTs: one real product for the last axis and one complex n x n product per
-other axis, with the matrices cached per n.  That costs O(n^(d+1))
+FFTs: one real product for the half axis and one complex n x n product
+per other axis, with the matrices cached per n.  That costs O(n^(d+1))
 instead of O(n^d log n), but on small grids a matrix product beats an
 FFT's per-line overhead.  Timed against numpy's ``rfftn``/``irfftn`` on
 two cores with numpy's default BLAS threading, each transform was faster
@@ -97,8 +100,8 @@ class Grid:
 
     @property
     def half_shape(self) -> tuple[int, ...]:
-        """Shape of the half spectrum ``rfftn`` keeps: n/2 + 1 on the last axis."""
-        return (self.n,) * (self.d - 1) + (self.n // 2 + 1,)
+        """Shape of the half spectrum: (n/2 + 1, n, ..., n), the half axis first."""
+        return (self.n // 2 + 1,) + (self.n,) * (self.d - 1)
 
     @property
     def npoints(self) -> int:
@@ -140,24 +143,18 @@ def h4_weight(grid: Grid) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def half_squared_wavenumber(grid: Grid) -> np.ndarray:
     """|p|^2 on the half spectrum, shape ``grid.half_shape``."""
-    full = grid.axis_wavenumbers() ** 2
-    out = np.zeros(grid.half_shape)
-    for axis in range(grid.d):
-        q = full if axis < grid.d - 1 else full[: grid.n // 2 + 1]
-        shape = [1] * grid.d
-        shape[axis] = q.size
-        out = out + q.reshape(shape)
-    return out
+    q = grid.axis_wavenumbers() ** 2
+    return functools.reduce(np.add.outer, [q[: grid.n // 2 + 1]] + [q] * (grid.d - 1))
 
 
 @functools.lru_cache(maxsize=16)
 def hermitian_weight(grid: Grid) -> np.ndarray:
-    """Multiplicity of each last-axis mode of the half spectrum.
+    """Multiplicity of each half-axis mode, shape (n/2 + 1, 1, ..., 1).
 
-    1 on the modes 0 and n/2, which are their own conjugate partners, and 2
-    on the others, which also stand for the modes ``rfftn`` leaves out.
+    1 on the modes 0 and n/2, their own conjugate partners, and 2 on the
+    others, which also stand for the partners the half spectrum leaves out.
     """
-    w = np.full(grid.n // 2 + 1, 2.0)
+    w = np.full((grid.n // 2 + 1,) + (1,) * (grid.d - 1), 2.0)
     w[0] = w[-1] = 1.0
     return w
 
@@ -272,8 +269,7 @@ def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     c2c = cos[phase] - 1j * sin[phase]
     half = phase[:, : n // 2 + 1]
     r2c = np.stack([cos[half], -sin[half]], axis=-1).reshape(n, -1)
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = w[-1] = 1.0
+    w = hermitian_weight(Grid(1, n, 1.0))
     c2r = np.stack([w * cos[half], -w * sin[half]], axis=-1).reshape(n, -1).T
     return r2c, c2c, c2c.conj(), c2r
 
@@ -282,11 +278,11 @@ def forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Unitary half-spectrum coefficients of one component's samples.
 
     ``values`` holds ``grid.npoints`` samples in natural layout, flat or of
-    shape ``grid.shape``.  Returns the scaled ``rfftn``, shape
+    shape ``grid.shape``.  Returns a C-contiguous array of shape
     ``grid.half_shape``, unshifted (see the module docstring).
 
-    One real product transforms the last axis to its half spectrum; each
-    of d - 1 complex products then transforms the leading axis and
+    One real product transforms the last sample axis to its half spectrum;
+    each of d - 1 complex products then transforms the leading axis and
     rotates it to the end, which leaves the half axis leading.
     """
     n = grid.n
@@ -295,22 +291,21 @@ def forward_coeffs(grid: Grid, values: np.ndarray) -> np.ndarray:
     out = (rows @ (_forward_scale(grid) * r2c)).view(np.complex128)
     for _ in range(grid.d - 1):
         out = out.reshape(n, -1).T @ c2c
-    out = out.reshape((n // 2 + 1,) + grid.shape[1:])
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return out.reshape(grid.half_shape)
 
 
 def inverse_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Samples, shape ``grid.shape``, of half-spectrum coefficients.
 
-    The mirror image of :func:`forward_coeffs`: with the half axis moved
-    to the front, d - 1 complex products each transform the trailing axis
-    and rotate it to the front, and one real product against ``c2r`` sums
-    the half axis with its Hermitian weights.
+    The mirror image of :func:`forward_coeffs`, leaving ``coeffs`` as it
+    is: d - 1 complex products each transform the trailing axis and rotate
+    it to the front, and one real product against ``c2r`` sums the half
+    axis with its Hermitian weights.
     """
     n = grid.n
     _, _, c2c_inv, c2r = _dft_matrices(n)
-    hat = np.reshape(np.asarray(coeffs, dtype=np.complex128), grid.half_shape)
-    out = np.moveaxis(hat, -1, 0).copy()
+    # contiguous for the float64 view below, which at d = 1 sees the input
+    out = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(grid.half_shape)
     for _ in range(grid.d - 1):
         out = c2c_inv @ out.reshape(-1, n).T
     rows = out.view(np.float64).reshape(-1, c2r.shape[0])

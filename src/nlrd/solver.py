@@ -10,12 +10,12 @@ iterated from v = 0.
 
 A vector field is the ``values`` stack of a :class:`VectorField`, shape
 (N, *grid.shape), in natural layout, used without copying; its
-coefficients are the unitary half spectra of
-:func:`nlrd.lattice.forward_coeffs`, shape (N, *grid.half_shape), with no
-index shifts.  Each kernel is transformed once in displacement order,
-rfftn(ifftshift(H_m)), which makes
+coefficients are the unitary half spectra F of
+:func:`nlrd.lattice.forward_coeffs`, shape (N, *grid.half_shape) in the
+layout that module defines, with no index shifts.  Each kernel is
+transformed once in displacement order, F(ifftshift(H_m)), which makes
 
-    T(v)_m = irfftn( M_m rfftn(g_m(u0 + v)) ),
+    T(v)_m = F^(-1)( M_m F(g_m(u0 + v)) ),
     M_m = eps_m (2 pi)^(d/2) H^_m / (|p|^2 + |p|^4),   M_m(0) = 0,
 
 exact for even n: two transforms per component per step.  The zero mode of
@@ -249,13 +249,13 @@ def residual(
 ) -> ResidualReport:
     """L^2 residual of the full equation at u, zero mode excluded.
 
-    The residual of component m is
-    -(L u)_m + eps_m (H_m * g_m(u)) + f_m, evaluated spectrally with the
-    p = 0 mode removed (the solve is defined modulo that mode).  The
-    relative value is against the L^2 norm of the forcing vector (from
-    the problem's data report), or absolute when the forcing vanishes.  ``_forcing_hat``, private, holds
-    the forcing's coefficients when the caller has them already; u and g(u)
-    are always transformed from their samples.
+    The residual of component m is -(L u)_m + eps_m (H_m * g_m(u)) + f_m,
+    evaluated spectrally with the p = 0 mode removed (the solve is defined
+    modulo that mode).  The relative value is against the L^2 norm of the
+    forcing vector (from the problem's data report), or absolute when the
+    forcing vanishes.  ``_forcing_hat``, private, holds the forcing's
+    coefficients when the caller has them already; u and g(u) are always
+    transformed from their samples.
     """
     _require_match(problem, u, "candidate solution")
     grid = problem.grid

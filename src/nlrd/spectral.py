@@ -7,18 +7,18 @@ zero mode out and records the dropped mass.
 
 Every routine here runs on the half-spectrum path of :mod:`nlrd.lattice`
 (``forward_coeffs`` / ``inverse_values``), where the operator is a
-multiplication by the symbol on ``grid.half_shape``.  Periodic convolution
-is evaluated spectrally:
+multiplication by the symbol on ``grid.half_shape``, in the coefficient
+layout of that module.  Periodic convolution is evaluated spectrally:
 
     (H * G)^(p) = (2 pi)^(d/2) H^(p) G^(p)
 
 under the unitary transform convention.  The kernel H is transformed in
-displacement order, ``rfftn(ifftshift(H))``, so that its coefficients carry
-no (-1)^k sign and the product with the natural-layout coefficients of G
-transforms back to natural-layout samples.  The brute-force counterpart
-``convolve_direct`` computes the defining lattice sum
-h^d sum_y H(x - y) G(y) with wrap-around and is intended as a cross-check
-on tiny grids only.
+displacement order, ``forward_coeffs(ifftshift(H))``, so that its
+coefficients carry no (-1)^k sign and the product with the natural-layout
+coefficients of G transforms back to natural-layout samples.  The
+brute-force counterpart ``convolve_direct`` computes the defining lattice
+sum h^d sum_y H(x - y) G(y) with wrap-around and is intended as a
+cross-check on tiny grids only.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import small_config
+from conftest import REFERENCE_CONFIG, small_config
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -168,6 +168,12 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
         (("grid", "L"), 1e-300, "outside 1e-300 .. 1e300"),
         # finite eps, but eps * |H|_L1 (a bound on the coupling coefficients) overflows
         (("problem",), {"rho": 1.0, "c2_bound": 1.0, "eps": 1e308}, "coupling 0 overflows"),
+        # subnormal matrices: scale_c2_to_fraction's scale overflows
+        (
+            ("nonlinearity", "params", "matrices"),
+            [[[5e-324, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 5e-324]]],
+            "the scale inf is not finite",
+        ),
     ],
 )
 def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, value, message):
@@ -562,3 +568,66 @@ def test_continuity_rejects_perturbation_beyond_c2_bound(tmp_path, capsys):
     assert code == 1
     assert "c2_within_bound" in err
     assert out == ""
+
+
+# ---------------------------------------------------------------------------
+# the shipped instance
+# ---------------------------------------------------------------------------
+
+# configs/d5_n2.json, pinned.  The fields left out are roundoff-level, so
+# they are checked against their bounds: reordering the sum in a norm (as a
+# new coefficient layout does) moved the residuals by 3e-3 relative (2e-16
+# absolute), the step norms and ratios after the first step by 2e-10 and the
+# continuity measurement by 2e-13, and every other field by at most 2e-15.
+SHIPPED_BOUNDS = {
+    "eps_max": 0.0388126734771414,
+    "lipschitz_coeff": 18.532885830483604,
+    "apriori_bound": 0.5,
+    "background_h4": 0.3902195484821371,
+}
+SHIPPED_SOLVE = {
+    "perturbation_h4": 0.00013037223903941266,
+    "solution_h4": 0.39029951362528165,
+}
+SHIPPED_TRACE_NORMS = [
+    0.00013028854398496303, 0.00013037217696578035, 0.00013037223903941266
+]
+SHIPPED_CONTINUITY_BOUND = 0.003904148001615213
+SHIPPED_PROBE_RATIOS = [
+    3.556120770429542e-05, 3.297387566453136e-05,
+    3.415302144747993e-05, 2.8151448205422265e-05,
+]
+
+
+def test_shipped_instance_is_pinned(capsys):
+    cfg = str(REFERENCE_CONFIG)
+    code, bounds, _ = run_json(capsys, "bounds", cfg)
+    assert code == 0
+    for key, value in SHIPPED_BOUNDS.items():
+        assert bounds["bounds"][key] == pytest.approx(value, rel=1e-12), key
+
+    code, solve, _ = run_json(capsys, "solve", cfg)
+    assert code == 0
+    assert solve["converged"] is True
+    assert solve["iterations"] == 3
+    for key, value in SHIPPED_SOLVE.items():
+        assert solve[key] == pytest.approx(value, rel=1e-10), key
+    trace = solve["trace"]
+    assert [s["norm_h4"] for s in trace] == pytest.approx(SHIPPED_TRACE_NORMS, rel=1e-10)
+    assert max(solve["residual_abs"], solve["residual_rel"]) <= 1e-12
+    last = trace[-1]
+    assert last["step_h4"] <= solve["tol"] * max(1.0, last["norm_h4"])
+    assert all(s["ratio"] <= bounds["bounds"]["contraction_constant"] for s in trace[1:])
+
+    code, cont, _ = run_json(capsys, "continuity", cfg)
+    assert code == 0
+    assert cont["passed"] is True
+    assert cont["iterations"] == [3, 3]
+    assert cont["bound"] == pytest.approx(SHIPPED_CONTINUITY_BOUND, rel=1e-12)
+    assert cont["measured"] <= cont["bound"] * (1.0 + cont["margin"]) + cont["slack"]
+    assert max(cont["residuals"]) <= 1e-12
+
+    code, probe, _ = run_json(capsys, "probe-contraction", cfg, "--pairs", "4", "--seed", "1")
+    assert code == 0
+    assert probe["passed"] is True
+    assert probe["ratios"] == pytest.approx(SHIPPED_PROBE_RATIOS, rel=1e-12)

@@ -53,11 +53,12 @@ def dft_oracle(grid: Grid, f: RealField) -> np.ndarray:
 def half_of(grid: Grid, F: np.ndarray) -> np.ndarray:
     """Natural-layout half spectrum of a centred FFT-order spectrum F.
 
-    ``forward_coeffs`` keeps the last-axis modes 0 .. n/2 of F, each times
-    (-1)^(k_1 + ... + k_d) (see the lattice module docstring).
+    ``forward_coeffs`` keeps the last-axis modes 0 .. n/2 of F, moved to
+    the front, each times (-1)^(k_1 + ... + k_d) (see the lattice module
+    docstring).
     """
     k = np.indices(grid.half_shape).sum(axis=0)
-    return F[..., : grid.n // 2 + 1] * (-1.0) ** k
+    return np.moveaxis(F[..., : grid.n // 2 + 1], -1, 0) * (-1.0) ** k
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +249,7 @@ def strided_copy(a: np.ndarray) -> np.ndarray:
 def test_forward_kernel_matches_numpy_rfftn(d, n):
     g = Grid(d=d, n=n, L=2.5)
     x = np.random.default_rng(d * 100 + n).standard_normal(g.shape)
-    oracle = TWO_PI ** (-d / 2.0) * g.h**d * np.fft.rfftn(x)
+    oracle = TWO_PI ** (-d / 2.0) * g.h**d * np.moveaxis(np.fft.rfftn(x), -1, 0)
     tol = 1e-13 * np.max(np.abs(oracle))
     for values in (x.reshape(-1), x, strided_copy(x)):
         got = forward_coeffs(g, values)
@@ -266,7 +267,7 @@ def test_inverse_kernel_matches_numpy_irfftn(d, n):
     hat = rng.standard_normal(g.half_shape) + 1j * rng.standard_normal(g.half_shape)
     oracle = (
         TWO_PI ** (-d / 2.0) * g.dp**d * g.npoints
-        * np.fft.irfftn(hat, s=g.shape, axes=tuple(range(d)))
+        * np.fft.irfftn(np.moveaxis(hat, 0, -1), s=g.shape, axes=tuple(range(d)))
     )
     tol = 1e-13 * np.max(np.abs(oracle))
     before = hat.copy()

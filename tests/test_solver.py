@@ -217,7 +217,10 @@ def test_single_mode_linear_response_matches_hand_multiplier():
     single lattice mode by multiplication with
     eps * c * (2 pi)^(d/2) K(k) / (|k|^2 + |k|^4)."""
     g = Grid(d=5, n=4, L=4.0)
-    kernel = gaussian_field(g, 1.0, 1.0)
+    # narrower along sample axis 0, the axis the mode varies on, so that the
+    # kernel coefficient of a mode on another axis would not match
+    x0 = g.coordinate_arrays()[0]
+    kernel = RealField(g, np.exp(-x0**2) * gaussian_field(g, 1.0, 1.0).reshaped())
     c = 0.7
 
     def lin_eval(z):
@@ -250,7 +253,9 @@ def test_single_mode_linear_response_matches_hand_multiplier():
     out = apply_fixed_point_map(p, bg, v)
     ratio = norm_h4_vector(out) / norm_h4_vector(v)
 
-    k_hat = forward_coeffs(g, kernel.values)[(1,) + (0,) * 4]  # mode at +dp
+    # the half-spectrum index of the mode (+-dp on sample axis 0)
+    at = np.argmax(np.abs(forward_coeffs(g, raw.values)))
+    k_hat = forward_coeffs(g, kernel.values).reshape(-1)[at]
     k2 = g.dp**2
     expected = p.eps[0] * c * TWO_PI ** (g.d / 2.0) * abs(k_hat) / (k2 + k2**2)
     assert ratio == pytest.approx(expected, rel=1e-12)
