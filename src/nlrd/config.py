@@ -324,6 +324,11 @@ def build_problem(
             background_h4, sobolev_embedding_constant(grid.d)
         )
         current = c2_norm(g, radius, budget=budget, seed=seed)
+        # an inf norm would give the finite scale 0 and silently drop g
+        if not math.isfinite(current.value):
+            raise ConfigError(
+                f"cannot rescale a nonlinearity of C^2 norm {current.value}"
+            )
         if current.value <= 0.0:
             raise ConfigError("cannot rescale a vanishing nonlinearity")
         scale_applied = c2_fraction * c2_bound / current.value

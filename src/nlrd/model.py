@@ -137,49 +137,19 @@ class Nonlinearity:
             raise ValueError("a nonlinearity needs at least one component")
 
 
+@np.errstate(over="ignore")  # only a norm beyond the float range is inf
 def _quadratic_c2_ball_norm(mats: np.ndarray, radius: float) -> float:
     """Exact C^2 norm of z -> (z^T A_m z)_m over the ball |z| <= radius."""
     r = float(radius)
     total = 0.0
     for A in mats:
         eig = np.linalg.eigvalsh(A)
-        row_norms = np.sqrt(np.sum(A**2, axis=1))
         total += (
             r**2 * float(np.max(np.abs(eig)))
-            + 2.0 * r * float(np.sum(row_norms))
+            + 2.0 * r * float(np.sum(np.hypot.reduce(A, axis=1)))
             + 2.0 * float(np.sum(np.abs(A)))
         )
     return total
-
-
-def _quadratic_values(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Evaluate z^T A_m z for every point and component.
-
-    z: (P, N) points, mats: (N, N, N) stack of symmetric matrices.  Returns
-    (P, N), as the transpose of a component-major (N, P) array, so each
-    component's values are contiguous.  The form is summed term by term
-    over the products z_i z_j with i <= j, each off-diagonal term counted
-    twice; one product is live at a time, which bounds the extra memory.
-    """
-    P, N = z.shape
-    out = np.zeros((N, P))
-    zz = np.empty(P)
-    for i in range(N):
-        for j in range(i, N):
-            np.multiply(z[:, i], z[:, j], out=zz)
-            for m in range(N):
-                coef = mats[m, i, i] if i == j else 2.0 * mats[m, i, j]
-                out[m] += coef * zz
-    return out.T
-
-
-def _quadratic_gradients(z: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """Gradients 2 A_m z of the quadratic forms; returns (P, N, N).
-
-    Entry [p, m, i] is 2 sum_j A_m[i, j] z[p, j].
-    """
-    P, N = z.shape
-    return 2.0 * (z @ mats.reshape(N * N, N).T).reshape(P, N, N)
 
 
 def quadratic_nonlinearity(
@@ -189,7 +159,8 @@ def quadratic_nonlinearity(
 
     Asymmetric input matrices are replaced by their symmetric part, which
     leaves the quadratic forms unchanged and makes the derivative formulas
-    (grad = 2 A z, hess = 2 A) exact.
+    (grad = 2 A z, hess = 2 A) exact.  ``eval``, ``grad`` and ``hess``
+    accept points of any leading shape (..., N).
     """
     mats = np.stack([np.asarray(A, dtype=np.float64) for A in matrices])
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -200,20 +171,20 @@ def quadratic_nonlinearity(
             f"need one {N}x{N} matrix per component, got {mats.shape[1]}x{mats.shape[2]}"
         )
     mats = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
+    twice = 2.0 * mats
     mats.setflags(write=False)
+    twice.setflags(write=False)
 
+    # column-major values, so the solver's component rows (the transpose)
+    # are contiguous
     def _eval(z: np.ndarray) -> np.ndarray:
-        z2 = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return _quadratic_values(z2, mats).reshape(*np.shape(z)[:-1], N)
+        return np.einsum("...i,mij,...j->...m", z, mats, z, order="F")
 
     def _grad(z: np.ndarray) -> np.ndarray:
-        z2 = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        return _quadratic_gradients(z2, mats).reshape(*np.shape(z)[:-1], N, N)
+        return (z @ twice.reshape(N * N, N).T).reshape(np.shape(z)[:-1] + (N, N))
 
     def _hess(z: np.ndarray) -> np.ndarray:
-        z2 = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        out = np.broadcast_to(2.0 * mats, (z2.shape[0], N, N, N))
-        return out.reshape(*np.shape(z)[:-1], N, N, N)
+        return np.broadcast_to(twice, np.shape(z)[:-1] + (N, N, N))
 
     return Nonlinearity(
         N=N,
@@ -398,7 +369,7 @@ class Problem:
                 "the system is intended for N >= 2 components; N = 1 is untested "
                 "territory for the certified bounds",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
         for e in eps:
             if e < 0.0 or not np.isfinite(e):
@@ -585,6 +556,7 @@ class NonlinearityReport:
         }
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the clauses check the values
 def validate_nonlinearity(
     g: Nonlinearity,
     radius: float,

@@ -342,9 +342,11 @@ def picard(
     t0 = time.perf_counter()
 
     for k in range(1, max_iter + 1):
-        new_hats, dropped = _apply(problem, background, v_values)
-        step_h4 = _norm_h4(grid, (new - old for new, old in zip(new_hats, v_hats)))
-        norm_h4 = _norm_h4(grid, new_hats)
+        # a step that overflows is reported by the finiteness check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_hats, dropped = _apply(problem, background, v_values)
+            step_h4 = _norm_h4(grid, (new - old for new, old in zip(new_hats, v_hats)))
+            norm_h4 = _norm_h4(grid, new_hats)
         ratio = None
         if prev_step is not None and prev_step > 0.0 and np.isfinite(step_h4):
             ratio = step_h4 / prev_step

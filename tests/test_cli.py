@@ -174,6 +174,12 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
             [[[5e-324, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 5e-324]]],
             "the scale inf is not finite",
         ),
+        # finite matrices whose C^2 norm overflows: the scale would be 0
+        (
+            ("nonlinearity", "params", "matrices"),
+            [[[0.0, 1e308], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+            "C^2 norm inf",
+        ),
     ],
 )
 def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, value, message):
@@ -234,6 +240,34 @@ def test_huge_finite_coupling_fails_in_one_line(tmp_path, capsys, command, expec
     assert code == expected
     assert len(err.splitlines()) == 1
     assert "Warning" not in err
+    if out:
+        strict_json(out)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [1e150, 1e200, 1e308])
+@pytest.mark.parametrize(
+    "command,expected",
+    [
+        (["validate"], 1),
+        (["bounds"], 1),
+        (["solve"], 3),
+        (["probe-contraction", "--pairs", "2"], 1),
+        (["continuity"], 1),
+    ],
+)
+def test_huge_quadratic_matrices_fail_in_one_line(
+    tmp_path, capsys, value, command, expected
+):
+    """Unscaled matrices far above the C^2 bound (at 1e308 their symmetric
+    parts overflow): the C^2 clause fails or the solve diverges, with no
+    numpy warning."""
+    cfg = small_config(n=4)
+    del cfg["nonlinearity"]["scale_c2_to_fraction"]
+    cfg["nonlinearity"]["params"]["matrices"] = np.full((2, 2, 2), value).tolist()
+    code, out, err = run(capsys, command[0], write_cfg(tmp_path, cfg), *command[1:])
+    assert code == expected
+    assert len(err.splitlines()) == 1
     if out:
         strict_json(out)
 

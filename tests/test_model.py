@@ -278,7 +278,7 @@ def test_problem_rejects_unsupported_dimension():
 
 def test_problem_warns_on_single_component():
     g = Grid(d=5, n=4, L=2.0)
-    with pytest.warns(UserWarning, match="N = 1"):
+    with pytest.warns(UserWarning, match="N = 1") as record:
         Problem(
             grid=g,
             eps=(0.0,),
@@ -286,6 +286,8 @@ def test_problem_warns_on_single_component():
             forcings=(gaussian_field(g),),
             nonlinearity=quadratic_nonlinearity([np.array([[1.0]])]),
         )
+    # the warning names the caller, not the generated __init__
+    assert record[0].filename == __file__
 
 
 def test_problem_validates_parameters():
