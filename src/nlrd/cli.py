@@ -85,7 +85,7 @@ def _diag(msg: str) -> None:
 
 def _build(args) -> BuiltProblem:
     cfg = load_config(args.config)
-    built = build_problem(cfg, eps_fraction=getattr(args, "eps_fraction", None))
+    built = build_problem(cfg, eps_fraction=args.eps_fraction)
     for w in built.warnings:
         _diag(f"warning: {w}")
     return built
@@ -226,13 +226,12 @@ def _cmd_continuity(built: BuiltProblem, args) -> tuple[dict, str | None]:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser, eps_fraction: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("config", help="path to a JSON config file")
-    if eps_fraction:
-        sub.add_argument(
-            "--eps-fraction", type=float, default=None, metavar="Q",
-            help="set every coupling to Q * eps_max (overrides the config)",
-        )
+    sub.add_argument(
+        "--eps-fraction", type=float, default=None, metavar="Q",
+        help="set every coupling to Q * eps_max (overrides the config)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

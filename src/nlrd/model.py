@@ -201,9 +201,11 @@ def scale_nonlinearity(g: Nonlinearity, factor: float) -> Nonlinearity:
     """Pointwise rescaling factor * g; C^2 norms scale by |factor|."""
     s = float(factor)
     if g.matrices is not None:
-        return quadratic_nonlinearity(
-            [s * A for A in g.matrices], label=f"{g.label}*{s:g}"
-        )
+        # an overflowing entry is reported by the C^2 check, as an inf norm
+        with np.errstate(over="ignore"):
+            return quadratic_nonlinearity(
+                [s * A for A in g.matrices], label=f"{g.label}*{s:g}"
+            )
     c2 = None
     if g.c2_ball_norm is not None:
         base = g.c2_ball_norm

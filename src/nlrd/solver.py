@@ -22,8 +22,9 @@ exact for even n: two transforms per component per step.  The zero mode of
 the right-hand side is projected out and its mass recorded.  H^4 and L^2
 norms come from the half-spectrum coefficients with Hermitian weights.  The
 background u0 and the coefficients eps_m (2 pi)^(d/2) H^_m are cached on
-the problem (:class:`nlrd.model.Problem`); ``picard`` transforms the forcing
-once per call, for the residual and the H^4 norm of the solution.
+the problem (:class:`nlrd.model.Problem`).  The residual transforms each
+forcing component in its loop, and the H^4 norm of a converged solution
+comes from its transform of u.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -138,11 +139,13 @@ class IterationTrace:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """L^2 residual of the full equation, zero mode excluded."""
+    """L^2 residual of the full equation, zero mode excluded, and the H^4
+    norm of the candidate it was taken at."""
 
     absolute: float
     relative: float
     forcing_l2: float
+    solution_h4: float
 
 
 @dataclass(frozen=True)
@@ -244,39 +247,43 @@ def apply_fixed_point_map(
 # residual
 # ---------------------------------------------------------------------------
 
-def residual(
-    problem: Problem, u: VectorField, *, _forcing_hat: np.ndarray | None = None
-) -> ResidualReport:
+def residual(problem: Problem, u: VectorField) -> ResidualReport:
     """L^2 residual of the full equation at u, zero mode excluded.
 
     The residual of component m is -(L u)_m + eps_m (H_m * g_m(u)) + f_m,
     evaluated spectrally with the p = 0 mode removed (the solve is defined
     modulo that mode).  The relative value is against the L^2 norm of the
     forcing vector (from the problem's data report), or absolute when the
-    forcing vanishes.  ``_forcing_hat``, private, holds the forcing's
-    coefficients when the caller has them already; u and g(u) are always
-    transformed from their samples.
+    forcing vanishes.  The forcing, u and g(u) are transformed from their
+    samples, one component at a time, so the check does not depend on the
+    solve; the H^4 norm of u comes from the same transform of u.
     """
     _require_match(problem, u, "candidate solution")
     grid = problem.grid
-    if _forcing_hat is None:
-        _forcing_hat = forward_stack(grid, [f.values for f in problem.forcings])
     coupling = problem.coupling
     sym = half_operator_symbol(grid)
     values = u.values
     gz = _eval_stack(problem.nonlinearity, values)
     zero = (0,) * grid.d
     total_sq = 0.0
+    h4_sq = 0.0
     for m in range(problem.n_components):
         r_hat = coupling[m] * forward_coeffs(grid, gz[m])
-        r_hat -= sym * forward_coeffs(grid, values[m])
-        r_hat += _forcing_hat[m]
+        u_hat = forward_coeffs(grid, values[m])
+        h4_sq += h4_norm_sq_coeffs(grid, u_hat)
+        u_hat *= sym
+        r_hat -= u_hat
+        del u_hat  # not held through the forcing's transform
+        r_hat += forward_coeffs(grid, problem.forcings[m].values)
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))
     f_l2 = math.sqrt(sum(v**2 for v in validate_problem_data(problem).forcing_l2))
     relative = absolute / f_l2 if f_l2 > 0.0 else absolute
-    return ResidualReport(absolute=absolute, relative=relative, forcing_l2=f_l2)
+    return ResidualReport(
+        absolute=absolute, relative=relative, forcing_l2=f_l2,
+        solution_h4=math.sqrt(h4_sq),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +345,7 @@ def picard(
     steps: list[IterationStep] = []
     first_step = None
     prev_step = None
-    converged = False
+    converged = diverged = False
     t0 = time.perf_counter()
 
     for k in range(1, max_iter + 1):
@@ -367,11 +374,8 @@ def picard(
         )
         if not finite or blown_up:
             # report the last finite iterate, not the runaway one
-            report = _assemble_report(
-                problem, v_values, v_hats, bounds_report,
-                tuple(warn), steps, converged=False, tol=tol,
-            )
-            raise DivergenceDetected(report)
+            diverged = True
+            break
         v_values, v_hats = inverse_stack(grid, new_hats), new_hats
         if first_step is None:
             first_step = step_h4
@@ -380,37 +384,15 @@ def picard(
             converged = True
             break
 
-    report = _assemble_report(
-        problem, v_values, v_hats, bounds_report,
-        tuple(warn), steps, converged=converged, tol=tol,
-    )
-    if not converged:
-        raise MaxIterExceeded(report)
-    return report
-
-
-def _assemble_report(
-    problem: Problem,
-    v_values: np.ndarray,
-    v_hats: np.ndarray,
-    bounds_report: BoundsReport,
-    warnings: tuple[str, ...],
-    steps: list[IterationStep],
-    converged: bool,
-    tol: float,
-) -> SolveReport:
-    grid = problem.grid
-    solution = VectorField(grid, problem.background.values + v_values)
-    forcing_hat = forward_stack(grid, [f.values for f in problem.forcings])
-    res = residual(problem, solution, _forcing_hat=forcing_hat) if converged else None
-    inv_sym = inverse_symbol(grid)
-    return SolveReport(
+    solution = VectorField(grid, background + v_values)
+    res = residual(problem, solution) if converged else None
+    report = SolveReport(
         background=problem.background,
         perturbation=VectorField(grid, v_values),
         solution=solution,
         background_h4=problem.background_h4,
         perturbation_h4=_norm_h4(grid, v_hats),
-        solution_h4=_norm_h4(grid, (f * inv_sym + v for f, v in zip(forcing_hat, v_hats))),
+        solution_h4=res.solution_h4 if converged else norm_h4_vector(solution),
         background_dropped=problem.background_dropped,
         converged=converged,
         iterations=len(steps),
@@ -418,8 +400,13 @@ def _assemble_report(
         residual=res,
         trace=IterationTrace(tuple(steps)),
         bounds=bounds_report,
-        warnings=warnings,
+        warnings=tuple(warn),
     )
+    if diverged:
+        raise DivergenceDetected(report)
+    if not converged:
+        raise MaxIterExceeded(report)
+    return report
 
 
 # ---------------------------------------------------------------------------

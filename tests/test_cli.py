@@ -604,6 +604,23 @@ def test_continuity_rejects_perturbation_beyond_c2_bound(tmp_path, capsys):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("delta", ["10", "1e300"])
+def test_continuity_perturbation_overflowing_the_matrices(tmp_path, capsys, delta):
+    # (1 + delta) times the symmetric part overflows; an asymmetric entry
+    # keeps the unscaled part finite
+    cfg = small_config(n=4)
+    cfg["nonlinearity"] = {
+        "family": "quadratic",
+        "params": {"matrices": [[[0.0, 1.7e308], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]},
+    }
+    cfg = write_cfg(tmp_path, cfg)
+    code, out, err = run(capsys, "continuity", cfg, "--delta", delta)
+    assert code == 1
+    assert err == "problem requirements failed: c2_within_bound\n"
+    assert out == ""
+
+
 # ---------------------------------------------------------------------------
 # the shipped instance
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,6 +304,7 @@ def test_picard_reaches_a_fixed_point(small_built, small_solution):
     rep = small_solution
     assert rep.converged
     assert rep.residual.relative <= 1e-8
+    assert rep.residual.solution_h4 == rep.solution_h4
     image = apply_fixed_point_map(
         small_built.problem, rep.background, rep.perturbation
     )
@@ -330,6 +332,7 @@ def test_picard_iteration_budget_is_enforced(small_built):
     assert not rep.converged
     assert rep.iterations == 1
     assert rep.residual is None
+    assert rep.solution_h4 == pytest.approx(norm_h4_vector(rep.solution), rel=1e-13)
 
 
 def test_picard_detects_divergence():
@@ -340,6 +343,7 @@ def test_picard_detects_divergence():
     assert not rep.converged
     assert np.isfinite(rep.perturbation_h4)
     assert all(np.isfinite(s.norm_h4) for s in rep.trace.steps[:-1])
+    assert rep.solution_h4 == pytest.approx(norm_h4_vector(rep.solution), rel=1e-13)
 
 
 def test_picard_warns_above_certified_threshold(small_built, small_solution):
@@ -380,6 +384,25 @@ def test_residual_vanishes_at_linear_solution():
     rep = residual(p, p.background)
     assert rep.relative <= 1e-12
     assert rep.forcing_l2 > 0.0
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_residual_holds_few_half_spectra(n):
+    """The residual transforms one component of the forcing, u and g(u) at
+    a time, so its working set stays a few one-component half spectra."""
+    built = build_problem(small_config(n=n))
+    p = built.problem
+    # a converged solve has called the residual once, filling the caches
+    solution = picard(p, tol=built.tol, max_iter=built.max_iter, budget=built.budget).solution
+    half_spectrum = 16 * (n // 2 + 1) * n ** (p.grid.d - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        residual(p, solution)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * half_spectrum
 
 
 def test_residual_rejects_mismatched_candidates():
