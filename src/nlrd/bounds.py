@@ -32,7 +32,7 @@ carries the uncertified report, when a requirement fails.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,20 +64,12 @@ class ContractionNotStrict(ValueError):
 class AssumptionsNotValidated(RuntimeError):
     """Raised when problem data or nonlinearity requirements fail.
 
-    Carries the failing clause names, the underlying reports, and the
-    bounds ``report`` evaluated anyway, which certifies nothing.
+    Carries the failing clause names and the bounds ``report`` evaluated
+    anyway, which certifies nothing.
     """
 
-    def __init__(
-        self,
-        failures: tuple[str, ...],
-        data_report: DataReport,
-        nonlinearity_report: NonlinearityReport,
-        report: "BoundsReport",
-    ):
+    def __init__(self, failures: tuple[str, ...], report: "BoundsReport"):
         self.failures = failures
-        self.data_report = data_report
-        self.nonlinearity_report = nonlinearity_report
         self.report = report
         super().__init__(
             "problem requirements failed: " + ", ".join(failures)
@@ -249,10 +241,6 @@ class BoundsReport:
     contractive: bool
     apriori_bound: float
 
-    def as_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
-
 
 def validate_problem(
     problem: Problem,
@@ -299,7 +287,7 @@ def compute_bounds(
         kernel_l2_rss=l2_rss,
         background_h4=float(background_h4),
         sobolev_constant=sobolev_embedding_constant(d),
-        state_ball_radius=nl.c2.radius,
+        state_ball_radius=nl.ball_radius,
         eps=problem.eps,
         eps_used=eps_used,
         eps_max=coupling_threshold_raw(
@@ -313,5 +301,5 @@ def compute_bounds(
         ),
     )
     if not (data.passed and nl.passed):
-        raise AssumptionsNotValidated(data.failures + nl.failures, data, nl, report)
+        raise AssumptionsNotValidated(data.failures + nl.failures, report)
     return report

@@ -24,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,8 +60,11 @@ EXIT_SOLVER = 3
 
 
 def _jsonable(obj):
-    """Coerce report structures to plain JSON types; non-finite floats,
-    which RFC 8259 has no literal for, become "inf", "-inf" or "nan"."""
+    """Coerce report structures to plain JSON types: a report dataclass
+    becomes the dict of its fields, and non-finite floats, which RFC 8259
+    has no literal for, become "inf", "-inf" or "nan"."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -91,35 +94,33 @@ def _build(args) -> BuiltProblem:
     return built
 
 
-def _report(built: BuiltProblem, args, payload: dict) -> None:
-    """Emit a subcommand's payload with the command and resolved config."""
-    _emit({"command": args.command, "config": built.resolved, **payload})
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers: (built, args) -> (payload, failure line or None)
+# subcommand handlers: (built, args) -> (payload, failure), where failure is
+# None, a stderr line, or the exception that ended the command; main emits
+# the payload and then reports the failure
 # ---------------------------------------------------------------------------
 
-def _cmd_validate(built: BuiltProblem, args) -> tuple[dict, str | None]:
+Outcome = tuple[dict, str | Exception | None]
+
+
+def _cmd_validate(built: BuiltProblem, args) -> Outcome:
     data, nl = validate_problem(
         built.problem, built.background_h4, budget=built.budget, seed=built.seed
     )
     passed = data.passed and nl.passed
-    payload = {"data": data.as_dict(), "nonlinearity": nl.as_dict(), "passed": passed}
-    failures = list(data.failures) + list(nl.failures)
-    return payload, None if passed else "validation failed: " + ", ".join(failures)
+    payload = {"data": data, "nonlinearity": nl, "passed": passed}
+    failures = ", ".join(data.failures + nl.failures)
+    return payload, None if passed else "validation failed: " + failures
 
 
-def _cmd_bounds(built: BuiltProblem, args) -> tuple[dict, str | None]:
+def _cmd_bounds(built: BuiltProblem, args) -> Outcome:
     try:
         rep = compute_bounds(
             built.problem, built.background_h4, budget=built.budget, seed=built.seed
         )
     except AssumptionsNotValidated as err:
-        failures = list(err.failures)
-        _report(built, args, {"error": "requirements_failed", "failures": failures})
-        raise
-    return {"bounds": rep.as_dict()}, None
+        return {"error": "requirements_failed", "failures": err.failures}, err
+    return {"bounds": rep}, None
 
 
 def _open_outputs(args):
@@ -142,19 +143,17 @@ def _write_outputs(rep: SolveReport, args, trace_fh, payload: dict) -> None:
                     write_field(path, comp)
                     written.append(str(path))
         if trace_fh is not None:
-            writer = csv.DictWriter(trace_fh, fieldnames=[
-                "k", "norm_h4", "step_h4", "ratio", "dropped_mass", "wall_time",
-            ])
+            rows = rep.trace.rows()  # at least one: max_iter >= 1
+            writer = csv.DictWriter(trace_fh, fieldnames=list(rows[0]))
             writer.writeheader()
-            for row in rep.trace.rows():
-                writer.writerow(dict(row, ratio="") if row["ratio"] is None else row)
+            writer.writerows(rows)  # a None ratio is an empty cell
             trace_fh.flush()  # a failed write surfaces here, not at close
             payload["trace_csv"] = args.trace_csv
     except OSError as err:
         raise ConfigError(f"cannot write solver output: {err}") from err
 
 
-def _cmd_solve(built: BuiltProblem, args) -> tuple[dict, str | None]:
+def _cmd_solve(built: BuiltProblem, args) -> Outcome:
     tol = args.tol if args.tol is not None else built.tol
     max_iter = args.max_iter if args.max_iter is not None else built.max_iter
     check_solver_settings(tol, max_iter)
@@ -180,19 +179,16 @@ def _cmd_solve(built: BuiltProblem, args) -> tuple[dict, str | None]:
             "background_dropped": list(rep.background_dropped),
             "residual_abs": rep.residual.absolute if rep.residual else None,
             "residual_rel": rep.residual.relative if rep.residual else None,
-            "bounds": rep.bounds.as_dict(),
+            "bounds": rep.bounds,
             "warnings": list(rep.warnings),
             "trace": rep.trace.rows(),
             "wall_time_total": time.perf_counter() - t0,
         }
         _write_outputs(rep, args, trace_fh, payload)
-    if error is not None:
-        _report(built, args, payload)
-        raise error
-    return payload, None
+    return payload, error
 
 
-def _cmd_probe(built: BuiltProblem, args) -> tuple[dict, str | None]:
+def _cmd_probe(built: BuiltProblem, args) -> Outcome:
     theory = compute_bounds(
         built.problem, built.background_h4, budget=built.budget, seed=built.seed
     )
@@ -208,7 +204,7 @@ def _cmd_probe(built: BuiltProblem, args) -> tuple[dict, str | None]:
     )
 
 
-def _cmd_continuity(built: BuiltProblem, args) -> tuple[dict, str | None]:
+def _cmd_continuity(built: BuiltProblem, args) -> Outcome:
     g1 = built.problem.nonlinearity
     g2 = scale_nonlinearity(g1, 1.0 + args.delta)
     rep = continuity_experiment(
@@ -303,7 +299,9 @@ def main(argv=None) -> int:
         _check_options(args)
         built = _build(args)
         payload, failure = args.handler(built, args)
-        _report(built, args, payload)
+        _emit({"command": args.command, "config": built.resolved, **payload})
+        if isinstance(failure, Exception):
+            raise failure
     except ConfigError as err:
         _diag(f"config error: {err}")
         return EXIT_CONFIG

@@ -99,11 +99,11 @@ def load_config(path: str | Path) -> dict:
     """Read and parse a JSON config file."""
     try:
         text = Path(path).read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # over-long integers, deep nesting
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
@@ -119,15 +119,18 @@ def check_solver_settings(tol: float, max_iter: int) -> None:
 
 
 def _number(value: Any, what: str) -> float:
+    """A numeric setting; booleans and numeric strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{what} must be a number, got {value!r}") from err
+    except OverflowError as err:
+        raise ConfigError(f"{what} is too large for a float") from err
 
 
 def _integer(value: Any, what: str) -> int:
     """An integral setting; 4.9 is rejected, not truncated to 4."""
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     number = _number(value, what)
     if not number.is_integer():
@@ -138,6 +141,8 @@ def _integer(value: Any, what: str) -> int:
 def _build_margins(cfg: dict) -> dict:
     margins = dict(DEFAULT_MARGINS)
     for key, value in _section(cfg, "margins", required=False).items():
+        if key not in margins:
+            raise ConfigError(f"unknown margin {key!r}; expected one of {sorted(margins)}")
         margin = _number(value, f"margins.{key}")
         if not (math.isfinite(margin) and margin >= 0.0):
             raise ConfigError(f"margins.{key} must be finite and >= 0, got {value!r}")
@@ -160,7 +165,7 @@ def _build_grid(cfg: dict) -> Grid:
     sec = _section(cfg, "grid")
     try:
         d, n = (_integer(sec[key], f"grid.{key}") for key in ("d", "n"))
-        return Grid(d=d, n=n, L=float(sec["L"]))
+        return Grid(d=d, n=n, L=_number(sec["L"], "grid.L"))
     except KeyError as err:
         raise ConfigError(f"grid section is missing {err}") from err
     except (TypeError, ValueError) as err:
@@ -178,8 +183,8 @@ def build_field(grid: Grid, spec: Any) -> RealField:
     try:
         if name == "gaussian":
             gauss = GaussianSpec(
-                width=float(params.get("width", 1.0)),
-                amplitude=float(params.get("amplitude", 1.0)),
+                width=_number(params.get("width", 1.0), "gaussian width"),
+                amplitude=_number(params.get("amplitude", 1.0), "gaussian amplitude"),
                 center=params.get("center", 0.0),
             )
             return gauss.sample(grid)
@@ -237,7 +242,7 @@ def _build_nonlinearity(cfg: dict) -> tuple[Nonlinearity, float | None]:
         if not all(np.all(np.isfinite(A)) for A in mats):
             raise ValueError("matrix entries must be finite")
         g = quadratic_nonlinearity(mats)
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad quadratic nonlinearity: {err}") from err
     frac = sec.get("scale_c2_to_fraction")
     if frac is not None:
@@ -264,12 +269,9 @@ def build_problem(
     solver_sec = _section(cfg, "solver", required=False)
     margins = _build_margins(cfg)
 
-    try:
-        rho = float(prob_sec.get("rho", 1.0))
-        c2_bound = float(prob_sec.get("c2_bound", 1.0))
-        tol = float(solver_sec.get("tol", DEFAULT_TOL))
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad scalar setting: {err}") from err
+    rho = _number(prob_sec.get("rho", 1.0), "problem.rho")
+    c2_bound = _number(prob_sec.get("c2_bound", 1.0), "problem.c2_bound")
+    tol = _number(solver_sec.get("tol", DEFAULT_TOL), "solver.tol")
     max_iter = _integer(solver_sec.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter")
     seed = _integer(solver_sec.get("seed", 0), "solver.seed")
     budget = _integer(solver_sec.get("budget", DEFAULT_C2_BUDGET), "solver.budget")

@@ -121,7 +121,6 @@ class Grid:
         return tuple(np.meshgrid(*([x] * self.d), indexing="ij", sparse=True))
 
 
-@functools.lru_cache(maxsize=16)
 def squared_wavenumber(grid: Grid) -> np.ndarray:
     """|p|^2 on the frequency lattice, FFT order, shape ``grid.shape``."""
     q = grid.axis_wavenumbers() ** 2
@@ -140,7 +139,6 @@ def h4_weight(grid: Grid) -> np.ndarray:
     return 1.0 + q2**4
 
 
-@functools.lru_cache(maxsize=16)
 def half_squared_wavenumber(grid: Grid) -> np.ndarray:
     """|p|^2 on the half spectrum, shape ``grid.half_shape``."""
     q = grid.axis_wavenumbers() ** 2

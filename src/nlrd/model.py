@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -483,10 +483,6 @@ class DataReport:
     kernel_l1_rss: float
     kernel_l2_rss: float
 
-    def as_dict(self) -> dict:
-        return {k: list(v) if isinstance(v, tuple) else v
-                for k, v in asdict(self).items()}
-
 
 @np.errstate(over="ignore")
 def validate_problem_data(problem: Problem) -> DataReport:
@@ -539,23 +535,12 @@ class NonlinearityReport:
     failures: tuple[str, ...]
     value_at_zero: float
     gradient_at_zero: float
-    c2: C2Norm
+    c2_norm: float
+    c2_method: str  # "analytic" or "sampled"
+    c2_samples: int
+    ball_radius: float
     c2_bound: float
     sampled_sup: float
-
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "value_at_zero": self.value_at_zero,
-            "gradient_at_zero": self.gradient_at_zero,
-            "c2_norm": self.c2.value,
-            "c2_method": self.c2.method,
-            "c2_samples": self.c2.samples,
-            "ball_radius": self.c2.radius,
-            "c2_bound": self.c2_bound,
-            "sampled_sup": self.sampled_sup,
-        }
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the clauses check the values
@@ -592,7 +577,10 @@ def validate_nonlinearity(
         failures=tuple(failures),
         value_at_zero=v0,
         gradient_at_zero=g0,
-        c2=c2,
+        c2_norm=c2.value,
+        c2_method=c2.method,
+        c2_samples=c2.samples,
+        ball_radius=c2.radius,
         c2_bound=float(c2_bound),
         sampled_sup=sup,
     )

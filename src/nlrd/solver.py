@@ -326,7 +326,7 @@ def picard(
     threshold downgrades to a warning -- the guard that actually stops
     runaway iterations is the divergence check.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")

@@ -136,6 +136,23 @@ def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver
         {"solver": {"max_iter": 2.5}},
         {"solver": {"seed": 0.5}},
         {"solver": {"budget": 1000.5}},
+        # booleans and numeric strings are not numbers
+        {"solver": {"budget": True}},
+        {"solver": {"max_iter": True}},
+        {"solver": {"seed": False}},
+        {"solver": {"tol": True}},
+        {"problem": {"rho": True}},
+        {"problem": {"rho": "0.5"}},
+        {"grid": {"L": True}},
+        {"forcings": [gaussian(1.2, True), gaussian(1.1, "-0.03")]},
+        # integers too large for a float
+        {"problem": {"eps_fraction": None, "eps": 10**399}},
+        {"problem": {"rho": 10**399}},
+        {"grid": {"L": 10**399}},
+        {"margins": {"contraction": 10**399}},
+        {"nonlinearity": {"params": {"matrices": [[[10**399, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
+        # a misspelt margin is not a silent default
+        {"margins": {"contration": 0.5}},
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):

@@ -25,9 +25,15 @@ def test_load_config_missing_file(tmp_path):
 
 def test_load_config_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(path)
+    for content, message in [
+        (b"{not json", "not valid JSON"),
+        (b'{"grid": "\xff"}', "cannot read config"),  # not UTF-8
+        (b"[" * 100000, "not valid JSON"),  # nesting past the recursion limit
+        (b'{"rho": ' + b"1" * 4301 + b"}", "not valid JSON"),  # past the int digit limit
+    ]:
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
 
 def test_load_config_non_object(tmp_path):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from nlrd.cli import _jsonable
 from nlrd.lattice import Grid, RealField, forward_coeffs, norm_h4_vector, norm_l1, norm_l2
 from nlrd.model import (
     GaussianSpec,
@@ -401,7 +402,7 @@ def test_validate_problem_data_passes_on_reference_style_instance():
     assert rep.kernel_l1_rss == pytest.approx(
         np.hypot(rep.kernel_l1[0], rep.kernel_l1[1]), rel=1e-14
     )
-    d = rep.as_dict()
+    d = _jsonable(rep)
     assert d["passed"] is True
     assert len(d["forcing_l2"]) == 2
 
@@ -437,7 +438,7 @@ def test_validate_nonlinearity_passes_with_ample_bound():
     assert rep.value_at_zero == 0.0
     assert rep.gradient_at_zero == 0.0
     assert rep.sampled_sup > 0.0
-    assert rep.as_dict()["c2_method"] == "analytic"
+    assert _jsonable(rep)["c2_method"] == "analytic"
 
 
 def test_validate_nonlinearity_failure_clauses():

@@ -356,6 +356,8 @@ def test_picard_warns_above_certified_threshold(small_built, small_solution):
 def test_picard_rejects_bad_arguments(small_built):
     with pytest.raises(ValueError, match="tolerance"):
         picard(small_built.problem, tol=0.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        picard(small_built.problem, tol=float("nan"))
     with pytest.raises(ValueError, match="budget"):
         picard(small_built.problem, max_iter=0)
     other = Grid(d=5, n=4, L=4.0)
