@@ -182,10 +182,12 @@ def build_field(grid: Grid, spec: Any) -> RealField:
         raise ConfigError(f"field params must be an object, got {params!r}")
     try:
         if name == "gaussian":
+            center = params.get("center", 0.0)
             gauss = GaussianSpec(
                 width=_number(params.get("width", 1.0), "gaussian width"),
                 amplitude=_number(params.get("amplitude", 1.0), "gaussian amplitude"),
-                center=params.get("center", 0.0),
+                center=tuple(_number(c, "gaussian center")
+                             for c in (center if isinstance(center, list) else [center])),
             )
             return gauss.sample(grid)
         if name == "zero":
@@ -238,7 +240,8 @@ def _build_nonlinearity(cfg: dict) -> tuple[Nonlinearity, float | None]:
     if family != "quadratic":
         raise ConfigError(f"unknown nonlinearity family {family!r}")
     try:
-        mats = [np.asarray(A, dtype=float) for A in params["matrices"]]
+        mats = [[[_number(x, "matrix entry") for x in row] for row in A]
+                for A in params["matrices"]]
         if not all(np.all(np.isfinite(A)) for A in mats):
             raise ValueError("matrix entries must be finite")
         g = quadratic_nonlinearity(mats)

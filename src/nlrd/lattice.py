@@ -55,6 +55,7 @@ H^4 norms are computed spectrally with the weight 1 + |p|^8.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,12 +125,7 @@ class Grid:
 def squared_wavenumber(grid: Grid) -> np.ndarray:
     """|p|^2 on the frequency lattice, FFT order, shape ``grid.shape``."""
     q = grid.axis_wavenumbers() ** 2
-    out = np.zeros(grid.shape)
-    for axis in range(grid.d):
-        shape = [1] * grid.d
-        shape[axis] = grid.n
-        out = out + q.reshape(shape)
-    return out
+    return functools.reduce(np.add.outer, [q] * grid.d)
 
 
 @functools.lru_cache(maxsize=16)
@@ -376,8 +372,11 @@ def norm_l2_vector(u: VectorField) -> float:
     return float(np.sqrt(u.grid.h**u.grid.d * np.sum(u.values**2)))
 
 
+def norm_h4_coeffs(grid: Grid, hats) -> float:
+    """Root-sum-square H^4 norm of an iterable of half-spectrum coefficients."""
+    return math.sqrt(sum(h4_norm_sq_coeffs(grid, hat) for hat in hats))
+
+
 def norm_h4_vector(u: VectorField) -> float:
     """Root-sum-square of component H^4 norms."""
-    return float(np.sqrt(sum(
-        h4_norm_sq_coeffs(u.grid, forward_coeffs(u.grid, row)) for row in u.values
-    )))
+    return norm_h4_coeffs(u.grid, (forward_coeffs(u.grid, row) for row in u.values))

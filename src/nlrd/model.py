@@ -8,10 +8,11 @@ stationary nonlocal reaction-diffusion system
 
 truncated to the periodic box carried by its grid: the coupling amplitudes
 eps_m, the convolution kernels H_m, the forcings f_m, and the nonlinearity
-g.  It caches the linear background u0 = L^(-1) f, the report on its
-data and the kernel coefficients the solver shares.  The certified-bounds
-layer (:mod:`nlrd.bounds`) consumes these through the validators defined
-here:
+g.  It caches the linear background u0 = L^(-1) f, inverted by
+``spectral.invert_coeffs``, the report on its data and the kernel
+coefficients of ``spectral.kernel_coeffs`` the solver shares.  The
+certified-bounds layer (:mod:`nlrd.bounds`) consumes these through the
+validators defined here:
 
 * ``validate_problem_data`` checks integrability and nontriviality of the
   kernels and forcings and reports their norms and the aggregate kernel
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import lattice
 from .lattice import Grid, RealField, VectorField, norm_l1, norm_l2
-from .spectral import inverse_symbol
+from .spectral import invert_coeffs, kernel_coeffs
 
 #: dimensions for which the certified bounds are derived
 SUPPORTED_DIMENSIONS = (5, 6, 7)
@@ -436,11 +437,10 @@ class Problem:
         if "background" not in self._data:
             grid = self.grid
             hats = lattice.forward_stack(grid, [f.values for f in self.forcings])
-            dropped = tuple(float(np.abs(hat[(0,) * grid.d])) for hat in hats)
-            hats *= inverse_symbol(grid)
+            dropped = tuple(invert_coeffs(grid, hats).tolist())
             u0 = VectorField(grid, lattice.inverse_stack(grid, hats))  # checks finiteness
             u0.values.flags.writeable = False  # shared by every derived problem
-            h4 = math.sqrt(sum(lattice.h4_norm_sq_coeffs(grid, hat) for hat in hats))
+            h4 = lattice.norm_h4_coeffs(grid, hats)
             self._data.update(background=u0, h4=h4, dropped=dropped)
         return self._data
 
@@ -451,8 +451,7 @@ class Problem:
         if not self._coupling:
             out = np.empty((self.n_components,) + self.grid.half_shape, dtype=np.complex128)
             for m, (eps, H) in enumerate(zip(self.eps, self.kernels)):
-                out[m] = lattice.forward_coeffs(self.grid, np.fft.ifftshift(H.reshaped()))
-                out[m] *= eps * (2.0 * np.pi) ** (self.d / 2.0)
+                np.multiply(kernel_coeffs(H), eps, out=out[m])
             out.flags.writeable = False
             self._coupling["coupling"] = out
         return self._coupling["coupling"]

@@ -18,9 +18,9 @@ transformed once in displacement order, F(ifftshift(H_m)), which makes
     T(v)_m = F^(-1)( M_m F(g_m(u0 + v)) ),
     M_m = eps_m (2 pi)^(d/2) H^_m / (|p|^2 + |p|^4),   M_m(0) = 0,
 
-exact for even n: two transforms per component per step.  The zero mode of
-the right-hand side is projected out and its mass recorded.  H^4 and L^2
-norms come from the half-spectrum coefficients with Hermitian weights.  The
+exact for even n: two transforms per component per step.  The kernels come
+from ``spectral.kernel_coeffs``, ``spectral.invert_coeffs`` drops the zero
+mode and records its mass, and ``lattice.norm_h4_coeffs`` sums H^4 norms.  The
 background u0 and the coefficients eps_m (2 pi)^(d/2) H^_m are cached on
 the problem (:class:`nlrd.model.Problem`).  The residual transforms each
 forcing component in its loop, and the H^4 norm of a converged solution
@@ -62,6 +62,7 @@ from .lattice import (
     inverse_stack,
     inverse_values,  # noqa: F401  (a binding perfbench/tracing.py wraps)
     l2_norm_sq_coeffs,
+    norm_h4_coeffs,
     norm_h4_vector,
 )
 from .model import (
@@ -71,7 +72,7 @@ from .model import (
     c2_gap,
     validate_problem_data,
 )
-from .spectral import half_operator_symbol, inverse_symbol
+from .spectral import half_operator_symbol, invert_coeffs
 from .spectral import solve_linear  # noqa: F401  (as inverse_values above)
 
 DEFAULT_TOL = 1e-10
@@ -172,11 +173,6 @@ class SolveReport:
 # helpers
 # ---------------------------------------------------------------------------
 
-def _norm_h4(grid: Grid, hats) -> float:
-    """Root-sum-square H^4 norm of per-component half-spectrum coefficients."""
-    return math.sqrt(sum(h4_norm_sq_coeffs(grid, hat) for hat in hats))
-
-
 def _require_match(problem: Problem, u: VectorField, what: str) -> None:
     if u.grid != problem.grid or u.n_components != problem.n_components:
         raise ValueError(
@@ -207,17 +203,11 @@ def _apply(
     grid = problem.grid
     coupling = problem.coupling
     gz = _eval_stack(problem.nonlinearity, background + v)
-    inv_sym = inverse_symbol(grid)
-    zero = (0,) * grid.d
-    hats = out if out is not None else np.empty(
-        (len(v),) + grid.half_shape, dtype=np.complex128
-    )
-    dropped = []
+    if out is None:
+        out = np.empty((len(v),) + grid.half_shape, dtype=np.complex128)
     for m in range(len(v)):
-        rhs = np.multiply(coupling[m], forward_coeffs(grid, gz[m]), out=hats[m])
-        dropped.append(float(np.abs(rhs[zero])))
-        rhs *= inv_sym
-    return hats, tuple(dropped)
+        np.multiply(coupling[m], forward_coeffs(grid, gz[m]), out=out[m])
+    return out, tuple(invert_coeffs(grid, out).tolist())
 
 
 def apply_fixed_point_map(
@@ -352,8 +342,8 @@ def picard(
         # a step that overflows is reported by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             new_hats, dropped = _apply(problem, background, v_values)
-            step_h4 = _norm_h4(grid, (new - old for new, old in zip(new_hats, v_hats)))
-            norm_h4 = _norm_h4(grid, new_hats)
+            step_h4 = norm_h4_coeffs(grid, (a - b for a, b in zip(new_hats, v_hats)))
+            norm_h4 = norm_h4_coeffs(grid, new_hats)
         ratio = None
         if prev_step is not None and prev_step > 0.0 and np.isfinite(step_h4):
             ratio = step_h4 / prev_step
@@ -391,7 +381,7 @@ def picard(
         perturbation=VectorField(grid, v_values),
         solution=solution,
         background_h4=problem.background_h4,
-        perturbation_h4=_norm_h4(grid, v_hats),
+        perturbation_h4=norm_h4_coeffs(grid, v_hats),
         solution_h4=res.solution_h4 if converged else norm_h4_vector(solution),
         background_dropped=problem.background_dropped,
         converged=converged,
@@ -449,8 +439,10 @@ def _ball_hats(
     grid: Grid, n_components: int, rng: np.random.Generator, target_norm: float
 ) -> np.ndarray:
     """Coefficients of the draw :func:`random_ball_field` makes."""
-    if target_norm < 0.0:
-        raise ValueError("target norm must be nonnegative")
+    if n_components < 1:
+        raise ValueError(f"need at least one component, got {n_components}")
+    if not 0.0 <= target_norm < math.inf:
+        raise ValueError(f"target norm {target_norm} is not finite and nonnegative")
     hats = np.zeros((n_components,) + grid.half_shape, dtype=np.complex128)
     if target_norm == 0.0:
         return hats
@@ -458,7 +450,7 @@ def _ball_hats(
     for m in range(n_components):
         noise = rng.standard_normal(grid.shape)
         np.multiply(forward_coeffs(grid, noise), envelope, out=hats[m])
-    hats *= target_norm / _norm_h4(grid, hats)
+    hats *= target_norm / norm_h4_coeffs(grid, hats)
     return hats
 
 
@@ -477,12 +469,12 @@ def _probe_ratio(
     r2 = problem.rho * rng.random()
     v1 = _ball_hats(grid, problem.n_components, rng, r1)
     v2 = _ball_hats(grid, problem.n_components, rng, r2)
-    denom = _norm_h4(grid, (a - b for a, b in zip(v1, v2)))
+    denom = norm_h4_coeffs(grid, (a - b for a, b in zip(v1, v2)))
     if denom == 0.0:
         return None
     t1, _ = _apply(problem, background, inverse_stack(grid, v1), out=v1)
     t2, _ = _apply(problem, background, inverse_stack(grid, v2), out=v2)
-    return _norm_h4(grid, (a - b for a, b in zip(t1, t2))) / denom
+    return norm_h4_coeffs(grid, (a - b for a, b in zip(t1, t2))) / denom
 
 
 @dataclass(frozen=True)

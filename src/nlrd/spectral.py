@@ -2,8 +2,8 @@
 
 The linear operator is L = -Laplacian + Laplacian^2, diagonal in Fourier
 space with symbol |p|^2 + |p|^4.  The symbol vanishes only at p = 0, so
-inversion is defined up to the zero mode; ``solve_linear`` projects the
-zero mode out and records the dropped mass.
+inversion is defined up to the zero mode; ``invert_coeffs``, the one place
+the zero mode is projected out, records its mass for every inversion.
 
 Every routine here runs on the half-spectrum path of :mod:`nlrd.lattice`
 (``forward_coeffs`` / ``inverse_values``), where the operator is a
@@ -12,10 +12,10 @@ layout of that module.  Periodic convolution is evaluated spectrally:
 
     (H * G)^(p) = (2 pi)^(d/2) H^(p) G^(p)
 
-under the unitary transform convention.  The kernel H is transformed in
-displacement order, ``forward_coeffs(ifftshift(H))``, so that its
-coefficients carry no (-1)^k sign and the product with the natural-layout
-coefficients of G transforms back to natural-layout samples.  The
+under the unitary transform convention.  ``kernel_coeffs`` is the one place
+a kernel H is put in displacement order, ``forward_coeffs(ifftshift(H))``
+scaled by (2 pi)^(d/2): its coefficients carry no (-1)^k sign, so the product
+with the natural-layout coefficients of G transforms back to samples.  The
 brute-force counterpart ``convolve_direct`` computes the defining lattice
 sum h^d sum_y H(x - y) G(y) with wrap-around and is intended as a
 cross-check on tiny grids only.
@@ -51,10 +51,7 @@ def half_operator_symbol(grid: Grid) -> np.ndarray:
 def inverse_symbol(grid: Grid) -> np.ndarray:
     """1 / (|p|^2 + |p|^4) with the zero mode set to 0, half spectrum."""
     sym = half_operator_symbol(grid)
-    inv = np.zeros_like(sym)
-    nonzero = sym > 0.0
-    inv[nonzero] = 1.0 / sym[nonzero]
-    return inv
+    return np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0.0)
 
 
 def apply_operator(u: RealField) -> RealField:
@@ -70,16 +67,27 @@ def apply_operator(u: RealField) -> RealField:
     return RealField(g, lattice.inverse_values(g, coeffs))
 
 
-def solve_linear(f: RealField) -> tuple[RealField, float]:
-    """Solve (-Laplacian + Laplacian^2) u = f on the periodic box.
+def invert_coeffs(grid: Grid, hats: np.ndarray) -> np.ndarray:
+    """Divide coefficients of shape (..., *grid.half_shape) by the symbol in
+    place, zero mode projected out; returns each field's dropped |F(0)|."""
+    dropped = np.abs(hats[(Ellipsis,) + (0,) * grid.d])
+    hats *= inverse_symbol(grid)
+    return dropped
 
-    Divides by the symbol away from p = 0.  The zero mode of f is projected
-    out; its magnitude |f^(0)| is returned as ``dropped_mass``.
-    """
+
+def kernel_coeffs(H: RealField) -> np.ndarray:
+    """(2 pi)^(d/2) times the half spectrum of H in displacement order."""
+    coeffs = lattice.forward_coeffs(H.grid, np.fft.ifftshift(H.reshaped()))
+    coeffs *= _TWO_PI ** (H.grid.d / 2.0)
+    return coeffs
+
+
+def solve_linear(f: RealField) -> tuple[RealField, float]:
+    """Solve (-Laplacian + Laplacian^2) u = f on the periodic box, the zero
+    mode of f projected out; returns u and the dropped mass |f^(0)|."""
     g = f.grid
     coeffs = lattice.forward_coeffs(g, f.values)
-    dropped = float(np.abs(coeffs[(0,) * g.d]))
-    coeffs *= inverse_symbol(g)
+    dropped = float(invert_coeffs(g, coeffs))
     return RealField(g, lattice.inverse_values(g, coeffs)), dropped
 
 
@@ -88,8 +96,7 @@ def convolve(H: RealField, G: RealField) -> RealField:
     if H.grid != G.grid:
         raise ValueError("convolution operands must share one grid")
     g = H.grid
-    coeffs = lattice.forward_coeffs(g, np.fft.ifftshift(H.reshaped()))
-    coeffs *= _TWO_PI ** (g.d / 2.0)
+    coeffs = kernel_coeffs(H)
     coeffs *= lattice.forward_coeffs(g, G.values)
     return RealField(g, lattice.inverse_values(g, coeffs))
 

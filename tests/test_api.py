@@ -65,3 +65,12 @@ def test_one_transform_implementation():
         text = path.read_text()
         assert not re.search(r"np\.fft\.i?r?fftn?\(", text), path.name
         assert not re.search(r"^\s*(import|from)\s+scipy", text, re.M), path.name
+
+
+def test_one_spectral_step_implementation():
+    """Only ``spectral`` inverts the operator or puts a kernel in displacement
+    order; every other module goes through ``invert_coeffs``/``kernel_coeffs``."""
+    for path in sorted((REPO / "src" / "nlrd").glob("*.py")):
+        if path.name != "spectral.py":
+            text = path.read_text()
+            assert not re.search(r"inverse_symbol\(|np\.fft\.ifftshift\(", text), path.name

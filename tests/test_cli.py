@@ -46,6 +46,17 @@ def gaussian(width, amplitude):
     return {"constructor": "gaussian", "params": {"width": width, "amplitude": amplitude}}
 
 
+def centred(center):
+    """The first shipped forcing with the given gaussian ``center``."""
+    spec = gaussian(1.2, 0.05)
+    spec["params"]["center"] = center
+    return spec
+
+
+#: gaussian centres that are neither a number nor a flat list of 1 or d numbers
+BAD_CENTERS = [True, "0.5", [[0.1] * 5], None, [0.1, 0.2], [0.1, False]]
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
@@ -153,6 +164,10 @@ def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver
         {"nonlinearity": {"params": {"matrices": [[[10**399, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
         # a misspelt margin is not a silent default
         {"margins": {"contration": 0.5}},
+        # matrix entries and gaussian centres are read as numbers too
+        {"nonlinearity": {"params": {"matrices": [[[True, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
+        {"nonlinearity": {"params": {"matrices": [[["1.0", 0], [0, 0]], [[1, 0], [0, 0]]]}}},
+        *({"forcings": [centred(c), gaussian(1.1, -0.03)]} for c in BAD_CENTERS),
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
@@ -161,8 +176,24 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
     cfg["problem"] = {k: v for k, v in cfg["problem"].items() if v is not None}
     code, out, err = run(capsys, "bounds", write_cfg(tmp_path, cfg))
     assert code == 2
-    assert "config error" in err
+    assert err.startswith("config error:")
+    assert len(err.splitlines()) == 1
     assert out == ""
+
+
+@pytest.mark.parametrize("center", BAD_CENTERS)
+def test_bad_gaussian_center_is_named(tmp_path, capsys, center):
+    cfg = small_config(forcings=[centred(center), gaussian(1.1, -0.03)])
+    code, _, err = run(capsys, "bounds", write_cfg(tmp_path, cfg))
+    assert code == 2
+    assert "center" in err
+
+
+@pytest.mark.parametrize("center", [0.5, [0.5], [0.1, -0.2, 0.3, 0.0, 0.25]])
+def test_gaussian_center_is_a_number_or_a_list_of_1_or_d(tmp_path, capsys, center):
+    cfg = small_config(forcings=[centred(center), gaussian(1.1, -0.03)])
+    code, _, err = run(capsys, "validate", write_cfg(tmp_path, cfg))
+    assert code == 0, err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

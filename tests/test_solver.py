@@ -436,6 +436,20 @@ def test_random_ball_field_determinism_and_edge_cases():
         random_ball_field(g, 2, np.random.default_rng(11), -1.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "n_components,target,message",
+    [(0, 0.5, "at least one component"), (-1, 0.5, "at least one component"),
+     (2, np.inf, "not finite"), (2, np.nan, "not finite")],
+)
+def test_random_ball_field_rejects_bad_inputs_before_drawing(n_components, target, message):
+    g = Grid(d=5, n=4, L=4.0)
+    rng = np.random.default_rng(11)
+    with pytest.raises(ValueError, match=message):
+        random_ball_field(g, n_components, rng, target)
+    assert rng.random() == np.random.default_rng(11).random()  # nothing drawn
+
+
 @pytest.mark.parametrize("d,n", [(5, 2), (5, 4), (6, 4), (7, 2)])
 def test_random_ball_field_reproduces_full_complex_draw(d, n):
     """Same RNG stream and the same field as the full complex FFT-order draw."""

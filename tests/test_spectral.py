@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from nlrd.lattice import Grid, RealField, norm_l1, norm_l2
+from nlrd.lattice import Grid, RealField, forward_coeffs, norm_l1, norm_l2
 from nlrd.spectral import (
     DIRECT_CONV_MAX_POINTS,
     GridTooLarge,
@@ -12,6 +12,7 @@ from nlrd.spectral import (
     convolve,
     convolve_direct,
     half_operator_symbol,
+    invert_coeffs,
     solve_linear,
 )
 
@@ -136,6 +137,23 @@ def test_project_policy_reports_dropped_mass():
     u, dropped = solve_linear(random_field(g, seed=6, mean_zero=True))
     assert dropped <= 1e-14
     assert np.all(np.isfinite(u.values))
+
+
+@pytest.mark.parametrize("d,n", [(2, 8), (5, 4)])
+def test_invert_coeffs_on_a_stack_matches_single_calls(d, n):
+    """One call on an (N, *half_shape) stack equals N single-array calls,
+    and a single field drops the mass ``solve_linear`` reports."""
+    g = Grid(d=d, n=n, L=2.0)
+    fields = [random_field(g, seed) for seed in range(3)]
+    stack = np.stack([forward_coeffs(g, f.values) for f in fields])
+    singles = [forward_coeffs(g, f.values) for f in fields]
+    dropped = invert_coeffs(g, stack)
+    assert dropped.shape == (3,)
+    assert np.array_equal(dropped, [invert_coeffs(g, hat) for hat in singles])
+    assert np.array_equal(stack, np.stack(singles))
+    assert stack[(0,) + (0,) * d] == 0.0
+    for f, mass in zip(fields, dropped):
+        assert solve_linear(f)[1] == mass
 
 
 # ---------------------------------------------------------------------------
