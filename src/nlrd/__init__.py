@@ -22,8 +22,6 @@ from .lattice import (
     norm_h4_vector,
     norm_l1,
     norm_l2,
-    norm_l2_vector,
-    norm_linf,
 )
 from .fieldio import read_field, write_field
 from .spectral import (
@@ -90,8 +88,7 @@ __all__ = [
     "__version__",
     # lattice
     "Grid", "RealField", "VectorField",
-    "norm_l1", "norm_l2", "norm_linf", "norm_h4",
-    "norm_l2_vector", "norm_h4_vector",
+    "norm_l1", "norm_l2", "norm_h4", "norm_h4_vector",
     # io
     "read_field", "write_field",
     # spectral

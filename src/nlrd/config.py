@@ -1,6 +1,6 @@
 """JSON configuration: schema, construction, and coupling resolution.
 
-A config file has five sections::
+A config file has seven sections::
 
     {
       "grid":         {"d": 5, "n": 12, "L": 8.0},
@@ -20,12 +20,17 @@ A config file has five sections::
 Field constructors: ``gaussian`` (params ``width``, ``amplitude``,
 ``center``), ``bfx1`` (params ``path``, grid must match), ``zero``.
 
-Coupling resolution: ``eps`` gives the amplitudes directly (scalar or one
-per component); ``eps_fraction`` q sets every amplitude to q * eps_max,
-where eps_max is the certified threshold computed around the background of
-the configured forcings.  ``scale_c2_to_fraction`` rescales the
-nonlinearity so its exact C^2 norm over the relevant state ball equals that
-fraction of ``c2_bound``.
+Each object is read by a table of its keys: a key not shown is an error
+in any object, and so is a boolean or a string where a number belongs.
+``solver``, ``margins`` and every key with a default may be left out.
+
+Coupling resolution: at most one of ``eps`` and ``eps_fraction`` is given,
+and with neither every coupling is 0.  ``eps`` gives the amplitudes
+directly (scalar or one per component); ``eps_fraction`` q sets every
+amplitude to q * eps_max, where eps_max is the certified threshold computed
+around the background of the configured forcings.  ``scale_c2_to_fraction``
+rescales the nonlinearity so its exact C^2 norm over the relevant state
+ball equals that fraction of ``c2_bound``.
 
 ``build_problem`` resolves everything around the background and the data
 report the problem caches (see :class:`nlrd.model.Problem`), so the kernel
@@ -40,6 +45,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -61,8 +67,6 @@ from .model import (
     validate_problem_data,
 )
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
-
-DEFAULT_MARGINS = {"contraction": 0.05, "continuity": 0.05}
 
 #: peak resident bytes of a solve per grid point per component, above the
 #: interpreter's own; calibrated against measured benchmark peaks
@@ -138,79 +142,138 @@ def _integer(value: Any, what: str) -> int:
     return int(number)
 
 
-def _build_margins(cfg: dict) -> dict:
-    margins = dict(DEFAULT_MARGINS)
-    for key, value in _section(cfg, "margins", required=False).items():
-        if key not in margins:
-            raise ConfigError(f"unknown margin {key!r}; expected one of {sorted(margins)}")
-        margin = _number(value, f"margins.{key}")
-        if not (math.isfinite(margin) and margin >= 0.0):
-            raise ConfigError(f"margins.{key} must be finite and >= 0, got {value!r}")
-        margins[key] = margin
-    return margins
+#: the default of a key that must be given
+_REQUIRED = object()
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
-    sec = cfg.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"missing config section {name!r}")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return sec
+def _read(obj: Any, where: str, keys: dict) -> dict:
+    """Read a config object by its table of ``key: (reader, default)``.
+
+    ``reader(value, "where.key")`` reads each value, defaults included; a
+    null is left as None where the default is None.  An absent ``_REQUIRED``
+    key and a key the table lacks are errors.  The top level has no ``where``.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config'} must be an object, got {obj!r}")
+    prefix = f"{where}." if where else ""
+    unknown = [key for key in obj if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key '{prefix}{unknown[0]}'; expected one of {sorted(keys)}")
+    settings = {}
+    for key, (reader, default) in keys.items():
+        value = obj.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} section is missing {key!r}" if where
+                              else f"missing config section {key!r}")
+        settings[key] = None if value is default is None else reader(value, prefix + key)
+    return settings
 
 
-def _build_grid(cfg: dict) -> Grid:
-    sec = _section(cfg, "grid")
+def _as_is(value: Any, where: str) -> Any:
+    """A setting that the code using it checks."""
+    return value
+
+
+def _one_of(names, what: str):
+    """A reader that accepts a name in ``names`` and calls anything else an unknown ``what``."""
+    def read(value: Any, where: str) -> str:
+        if not isinstance(value, str) or value not in names:
+            raise ConfigError(f"unknown {what} {value!r}")
+        return value
+    return read
+
+
+def _checked(read, ok, rule: str):
+    """A reader that applies ``read`` and then requires ``ok`` of the setting."""
+    def check(value: Any, where: str) -> Any:
+        setting = read(value, where)
+        if not ok(setting):
+            raise ConfigError(f"{where} must be {rule}, got {value!r}")
+        return setting
+    return check
+
+
+def _eps(value: Any, where: str) -> float | list[float]:
+    """One coupling for every component, or a list of one per component."""
+    if isinstance(value, list):
+        return [_number(e, where) for e in value]
+    return _number(value, where)
+
+
+def _grid(value: Any, where: str) -> Grid:
+    keys = {"d": (_integer, _REQUIRED), "n": (_integer, _REQUIRED), "L": (_number, _REQUIRED)}
+    grid = _read(value, where, keys)
     try:
-        d, n = (_integer(sec[key], f"grid.{key}") for key in ("d", "n"))
-        return Grid(d=d, n=n, L=_number(sec["L"], "grid.L"))
-    except KeyError as err:
-        raise ConfigError(f"grid section is missing {err}") from err
-    except (TypeError, ValueError) as err:
+        return Grid(**grid)
+    except ValueError as err:
         raise ConfigError(f"bad grid section: {err}") from err
+
+
+def _quadratic(value: Any, where: str) -> Nonlinearity:
+    """The quadratic family's params, built into its nonlinearity."""
+    matrices = _read(value, where, {"matrices": (_as_is, _REQUIRED)})["matrices"]
+    try:
+        mats = [[[_number(x, "matrix entry") for x in row] for row in A] for A in matrices]
+        if not all(np.all(np.isfinite(A)) for A in mats):
+            raise ValueError("matrix entries must be finite")
+        return quadratic_nonlinearity(mats)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(f"bad quadratic nonlinearity: {err}") from err
+
+
+#: the params table of each field constructor
+_FIELD_PARAMS = {
+    "gaussian": {"width": (_number, 1.0), "amplitude": (_number, 1.0), "center": (_as_is, 0.0)},
+    "zero": {},
+    "bfx1": {"path": (_as_is, _REQUIRED)},
+}
+_FIELD = {
+    "constructor": (_one_of(_FIELD_PARAMS, "field constructor"), _REQUIRED),
+    "params": (_as_is, {}),
+}
+_FIELD_SPECS = _checked(_as_is, lambda s: isinstance(s, list) and s, "a nonempty list")
+_MARGIN = _checked(_number, lambda margin: 0.0 <= margin < math.inf, "finite and >= 0")
+_CONFIG = {
+    "grid": (_grid, _REQUIRED),
+    "problem": (partial(_read, keys={
+        "rho": (_number, 1.0), "c2_bound": (_number, 1.0),
+        "eps": (_eps, None), "eps_fraction": (_number, None),
+    }), _REQUIRED),
+    "kernels": (_FIELD_SPECS, _REQUIRED),
+    "forcings": (_FIELD_SPECS, _REQUIRED),
+    "nonlinearity": (partial(_read, keys={
+        "family": (_one_of({"quadratic"}, "nonlinearity family"), _REQUIRED),
+        "params": (_quadratic, _REQUIRED),
+        "scale_c2_to_fraction": (_checked(_number, lambda q: 0.0 < q <= 1.0, "in (0, 1]"), None),
+    }), _REQUIRED),
+    "solver": (partial(_read, keys={
+        "tol": (_checked(_number, lambda tol: tol > 0.0, "positive"), DEFAULT_TOL),
+        "max_iter": (_checked(_integer, lambda n: n >= 1, ">= 1"), DEFAULT_MAX_ITER),
+        "seed": (_checked(_integer, lambda seed: seed >= 0, ">= 0"), 0),
+        "budget": (_checked(_integer, lambda n: n >= 1, ">= 1"), DEFAULT_C2_BUDGET),
+    }), {}),
+    "margins": (partial(_read, keys={
+        "contraction": (_MARGIN, 0.05), "continuity": (_MARGIN, 0.05),
+    }), {}),
+}
 
 
 def build_field(grid: Grid, spec: Any) -> RealField:
     """Construct one field from a constructor spec."""
-    if not isinstance(spec, dict) or "constructor" not in spec:
-        raise ConfigError(f"field spec must be an object with a constructor, got {spec!r}")
+    spec = _read(spec, "field", _FIELD)
     name = spec["constructor"]
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"field params must be an object, got {params!r}")
+    params = _read(spec["params"], f"{name}.params", _FIELD_PARAMS[name])
     try:
         if name == "gaussian":
-            center = params.get("center", 0.0)
-            gauss = GaussianSpec(
-                width=_number(params.get("width", 1.0), "gaussian width"),
-                amplitude=_number(params.get("amplitude", 1.0), "gaussian amplitude"),
-                center=tuple(_number(c, "gaussian center")
-                             for c in (center if isinstance(center, list) else [center])),
-            )
-            return gauss.sample(grid)
+            return GaussianSpec(**params).sample(grid)
         if name == "zero":
             return RealField.zeros(grid)
-        if name == "bfx1":
-            f = read_field(params["path"])
-            if f.grid != grid:
-                raise ConfigError(
-                    f"field in {params['path']} has grid {f.grid}, expected {grid}"
-                )
-            return f
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OSError, ArithmeticError) as err:
+        f = read_field(params["path"])
+    except (TypeError, ValueError, OSError, ArithmeticError) as err:
         raise ConfigError(f"cannot build {name!r} field: {err}") from err
-    raise ConfigError(f"unknown field constructor {name!r}")
-
-
-def _field_specs(cfg: dict, section: str) -> list:
-    specs = cfg.get(section)
-    if not isinstance(specs, list) or not specs:
-        raise ConfigError(f"config section {section!r} must be a nonempty list")
-    return specs
+    if f.grid != grid:
+        raise ConfigError(f"field in {params['path']} has grid {f.grid}, expected {grid}")
+    return f
 
 
 def _physical_memory() -> float:
@@ -233,30 +296,6 @@ def _check_grid_size(grid: Grid, n_components: int) -> None:
         )
 
 
-def _build_nonlinearity(cfg: dict) -> tuple[Nonlinearity, float | None]:
-    sec = _section(cfg, "nonlinearity")
-    family = sec.get("family")
-    params = sec.get("params", {})
-    if family != "quadratic":
-        raise ConfigError(f"unknown nonlinearity family {family!r}")
-    try:
-        mats = [[[_number(x, "matrix entry") for x in row] for row in A]
-                for A in params["matrices"]]
-        if not all(np.all(np.isfinite(A)) for A in mats):
-            raise ValueError("matrix entries must be finite")
-        g = quadratic_nonlinearity(mats)
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"bad quadratic nonlinearity: {err}") from err
-    frac = sec.get("scale_c2_to_fraction")
-    if frac is not None:
-        frac = _number(frac, "scale_c2_to_fraction")
-        if not 0.0 < frac <= 1.0:
-            raise ConfigError(
-                f"scale_c2_to_fraction must be in (0, 1], got {frac}"
-            )
-    return g, frac
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def build_problem(
     cfg: dict, eps_fraction: float | None = None
@@ -267,25 +306,11 @@ def build_problem(
     settings in the file.  Data that overflows is a :class:`ConfigError`,
     so numpy's overflow warnings are silenced here.
     """
-    grid = _build_grid(cfg)
-    prob_sec = _section(cfg, "problem")
-    solver_sec = _section(cfg, "solver", required=False)
-    margins = _build_margins(cfg)
+    settings = _read(cfg, "", _CONFIG)
+    grid, prob, nl, solver = (settings[k] for k in ("grid", "problem", "nonlinearity", "solver"))
+    rho, c2_bound, g = prob["rho"], prob["c2_bound"], nl["params"]
 
-    rho = _number(prob_sec.get("rho", 1.0), "problem.rho")
-    c2_bound = _number(prob_sec.get("c2_bound", 1.0), "problem.c2_bound")
-    tol = _number(solver_sec.get("tol", DEFAULT_TOL), "solver.tol")
-    max_iter = _integer(solver_sec.get("max_iter", DEFAULT_MAX_ITER), "solver.max_iter")
-    seed = _integer(solver_sec.get("seed", 0), "solver.seed")
-    budget = _integer(solver_sec.get("budget", DEFAULT_C2_BUDGET), "solver.budget")
-    check_solver_settings(tol, max_iter)
-    if budget < 1:
-        raise ConfigError(f"solver.budget must be >= 1, got {budget}")
-    if seed < 0:
-        raise ConfigError(f"solver.seed must be >= 0, got {seed}")
-
-    kernel_specs = _field_specs(cfg, "kernels")
-    forcing_specs = _field_specs(cfg, "forcings")
+    kernel_specs, forcing_specs = settings["kernels"], settings["forcings"]
     if len(kernel_specs) != len(forcing_specs):
         raise ConfigError(
             f"{len(kernel_specs)} kernels vs {len(forcing_specs)} forcings; "
@@ -294,7 +319,6 @@ def build_problem(
     _check_grid_size(grid, len(kernel_specs))
     kernels = tuple(build_field(grid, s) for s in kernel_specs)
     forcings = tuple(build_field(grid, s) for s in forcing_specs)
-    g, c2_fraction = _build_nonlinearity(cfg)
     if g.N != len(kernels):
         raise ConfigError(
             f"nonlinearity has {g.N} components but {len(kernels)} kernels given"
@@ -305,15 +329,8 @@ def build_problem(
     # The background (and hence the state-ball radius and eps_max) depends
     # only on the grid and forcings, so it can be resolved before couplings.
     try:
-        base = Problem(
-            grid=grid,
-            eps=(0.0,) * g.N,
-            kernels=kernels,
-            forcings=forcings,
-            nonlinearity=g,
-            rho=rho,
-            c2_bound=c2_bound,
-        )
+        base = Problem(grid=grid, eps=(0.0,) * g.N, kernels=kernels, forcings=forcings,
+                       nonlinearity=g, rho=rho, c2_bound=c2_bound)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     try:
@@ -324,19 +341,15 @@ def build_problem(
         raise ConfigError(f"the forcings give no finite background: {err}") from err
 
     scale_applied = None
-    if c2_fraction is not None:
-        radius = image_ball_radius(
-            background_h4, sobolev_embedding_constant(grid.d)
-        )
-        current = c2_norm(g, radius, budget=budget, seed=seed)
+    if nl["scale_c2_to_fraction"] is not None:
+        radius = image_ball_radius(background_h4, sobolev_embedding_constant(grid.d))
+        current = c2_norm(g, radius, budget=solver["budget"], seed=solver["seed"])
         # an inf norm would give the finite scale 0 and silently drop g
         if not math.isfinite(current.value):
-            raise ConfigError(
-                f"cannot rescale a nonlinearity of C^2 norm {current.value}"
-            )
+            raise ConfigError(f"cannot rescale a nonlinearity of C^2 norm {current.value}")
         if current.value <= 0.0:
             raise ConfigError("cannot rescale a vanishing nonlinearity")
-        scale_applied = c2_fraction * c2_bound / current.value
+        scale_applied = nl["scale_c2_to_fraction"] * c2_bound / current.value
         if not math.isfinite(scale_applied):
             raise ConfigError(
                 f"cannot rescale a nonlinearity of C^2 norm {current.value:.3g}: "
@@ -349,17 +362,14 @@ def build_problem(
         grid.d, rho, c2_bound, data.kernel_l1_rss, data.kernel_l2_rss, background_h4
     )
 
-    cfg_fraction = prob_sec.get("eps_fraction")
-    cfg_eps = prob_sec.get("eps")
     # (q, eps_source prefix, name in errors, adjective in warnings)
     fraction = None
     if eps_fraction is not None:
         fraction = (eps_fraction, "cli", "eps fraction", "requested")
-    elif cfg_fraction is not None and cfg_eps is not None:
+    elif prob["eps_fraction"] is not None and prob["eps"] is not None:
         raise ConfigError("give either 'eps' or 'eps_fraction', not both")
-    elif cfg_fraction is not None:
-        q = _number(cfg_fraction, "eps_fraction")
-        fraction = (q, "config", "eps_fraction", "configured")
+    elif prob["eps_fraction"] is not None:
+        fraction = (prob["eps_fraction"], "config", "eps_fraction", "configured")
     if fraction is not None:
         q, origin, name, adjective = fraction
         if not q > 0.0:
@@ -373,15 +383,10 @@ def build_problem(
                 f"{adjective} coupling fraction {q:g} exceeds 1; "
                 "the solve is outside the certified regime"
             )
-    elif cfg_eps is not None:
-        if np.isscalar(cfg_eps):
-            eps = (_number(cfg_eps, "eps"),) * g.N
-        else:
-            eps = tuple(_number(e, "eps") for e in cfg_eps)
-            if len(eps) != g.N:
-                raise ConfigError(
-                    f"eps list has {len(eps)} entries for {g.N} components"
-                )
+    elif prob["eps"] is not None:
+        eps = tuple(prob["eps"]) if isinstance(prob["eps"], list) else (prob["eps"],) * g.N
+        if len(eps) != g.N:
+            raise ConfigError(f"eps list has {len(eps)} entries for {g.N} components")
         eps_source = "config_eps"
     else:
         eps = (0.0,) * g.N
@@ -414,23 +419,10 @@ def build_problem(
             "label": g.label,
             "scale_applied": scale_applied,
         },
-        "kernels": cfg.get("kernels"),
-        "forcings": cfg.get("forcings"),
-        "solver": {
-            "tol": tol,
-            "max_iter": max_iter,
-            "seed": seed,
-            "budget": budget,
-        },
-        "margins": margins,
+        "kernels": kernel_specs,
+        "forcings": forcing_specs,
+        "solver": solver,
+        "margins": settings["margins"],
     }
-    return BuiltProblem(
-        problem=problem,
-        resolved=resolved,
-        tol=tol,
-        max_iter=max_iter,
-        seed=seed,
-        budget=budget,
-        margins=margins,
-        warnings=tuple(warnings),
-    )
+    return BuiltProblem(problem=problem, resolved=resolved, margins=settings["margins"],
+                        warnings=tuple(warnings), **solver)

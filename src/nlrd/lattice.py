@@ -72,11 +72,11 @@ class Grid:
     L: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
+        if isinstance(self.d, bool) or not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not isinstance(self.n, int) or self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"points per axis must be even and >= 2, got {self.n}")
-        if not (self.L > 0.0 and np.isfinite(self.L)):
+        if isinstance(self.L, bool) or not (self.L > 0.0 and np.isfinite(self.L)):
             raise ValueError(f"box half-width must be positive and finite, got {self.L}")
         object.__setattr__(self, "L", float(self.L))
         if max(abs(self.d * np.log10(s)) for s in (self.h, self.dp)) > 300.0:
@@ -336,11 +336,6 @@ def norm_l2(f: RealField) -> float:
     return float(np.sqrt(f.grid.h**f.grid.d * np.sum(f.values**2)))
 
 
-def norm_linf(f: RealField) -> float:
-    """Max-abs over lattice points."""
-    return float(np.max(np.abs(f.values)))
-
-
 @np.errstate(over="ignore")  # callers check the result for finiteness
 def _weighted_sum_sq(grid: Grid, weight: np.ndarray, coeffs: np.ndarray) -> float:
     abs_sq = coeffs.real**2
@@ -365,11 +360,6 @@ def l2_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray) -> float:
 def norm_h4(f: RealField) -> float:
     """Sobolev H^4 norm, computed spectrally."""
     return float(np.sqrt(h4_norm_sq_coeffs(f.grid, forward_coeffs(f.grid, f.values))))
-
-
-def norm_l2_vector(u: VectorField) -> float:
-    """Root-sum-square of component L^2 norms."""
-    return float(np.sqrt(u.grid.h**u.grid.d * np.sum(u.values**2)))
 
 
 def norm_h4_coeffs(grid: Grid, hats) -> float:

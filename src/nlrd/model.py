@@ -28,6 +28,7 @@ one) or from a seeded boundary-biased Monte Carlo estimate.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -52,6 +53,16 @@ DEFAULT_C2_BUDGET = 100_000
 # Gaussian library fields
 # ---------------------------------------------------------------------------
 
+def _real(value: object, what: str) -> float:
+    """A gaussian parameter as a float; booleans, strings and None are not numbers."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"gaussian {what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise ValueError(f"gaussian {what} is too large for a float") from err
+
+
 @dataclass(frozen=True)
 class GaussianSpec:
     """Isotropic Gaussian bump a * exp(-|x - c|^2 / (2 w^2)).
@@ -66,9 +77,12 @@ class GaussianSpec:
     center: tuple[float, ...] | float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.width > 0.0 and np.isfinite(self.width)):
+        center = self.center.tolist() if isinstance(self.center, np.ndarray) else self.center
+        center = center if isinstance(center, (list, tuple)) else (center,)
+        object.__setattr__(self, "center", tuple(_real(c, "center") for c in center))
+        if not (_real(self.width, "width") > 0.0 and np.isfinite(self.width)):
             raise ValueError(f"gaussian width must be positive, got {self.width}")
-        if not np.isfinite(self.amplitude):
+        if not np.isfinite(_real(self.amplitude, "amplitude")):
             raise ValueError("gaussian amplitude must be finite")
 
     def _center_for(self, d: int) -> np.ndarray:

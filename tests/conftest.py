@@ -19,6 +19,9 @@ from nlrd.solver import picard
 REPO_ROOT = Path(__file__).resolve().parent.parent
 REFERENCE_CONFIG = REPO_ROOT / "configs" / "d5_n2.json"
 
+#: gaussian centres that are neither a number nor a flat list of 1 or d = 5 numbers
+BAD_CENTERS = [True, "0.5", [[0.1] * 5], None, [0.1, 0.2], [0.1, False]]
+
 
 def load_reference_config() -> dict:
     return json.loads(REFERENCE_CONFIG.read_text())

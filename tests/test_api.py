@@ -18,6 +18,7 @@ DELETED = (
     "SYMMETRY_RTOL", "operator_symbol", "TOL_ZERO_MODE", "ZeroModePolicy",
     "ZeroModeRejected", "coupling_threshold", "lipschitz_coefficient",
     "apriori_bound", "continuity_bound", "solve_background", "kernel_aggregates",
+    "norm_linf", "norm_l2_vector",
 )
 
 

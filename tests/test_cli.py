@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import REFERENCE_CONFIG, small_config
+from conftest import BAD_CENTERS, REFERENCE_CONFIG, small_config
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -53,8 +53,30 @@ def centred(center):
     return spec
 
 
-#: gaussian centres that are neither a number nor a flat list of 1 or d numbers
-BAD_CENTERS = [True, "0.5", [[0.1] * 5], None, [0.1, 0.2], [0.1, False]]
+#: a misspelt key in each config object, and the overrides that put it there
+MISSPELT = {
+    "solvers": {"solvers": {"tol": 1e-10}},
+    "nn": {"grid": {"nn": 4}},
+    "epsilon": {"problem": {"epsilon": 0.5}},
+    "max_itr": {"solver": {"max_itr": 10}},
+    "scale_c2_to_fracton": {"nonlinearity": {"scale_c2_to_fracton": 0.5}},
+    "matrix": {"nonlinearity": {"params": {
+        "matrices": [[[1.0, 0.3], [0.3, 0.5]], [[0.2, -0.4], [-0.4, 1.0]]],
+        "matrix": [],
+    }}},
+    "parms": {"forcings": [{**gaussian(1.2, 0.05), "parms": {}}, gaussian(1.1, -0.03)]},
+    "widht": {"forcings": [
+        {"constructor": "gaussian", "params": {"amplitude": 0.05, "widht": 1.2}},
+        gaussian(1.1, -0.03),
+    ]},
+    "pth": {"forcings": [
+        {"constructor": "bfx1", "params": {"path": "forcing.bfx1", "pth": "forcing.bfx1"}},
+        gaussian(1.1, -0.03),
+    ]},
+    "amplitud": {"forcings": [
+        {"constructor": "zero", "params": {"amplitud": 0.0}}, gaussian(1.1, -0.03),
+    ]},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +190,8 @@ def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver
         {"nonlinearity": {"params": {"matrices": [[[True, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
         {"nonlinearity": {"params": {"matrices": [[["1.0", 0], [0, 0]], [[1, 0], [0, 0]]]}}},
         *({"forcings": [centred(c), gaussian(1.1, -0.03)]} for c in BAD_CENTERS),
+        # a misspelt key is not a silent default, in any object
+        *MISSPELT.values(),
     ],
 )
 def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
@@ -179,6 +203,9 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
     assert err.startswith("config error:")
     assert len(err.splitlines()) == 1
     assert out == ""
+    for key, case in MISSPELT.items():
+        if case == overrides:
+            assert key in err
 
 
 @pytest.mark.parametrize("center", BAD_CENTERS)

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from conftest import BAD_CENTERS
 from numpy.testing import assert_allclose
 
 from nlrd.cli import _jsonable
@@ -76,6 +77,21 @@ def test_gaussian_spec_rejects_bad_parameters():
         GaussianSpec(amplitude=np.inf)
     with pytest.raises(ValueError, match="center"):
         GaussianSpec(center=(1.0, 2.0, 3.0)).sample(Grid(d=2, n=4, L=1.0))
+    for key in ("width", "amplitude"):
+        with pytest.raises(ValueError, match=key):
+            GaussianSpec(**{key: True})
+
+
+@pytest.mark.parametrize("center", BAD_CENTERS)
+def test_gaussian_spec_rejects_bad_centers(center):
+    with pytest.raises(ValueError, match="center"):
+        GaussianSpec(center=center).sample(Grid(d=5, n=4, L=1.0))
+
+
+def test_gaussian_spec_reads_its_center_as_floats():
+    assert GaussianSpec(center=1).center == (1.0,)
+    assert GaussianSpec(center=[0.5, -1]).center == (0.5, -1.0)
+    assert GaussianSpec(center=np.array([0.5, 2.0])).center == (0.5, 2.0)
 
 
 def test_gaussian_peak_and_linf():
