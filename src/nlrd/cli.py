@@ -39,8 +39,10 @@ from .config import (
     BuiltProblem,
     ConfigError,
     build_problem,
-    check_solver_settings,
     load_config,
+    read_max_iter,
+    read_seed,
+    read_tol,
 )
 from .fieldio import write_field
 from .model import scale_nonlinearity
@@ -156,7 +158,6 @@ def _write_outputs(rep: SolveReport, args, trace_fh, payload: dict) -> None:
 def _cmd_solve(built: BuiltProblem, args) -> Outcome:
     tol = args.tol if args.tol is not None else built.tol
     max_iter = args.max_iter if args.max_iter is not None else built.max_iter
-    check_solver_settings(tol, max_iter)
     trace_fh = _open_outputs(args)
     with trace_fh or contextlib.nullcontext():
         t0 = time.perf_counter()
@@ -286,8 +287,9 @@ def _check_options(args) -> None:
     """Reject command-line values no build can make sense of."""
     if getattr(args, "pairs", 1) < 1:
         raise ConfigError(f"--pairs must be at least 1, got {args.pairs}")
-    if getattr(args, "seed", None) is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for option, read in (("tol", read_tol), ("max_iter", read_max_iter), ("seed", read_seed)):
+        if getattr(args, option, None) is not None:
+            read(getattr(args, option), "--" + option.replace("_", "-"))
     if not math.isfinite(getattr(args, "delta", 0.0)):
         raise ConfigError(f"--delta must be finite, got {args.delta}")
 

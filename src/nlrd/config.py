@@ -20,9 +20,9 @@ A config file has seven sections::
 Field constructors: ``gaussian`` (params ``width``, ``amplitude``,
 ``center``), ``bfx1`` (params ``path``, grid must match), ``zero``.
 
-Each object is read by a table of its keys: a key not shown is an error
-in any object, and so is a boolean or a string where a number belongs.
-``solver``, ``margins`` and every key with a default may be left out.
+A key not shown is an error in any object, and so is a boolean or a
+string where a number belongs.  A key with a default may be left out,
+and a null section is an absent one.
 
 Coupling resolution: at most one of ``eps`` and ``eps_fraction`` is given,
 and with neither every coupling is 0.  ``eps`` gives the amplitudes
@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Any
@@ -54,7 +54,7 @@ import numpy as np
 from . import __version__
 from .bounds import coupling_threshold_raw, sobolev_embedding_constant
 from .fieldio import read_field
-from .lattice import Grid, RealField, VectorField
+from .lattice import Grid, RealField, VectorField, real_number
 from .model import (
     DEFAULT_C2_BUDGET,
     GaussianSpec,
@@ -114,22 +114,8 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
-def check_solver_settings(tol: float, max_iter: int) -> None:
-    """Reject a tolerance that is not positive or an empty iteration budget."""
-    if not tol > 0.0:
-        raise ConfigError(f"solver tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ConfigError(f"solver max_iter must be >= 1, got {max_iter}")
-
-
-def _number(value: Any, what: str) -> float:
-    """A numeric setting; booleans and numeric strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as err:
-        raise ConfigError(f"{what} is too large for a float") from err
+#: a numeric setting; booleans and numeric strings are not numbers
+_number = partial(real_number, error=ConfigError)
 
 
 def _integer(value: Any, what: str) -> int:
@@ -151,7 +137,8 @@ def _read(obj: Any, where: str, keys: dict) -> dict:
 
     ``reader(value, "where.key")`` reads each value, defaults included; a
     null is left as None where the default is None.  An absent ``_REQUIRED``
-    key and a key the table lacks are errors.  The top level has no ``where``.
+    key and a key the table lacks are errors.  The top level has no
+    ``where``, and a null section there is an absent one.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'config'} must be an object, got {obj!r}")
@@ -162,6 +149,8 @@ def _read(obj: Any, where: str, keys: dict) -> dict:
     settings = {}
     for key, (reader, default) in keys.items():
         value = obj.get(key, default)
+        if value is None and not where:
+            value = default
         if value is _REQUIRED:
             raise ConfigError(f"{where} section is missing {key!r}" if where
                               else f"missing config section {key!r}")
@@ -191,6 +180,12 @@ def _checked(read, ok, rule: str):
             raise ConfigError(f"{where} must be {rule}, got {value!r}")
         return setting
     return check
+
+
+#: readers of the solver settings that the command line can override too
+read_tol = _checked(_number, lambda tol: tol > 0.0, "positive")
+read_max_iter = _checked(_integer, lambda n: n >= 1, ">= 1")
+read_seed = _checked(_integer, lambda seed: seed >= 0, ">= 0")
 
 
 def _eps(value: Any, where: str) -> float | list[float]:
@@ -223,7 +218,7 @@ def _quadratic(value: Any, where: str) -> Nonlinearity:
 
 #: the params table of each field constructor
 _FIELD_PARAMS = {
-    "gaussian": {"width": (_number, 1.0), "amplitude": (_number, 1.0), "center": (_as_is, 0.0)},
+    "gaussian": {f.name: (_as_is, f.default) for f in fields(GaussianSpec)},
     "zero": {},
     "bfx1": {"path": (_as_is, _REQUIRED)},
 }
@@ -247,9 +242,9 @@ _CONFIG = {
         "scale_c2_to_fraction": (_checked(_number, lambda q: 0.0 < q <= 1.0, "in (0, 1]"), None),
     }), _REQUIRED),
     "solver": (partial(_read, keys={
-        "tol": (_checked(_number, lambda tol: tol > 0.0, "positive"), DEFAULT_TOL),
-        "max_iter": (_checked(_integer, lambda n: n >= 1, ">= 1"), DEFAULT_MAX_ITER),
-        "seed": (_checked(_integer, lambda seed: seed >= 0, ">= 0"), 0),
+        "tol": (read_tol, DEFAULT_TOL),
+        "max_iter": (read_max_iter, DEFAULT_MAX_ITER),
+        "seed": (read_seed, 0),
         "budget": (_checked(_integer, lambda n: n >= 1, ">= 1"), DEFAULT_C2_BUDGET),
     }), {}),
     "margins": (partial(_read, keys={
@@ -329,8 +324,15 @@ def build_problem(
     # The background (and hence the state-ball radius and eps_max) depends
     # only on the grid and forcings, so it can be resolved before couplings.
     try:
-        base = Problem(grid=grid, eps=(0.0,) * g.N, kernels=kernels, forcings=forcings,
-                       nonlinearity=g, rho=rho, c2_bound=c2_bound)
+        base = Problem(
+            grid=grid,
+            eps=(0.0,) * g.N,
+            kernels=kernels,
+            forcings=forcings,
+            nonlinearity=g,
+            rho=rho,
+            c2_bound=c2_bound,
+        )
     except ValueError as err:
         raise ConfigError(str(err)) from err
     try:
@@ -342,11 +344,15 @@ def build_problem(
 
     scale_applied = None
     if nl["scale_c2_to_fraction"] is not None:
-        radius = image_ball_radius(background_h4, sobolev_embedding_constant(grid.d))
+        radius = image_ball_radius(
+            background_h4, sobolev_embedding_constant(grid.d)
+        )
         current = c2_norm(g, radius, budget=solver["budget"], seed=solver["seed"])
         # an inf norm would give the finite scale 0 and silently drop g
         if not math.isfinite(current.value):
-            raise ConfigError(f"cannot rescale a nonlinearity of C^2 norm {current.value}")
+            raise ConfigError(
+                f"cannot rescale a nonlinearity of C^2 norm {current.value}"
+            )
         if current.value <= 0.0:
             raise ConfigError("cannot rescale a vanishing nonlinearity")
         scale_applied = nl["scale_c2_to_fraction"] * c2_bound / current.value
@@ -424,5 +430,10 @@ def build_problem(
         "solver": solver,
         "margins": settings["margins"],
     }
-    return BuiltProblem(problem=problem, resolved=resolved, margins=settings["margins"],
-                        warnings=tuple(warnings), **solver)
+    return BuiltProblem(
+        problem=problem,
+        resolved=resolved,
+        margins=settings["margins"],
+        warnings=tuple(warnings),
+        **solver,
+    )

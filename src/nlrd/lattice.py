@@ -56,11 +56,22 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 _TWO_PI = 2.0 * np.pi
+
+
+def real_number(value: object, what: str, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float, or ``error``: booleans, strings and None are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:
+        raise error(f"{what} is too large for a float") from err
 
 
 @dataclass(frozen=True)
@@ -76,9 +87,9 @@ class Grid:
             raise ValueError(f"dimension must be a positive integer, got {self.d}")
         if not isinstance(self.n, int) or self.n < 2 or self.n % 2 != 0:
             raise ValueError(f"points per axis must be even and >= 2, got {self.n}")
-        if isinstance(self.L, bool) or not (self.L > 0.0 and np.isfinite(self.L)):
+        object.__setattr__(self, "L", real_number(self.L, "box half-width"))
+        if not (self.L > 0.0 and np.isfinite(self.L)):
             raise ValueError(f"box half-width must be positive and finite, got {self.L}")
-        object.__setattr__(self, "L", float(self.L))
         if max(abs(self.d * np.log10(s)) for s in (self.h, self.dp)) > 300.0:
             raise ValueError(
                 f"box half-width {self.L} puts the transform scales h^d and "

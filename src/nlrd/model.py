@@ -28,7 +28,6 @@ one) or from a seeded boundary-biased Monte Carlo estimate.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -36,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lattice
-from .lattice import Grid, RealField, VectorField, norm_l1, norm_l2
+from .lattice import Grid, RealField, VectorField, norm_l1, norm_l2, real_number
 from .spectral import invert_coeffs, kernel_coeffs
 
 #: dimensions for which the certified bounds are derived
@@ -52,16 +51,6 @@ DEFAULT_C2_BUDGET = 100_000
 # ---------------------------------------------------------------------------
 # Gaussian library fields
 # ---------------------------------------------------------------------------
-
-def _real(value: object, what: str) -> float:
-    """A gaussian parameter as a float; booleans, strings and None are not numbers."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise ValueError(f"gaussian {what} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as err:
-        raise ValueError(f"gaussian {what} is too large for a float") from err
-
 
 @dataclass(frozen=True)
 class GaussianSpec:
@@ -79,10 +68,11 @@ class GaussianSpec:
     def __post_init__(self) -> None:
         center = self.center.tolist() if isinstance(self.center, np.ndarray) else self.center
         center = center if isinstance(center, (list, tuple)) else (center,)
-        object.__setattr__(self, "center", tuple(_real(c, "center") for c in center))
-        if not (_real(self.width, "width") > 0.0 and np.isfinite(self.width)):
+        center = tuple(real_number(c, "gaussian center") for c in center)
+        object.__setattr__(self, "center", center)
+        if not (real_number(self.width, "gaussian width") > 0.0 and np.isfinite(self.width)):
             raise ValueError(f"gaussian width must be positive, got {self.width}")
-        if not np.isfinite(_real(self.amplitude, "amplitude")):
+        if not np.isfinite(real_number(self.amplitude, "gaussian amplitude")):
             raise ValueError("gaussian amplitude must be finite")
 
     def _center_for(self, d: int) -> np.ndarray:

@@ -53,27 +53,28 @@ def centred(center):
     return spec
 
 
-#: a misspelt key in each config object, and the overrides that put it there
+#: a misspelt key in each config object: the path the error names, and the
+#: overrides that put the key there
 MISSPELT = {
     "solvers": {"solvers": {"tol": 1e-10}},
-    "nn": {"grid": {"nn": 4}},
-    "epsilon": {"problem": {"epsilon": 0.5}},
-    "max_itr": {"solver": {"max_itr": 10}},
-    "scale_c2_to_fracton": {"nonlinearity": {"scale_c2_to_fracton": 0.5}},
-    "matrix": {"nonlinearity": {"params": {
+    "grid.nn": {"grid": {"nn": 4}},
+    "problem.epsilon": {"problem": {"epsilon": 0.5}},
+    "solver.max_itr": {"solver": {"max_itr": 10}},
+    "nonlinearity.scale_c2_to_fracton": {"nonlinearity": {"scale_c2_to_fracton": 0.5}},
+    "nonlinearity.params.matrix": {"nonlinearity": {"params": {
         "matrices": [[[1.0, 0.3], [0.3, 0.5]], [[0.2, -0.4], [-0.4, 1.0]]],
         "matrix": [],
     }}},
-    "parms": {"forcings": [{**gaussian(1.2, 0.05), "parms": {}}, gaussian(1.1, -0.03)]},
-    "widht": {"forcings": [
+    "field.parms": {"forcings": [{**gaussian(1.2, 0.05), "parms": {}}, gaussian(1.1, -0.03)]},
+    "gaussian.params.widht": {"forcings": [
         {"constructor": "gaussian", "params": {"amplitude": 0.05, "widht": 1.2}},
         gaussian(1.1, -0.03),
     ]},
-    "pth": {"forcings": [
+    "bfx1.params.pth": {"forcings": [
         {"constructor": "bfx1", "params": {"path": "forcing.bfx1", "pth": "forcing.bfx1"}},
         gaussian(1.1, -0.03),
     ]},
-    "amplitud": {"forcings": [
+    "zero.params.amplitud": {"forcings": [
         {"constructor": "zero", "params": {"amplitud": 0.0}}, gaussian(1.1, -0.03),
     ]},
 }
@@ -153,59 +154,58 @@ def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver
 
 
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides,named",
     [
-        {"problem": {"eps_fraction": "abc"}},
-        {"problem": {"eps_fraction": None, "eps": [0.01, "x"]}},
-        {"nonlinearity": {"scale_c2_to_fraction": "x"}},
-        {"problem": {"rho": 0}},
-        {"grid": {"d": 4}},
-        {"margins": {"contraction": "abc"}},
-        {"margins": {"continuity": -0.1}},
-        {"margins": {"contraction": float("inf")}},
-        # integral settings are not truncated
-        {"grid": {"n": 4.9}},
-        {"grid": {"d": 5.5}},
-        {"solver": {"max_iter": 2.5}},
-        {"solver": {"seed": 0.5}},
-        {"solver": {"budget": 1000.5}},
-        # booleans and numeric strings are not numbers
-        {"solver": {"budget": True}},
-        {"solver": {"max_iter": True}},
-        {"solver": {"seed": False}},
-        {"solver": {"tol": True}},
-        {"problem": {"rho": True}},
-        {"problem": {"rho": "0.5"}},
-        {"grid": {"L": True}},
-        {"forcings": [gaussian(1.2, True), gaussian(1.1, "-0.03")]},
-        # integers too large for a float
-        {"problem": {"eps_fraction": None, "eps": 10**399}},
-        {"problem": {"rho": 10**399}},
-        {"grid": {"L": 10**399}},
-        {"margins": {"contraction": 10**399}},
-        {"nonlinearity": {"params": {"matrices": [[[10**399, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
-        # a misspelt margin is not a silent default
-        {"margins": {"contration": 0.5}},
-        # matrix entries and gaussian centres are read as numbers too
-        {"nonlinearity": {"params": {"matrices": [[[True, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
-        {"nonlinearity": {"params": {"matrices": [[["1.0", 0], [0, 0]], [[1, 0], [0, 0]]]}}},
-        *({"forcings": [centred(c), gaussian(1.1, -0.03)]} for c in BAD_CENTERS),
+        *(pytest.param(case, "", id=f"overrides{i}") for i, case in enumerate([
+            {"problem": {"eps_fraction": "abc"}},
+            {"problem": {"eps_fraction": None, "eps": [0.01, "x"]}},
+            {"nonlinearity": {"scale_c2_to_fraction": "x"}},
+            {"problem": {"rho": 0}},
+            {"grid": {"d": 4}},
+            {"margins": {"contraction": "abc"}},
+            {"margins": {"continuity": -0.1}},
+            {"margins": {"contraction": float("inf")}},
+            # integral settings are not truncated
+            {"grid": {"n": 4.9}},
+            {"grid": {"d": 5.5}},
+            {"solver": {"max_iter": 2.5}},
+            {"solver": {"seed": 0.5}},
+            {"solver": {"budget": 1000.5}},
+            # booleans and numeric strings are not numbers
+            {"solver": {"budget": True}},
+            {"solver": {"max_iter": True}},
+            {"solver": {"seed": False}},
+            {"solver": {"tol": True}},
+            {"problem": {"rho": True}},
+            {"problem": {"rho": "0.5"}},
+            {"grid": {"L": True}},
+            {"forcings": [gaussian(1.2, True), gaussian(1.1, "-0.03")]},
+            # integers too large for a float
+            {"problem": {"eps_fraction": None, "eps": 10**399}},
+            {"problem": {"rho": 10**399}},
+            {"grid": {"L": 10**399}},
+            {"margins": {"contraction": 10**399}},
+            {"nonlinearity": {"params": {"matrices": [[[10**399, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
+            # a misspelt margin is not a silent default
+            {"margins": {"contration": 0.5}},
+            # matrix entries and gaussian centres are read as numbers too
+            {"nonlinearity": {"params": {"matrices": [[[True, 0], [0, 0]], [[1, 0], [0, 0]]]}}},
+            {"nonlinearity": {"params": {"matrices": [[["1.0", 0], [0, 0]], [[1, 0], [0, 0]]]}}},
+            *({"forcings": [centred(c), gaussian(1.1, -0.03)]} for c in BAD_CENTERS),
+        ])),
         # a misspelt key is not a silent default, in any object
-        *MISSPELT.values(),
+        *(pytest.param(case, f"unknown key '{key}'", id=key) for key, case in MISSPELT.items()),
     ],
 )
-def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides):
+def test_bad_config_values_are_config_errors(tmp_path, capsys, overrides, named):
     cfg = small_config(**overrides)
     # a None override removes the key (eps replaces eps_fraction)
     cfg["problem"] = {k: v for k, v in cfg["problem"].items() if v is not None}
     code, out, err = run(capsys, "bounds", write_cfg(tmp_path, cfg))
     assert code == 2
-    assert err.startswith("config error:")
+    assert err.startswith(f"config error: {named}")
     assert len(err.splitlines()) == 1
     assert out == ""
-    for key, case in MISSPELT.items():
-        if case == overrides:
-            assert key in err
 
 
 @pytest.mark.parametrize("center", BAD_CENTERS)

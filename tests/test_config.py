@@ -241,3 +241,12 @@ def test_margins_merge_with_defaults():
     cfg["margins"] = {"contraction": 0.1}  # replace the whole section
     built = build_problem(cfg)
     assert built.margins == {"contraction": 0.1, "continuity": 0.05}
+
+
+def test_null_optional_sections_are_absent():
+    nulls = build_problem(small_config(solver=None, margins=None))
+    cfg = small_config()
+    del cfg["solver"], cfg["margins"]
+    absent = build_problem(cfg)
+    assert nulls.resolved["solver"] == absent.resolved["solver"]
+    assert nulls.margins == absent.margins == {"contraction": 0.05, "continuity": 0.05}

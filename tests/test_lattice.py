@@ -91,6 +91,7 @@ def test_grid_spacings():
         # booleans are not numbers
         {"d": True, "n": 4, "L": 1.0},
         {"d": 5, "n": 4, "L": True},
+        {"d": 5, "n": 4, "L": np.bool_(True)},
     ],
 )
 def test_grid_rejects_bad_parameters(kwargs):
