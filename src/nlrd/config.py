@@ -18,7 +18,7 @@ A config file has seven sections::
     }
 
 Field constructors: ``gaussian`` (params ``width``, ``amplitude``,
-``center``), ``bfx1`` (params ``path``, grid must match), ``zero``.
+``center``), ``bfx1`` (``path``, from the config's directory; same grid), ``zero``.
 
 A key not shown is an error in any object, and so is a boolean or a
 string where a number belongs.  A key with a default may be left out,
@@ -100,7 +100,7 @@ class BuiltProblem:
 
 
 def load_config(path: str | Path) -> dict:
-    """Read and parse a JSON config file."""
+    """Read and parse a JSON config file, whose relative bfx1 paths name files beside it."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as err:
@@ -111,6 +111,10 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    for spec in [s for k in ("kernels", "forcings") if isinstance(cfg.get(k), list) for s in cfg[k]]:
+        params = spec.get("params") if isinstance(spec, dict) else None
+        if isinstance(params, dict) and isinstance(params.get("path"), str):
+            params["path"] = os.path.join(os.path.dirname(path), params["path"])
     return cfg
 
 
@@ -253,11 +257,11 @@ _CONFIG = {
 }
 
 
-def build_field(grid: Grid, spec: Any) -> RealField:
-    """Construct one field from a constructor spec."""
-    spec = _read(spec, "field", _FIELD)
+def build_field(grid: Grid, spec: Any, where: str = "field") -> RealField:
+    """Construct one field from a constructor spec found at ``where`` in a config."""
+    spec = _read(spec, where, _FIELD)
     name = spec["constructor"]
-    params = _read(spec["params"], f"{name}.params", _FIELD_PARAMS[name])
+    params = _read(spec["params"], f"{where}.params", _FIELD_PARAMS[name])
     try:
         if name == "gaussian":
             return GaussianSpec(**params).sample(grid)
@@ -312,8 +316,8 @@ def build_problem(
             "need one of each per component"
         )
     _check_grid_size(grid, len(kernel_specs))
-    kernels = tuple(build_field(grid, s) for s in kernel_specs)
-    forcings = tuple(build_field(grid, s) for s in forcing_specs)
+    kernels = tuple(build_field(grid, s, f"kernels[{i}]") for i, s in enumerate(kernel_specs))
+    forcings = tuple(build_field(grid, s, f"forcings[{i}]") for i, s in enumerate(forcing_specs))
     if g.N != len(kernels):
         raise ConfigError(
             f"nonlinearity has {g.N} components but {len(kernels)} kernels given"

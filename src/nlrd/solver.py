@@ -191,22 +191,25 @@ def _eval_stack(g: Nonlinearity, stack: np.ndarray) -> np.ndarray:
 
 
 def _apply(
-    problem: Problem, background: np.ndarray, v: np.ndarray,
-    out: np.ndarray | None = None,
+    problem: Problem, background: np.ndarray, v: np.ndarray
 ) -> tuple[np.ndarray, tuple[float, ...]]:
     """One application of T to the stack v around u0 = background.
 
-    Returns (coeffs, dropped).  Only the coefficients are computed, into
-    ``out`` when given; callers that need the samples of T(v) transform
-    them back with :func:`~nlrd.lattice.inverse_stack`.
+    Returns (coeffs, dropped).  Only the coefficients are computed; callers
+    that need the samples of T(v) transform them back with
+    :func:`~nlrd.lattice.inverse_stack`.
     """
+    out = np.empty((len(v),) + problem.grid.half_shape, dtype=np.complex128)
+    return _image(problem, _eval_stack(problem.nonlinearity, background + v), out)
+
+
+def _image(problem: Problem, gz: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """M F(gz), written into ``out``, for values gz (N, P) of g, and the
+    zero-mode masses dropped: all of T but the evaluation of g."""
     grid = problem.grid
-    coupling = problem.coupling
-    gz = _eval_stack(problem.nonlinearity, background + v)
-    if out is None:
-        out = np.empty((len(v),) + grid.half_shape, dtype=np.complex128)
-    for m in range(len(v)):
-        np.multiply(coupling[m], forward_coeffs(grid, gz[m]), out=out[m])
+    for m, row in enumerate(gz):
+        forward_coeffs(grid, row, out=out[m])
+        out[m] *= problem.coupling[m]
     return out, tuple(invert_coeffs(grid, out).tolist())
 
 
@@ -446,10 +449,9 @@ def _ball_hats(
     hats = np.zeros((n_components,) + grid.half_shape, dtype=np.complex128)
     if target_norm == 0.0:
         return hats
-    envelope = _ball_envelope(grid)
     for m in range(n_components):
-        noise = rng.standard_normal(grid.shape)
-        np.multiply(forward_coeffs(grid, noise), envelope, out=hats[m])
+        forward_coeffs(grid, rng.standard_normal(grid.shape), out=hats[m])
+        hats[m] *= _ball_envelope(grid)
     hats *= target_norm / norm_h4_coeffs(grid, hats)
     return hats
 
@@ -459,22 +461,29 @@ def _probe_ratio(
 ) -> float | None:
     """|T(v1) - T(v2)| / |v1 - v2| for one drawn pair; None when v1 = v2.
 
-    T(v) is written over the draw's coefficients, which are spent once the
-    denominator and the samples are taken, and every array of the pair is
-    released on return; this holds two field stacks fewer than fresh
-    outputs would.
+    M and F are linear, so T(v1) - T(v2) is the image of g(u0 + v1) -
+    g(u0 + v2), a new array (g's values are not written into): one forward
+    transform per component, over the coefficients of v1, spent once the
+    denominator is taken from the coefficients of v1 - v2.
     """
     grid = problem.grid
-    r1 = problem.rho * rng.random()
-    r2 = problem.rho * rng.random()
-    v1 = _ball_hats(grid, problem.n_components, rng, r1)
-    v2 = _ball_hats(grid, problem.n_components, rng, r2)
+    r1, r2 = problem.rho * rng.random(), problem.rho * rng.random()
+    v1, v2 = (_ball_hats(grid, problem.n_components, rng, r) for r in (r1, r2))
     denom = norm_h4_coeffs(grid, (a - b for a, b in zip(v1, v2)))
     if denom == 0.0:
         return None
-    t1, _ = _apply(problem, background, inverse_stack(grid, v1), out=v1)
-    t2, _ = _apply(problem, background, inverse_stack(grid, v2), out=v2)
-    return norm_h4_coeffs(grid, (a - b for a, b in zip(t1, t2))) / denom
+    g2 = _g_at(problem, background, v2)
+    del v2  # released before the samples of v1 are made
+    image, _ = _image(problem, _g_at(problem, background, v1) - g2, out=v1)
+    return norm_h4_coeffs(grid, image) / denom
+
+
+def _g_at(problem: Problem, background: np.ndarray, hats: np.ndarray) -> np.ndarray:
+    """g(u0 + v) for the coefficients of v; u0 is added in place to new
+    samples of v, which are not written again, since g's values may view them."""
+    z = inverse_stack(problem.grid, hats)
+    z += background
+    return _eval_stack(problem.nonlinearity, z)
 
 
 @dataclass(frozen=True)
@@ -497,9 +506,9 @@ def contraction_probe(
     """Measure |T(v1) - T(v2)| / |v1 - v2| on random pairs in the rho-ball.
 
     Each pair is drawn as :func:`random_ball_field` draws it, from the same
-    random stream, but stays in coefficients: both H^4 norms come from
-    them, and only the draws are transformed to samples.  A given
-    ``background`` replaces the samples of the problem's own.
+    random stream; a pair costs 2N forward and 2N inverse transforms for
+    its draws and N forward for its image (see :func:`_probe_ratio`).  A
+    given ``background`` replaces the samples of the problem's own.
     """
     if pairs < 1:
         raise ValueError("need at least one pair")

@@ -65,17 +65,20 @@ MISSPELT = {
         "matrices": [[[1.0, 0.3], [0.3, 0.5]], [[0.2, -0.4], [-0.4, 1.0]]],
         "matrix": [],
     }}},
-    "field.parms": {"forcings": [{**gaussian(1.2, 0.05), "parms": {}}, gaussian(1.1, -0.03)]},
-    "gaussian.params.widht": {"forcings": [
+    "forcings[0].parms": {"forcings": [{**gaussian(1.2, 0.05), "parms": {}}, gaussian(1.1, -0.03)]},
+    "forcings[0].params.widht": {"forcings": [
         {"constructor": "gaussian", "params": {"amplitude": 0.05, "widht": 1.2}},
         gaussian(1.1, -0.03),
     ]},
-    "bfx1.params.pth": {"forcings": [
+    "forcings[0].params.pth": {"forcings": [
         {"constructor": "bfx1", "params": {"path": "forcing.bfx1", "pth": "forcing.bfx1"}},
         gaussian(1.1, -0.03),
     ]},
-    "zero.params.amplitud": {"forcings": [
+    "forcings[0].params.amplitud": {"forcings": [
         {"constructor": "zero", "params": {"amplitud": 0.0}}, gaussian(1.1, -0.03),
+    ]},
+    "kernels[1].params.widht": {"kernels": [
+        gaussian(1.0, 1.0), {"constructor": "gaussian", "params": {"widht": 0.9}},
     ]},
 }
 

@@ -236,6 +236,28 @@ def test_bfx1_constructor_checks_grid(tmp_path):
         build_problem(cfg)
 
 
+def test_relative_bfx1_path_is_beside_the_config(tmp_path, monkeypatch):
+    """A config file's relative bfx1 path names a file in the config's own
+    directory, from any working directory; a config dict keeps paths
+    relative to the working directory."""
+    cfg = small_config()
+    stored = gaussian_field(Grid(d=5, n=6, L=8.0), width=1.2, amplitude=0.05)
+    (tmp_path / "cfgs").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    write_field(tmp_path / "cfgs" / "forcing.bfx1", stored)
+    cfg["forcings"][0] = {"constructor": "bfx1", "params": {"path": "forcing.bfx1"}}
+    (tmp_path / "cfgs" / "cfg.json").write_text(json.dumps(cfg))
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    for path in ("../cfgs/cfg.json", tmp_path / "cfgs" / "cfg.json"):
+        built = build_problem(load_config(path))
+        assert np.array_equal(built.problem.forcings[0].values, stored.values)
+    with pytest.raises(ConfigError, match="cannot build 'bfx1' field"):
+        build_problem(cfg)
+    monkeypatch.chdir(tmp_path / "cfgs")
+    assert np.array_equal(build_problem(cfg).problem.forcings[0].values, stored.values)
+    assert load_config("cfg.json")["forcings"][0]["params"]["path"] == "forcing.bfx1"
+
+
 def test_margins_merge_with_defaults():
     cfg = small_config()
     cfg["margins"] = {"contraction": 0.1}  # replace the whole section

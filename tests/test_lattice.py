@@ -12,8 +12,10 @@ from nlrd.lattice import (
     RealField,
     VectorField,
     forward_coeffs,
+    forward_stack,
     h4_norm_sq_coeffs,
     h4_weight,
+    inverse_stack,
     inverse_values,
     l2_norm_sq_coeffs,
     norm_h4,
@@ -278,6 +280,56 @@ def test_inverse_kernel_matches_numpy_irfftn(d, n):
         assert got.shape == g.shape
         assert_allclose(got, oracle, rtol=0, atol=tol)
     assert np.array_equal(hat, before)
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4), (4, 4), (5, 4), (6, 4), (7, 2)])
+def test_transforms_write_into_out(d, n):
+    """With ``out`` the transforms return it, holding exactly the result of
+    the allocating call, and leave their input as it was."""
+    g = Grid(d=d, n=n, L=2.5)
+    rng = np.random.default_rng(d * 10 + n)
+    x = rng.standard_normal((2,) + g.shape)
+    hat = rng.standard_normal((2,) + g.half_shape) + 1j * rng.standard_normal((2,) + g.half_shape)
+    inputs = x.copy(), hat.copy()
+    for transform, source, shape, dtype in (
+        (forward_coeffs, x[0], g.half_shape, complex),
+        (inverse_values, hat[0], g.shape, float),
+    ):
+        out = np.full(shape, np.nan, dtype=dtype)
+        assert transform(g, source, out=out) is out
+        assert np.array_equal(out, transform(g, source))
+    assert np.array_equal(forward_stack(g, x), np.stack([forward_coeffs(g, r) for r in x]))
+    assert np.array_equal(inverse_stack(g, hat), np.stack([inverse_values(g, r) for r in hat]))
+    assert np.array_equal(x, inputs[0]) and np.array_equal(hat, inputs[1])
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (3, 4), (5, 4)])
+def test_transforms_reject_unusable_out(d, n):
+    """An ``out`` of the wrong shape or dtype, a non-contiguous view, or one
+    that overlaps the input is refused; reshaping a strided view would
+    otherwise write the result into a copy."""
+    g = Grid(d=d, n=n, L=2.5)
+    hat = forward_coeffs(g, np.random.default_rng(d).standard_normal(g.shape))
+    # the samples share the first bytes of the coefficients' buffer
+    real = hat.view(np.float64).reshape(-1)[: g.npoints].reshape(g.shape)
+    before = hat.copy()
+    for transform, source, shape, dtype in (
+        (forward_coeffs, real, g.half_shape, np.complex128),
+        (inverse_values, hat, g.shape, np.float64),
+    ):
+        padded = np.zeros(shape[:-1] + (2 * shape[-1],), dtype=dtype)
+        for out in (
+            padded[..., : shape[-1] + 1],
+            np.empty(shape[::-1] + (1,), dtype=dtype),
+            np.empty(shape, dtype=np.float32),
+            np.empty(shape, dtype=np.complex128 if dtype is np.float64 else np.float64),
+            padded[..., ::2],
+        ):
+            with pytest.raises(ValueError, match="C-contiguous"):
+                transform(g, source, out=out)
+        with pytest.raises(ValueError, match="overlap"):
+            transform(g, source, out=real if transform is inverse_values else hat)
+        assert np.array_equal(hat, before)
 
 
 @pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4), (5, 6)])

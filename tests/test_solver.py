@@ -490,6 +490,55 @@ def test_probe_ratios_are_pinned(small_built):
     assert again.ratios == pytest.approx(rep.ratios, rel=1e-13)
 
 
+def swapped_components() -> Nonlinearity:
+    """g(z) = (z_2, z_1), whose values are a view of its argument."""
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    return Nonlinearity(
+        N=2,
+        eval=lambda z: z[..., ::-1],
+        grad=lambda z: np.broadcast_to(swap, np.shape(z)[:-1] + (2, 2)),
+        hess=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2, 2)),
+    )
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["quadratic", "view"])
+def test_probe_ratio_is_that_of_two_images_of_the_map(small_built, view):
+    """The probe transforms g(u0 + v1) - g(u0 + v2) once; its ratio is
+    |T(v1) - T(v2)| / |v1 - v2| with T applied to each draw of its stream.
+    A g whose values view its argument catches a probe that writes into
+    u0 + v, or into what g returned, while it still needs the values."""
+    p = small_built.problem
+    if view:
+        p = p.with_nonlinearity(swapped_components())
+    rep = contraction_probe(p, pairs=3, seed=4)
+    rng = np.random.default_rng(4)
+    for ratio in rep.ratios:
+        radii = [p.rho * rng.random() for _ in range(2)]
+        v1, v2 = (random_ball_field(p.grid, p.n_components, rng, r) for r in radii)
+        t1, t2 = (apply_fixed_point_map(p, p.background, v) for v in (v1, v2))
+        assert ratio == pytest.approx(
+            vector_diff_norm(t1, t2) / vector_diff_norm(v1, v2), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_probe_holds_few_half_spectra(n):
+    """A probe pair holds its two draws' coefficients, the values of g at
+    both and their difference, and the work arrays of one transform at a
+    time: fewer than 9.5 one-component half spectra."""
+    p = build_problem(small_config(n=n)).problem
+    contraction_probe(p, pairs=1)  # fills the caches
+    half_spectrum = 16 * (n // 2 + 1) * n ** (p.grid.d - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        contraction_probe(p, pairs=1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.5 * half_spectrum
+
+
 def test_probe_is_deterministic_and_bounded(small_built, small_solution):
     p = small_built.problem
     rep1 = contraction_probe(p, pairs=8, seed=3)
@@ -511,9 +560,9 @@ def count_transforms(monkeypatch) -> dict:
     counts = {"forward": 0, "inverse": 0}
     for module in (nlrd.lattice, nlrd.solver):
         for name, key in (("forward_coeffs", "forward"), ("inverse_values", "inverse")):
-            def counted(*args, _original=getattr(module, name), _key=key):
+            def counted(*args, _original=getattr(module, name), _key=key, **kwargs):
                 counts[_key] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
     return counts
 
@@ -530,8 +579,9 @@ def test_repeated_calls_transform_no_kernel_and_no_background(monkeypatch):
     for seed in (1, 2):
         counts.update(forward=0, inverse=0)
         contraction_probe(p, pairs=2, seed=seed)
-        # per pair: 2 draws forward, 2 draws inverse, 2 images of T forward
-        assert counts == {"forward": 4 * N * 2, "inverse": 2 * N * 2}
+        # per pair: 2 draws forward, 2 draws inverse, and the difference of
+        # g at the two draws forward once
+        assert counts == {"forward": 3 * N * 2, "inverse": 2 * N * 2}
     for _ in range(2):
         counts.update(forward=0, inverse=0)
         rep = picard(p, tol=built.tol, max_iter=built.max_iter, budget=built.budget)
