@@ -16,6 +16,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -35,27 +36,30 @@ def write_field(path: str | Path, f: RealField) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION))
         fh.write(_GEOMETRY.pack(g.d, g.n, g.L))
-        fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        # the samples' own buffer, not a copy of its bytes
+        fh.write(memoryview(np.ascontiguousarray(f.values, dtype="<f8")).cast("B"))
 
 
 def read_field(path: str | Path) -> RealField:
-    """Read a BFX1 dump back into a field."""
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size + _GEOMETRY.size:
-        raise ValueError(f"{path}: truncated BFX1 file")
-    magic, version = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise ValueError(f"{path}: not a BFX1 file (bad magic {magic!r})")
-    if version != VERSION:
-        raise ValueError(f"{path}: unsupported BFX1 version {version}")
-    d, n, L = _GEOMETRY.unpack_from(raw, _HEADER.size)
-    grid = Grid(d=int(d), n=int(n), L=float(L))
+    """Read a BFX1 dump back into a field: the payload's size is checked
+    before it is read, straight into the field's array."""
     offset = _HEADER.size + _GEOMETRY.size
-    expected = grid.npoints * 8
-    payload = raw[offset:]
-    if len(payload) != expected:
-        raise ValueError(
-            f"{path}: payload has {len(payload)} bytes, expected {expected}"
-        )
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    with open(path, "rb") as fh:
+        head = fh.read(offset)
+        if len(head) < offset:
+            raise ValueError(f"{path}: truncated BFX1 file")
+        magic, version = _HEADER.unpack_from(head, 0)
+        if magic != MAGIC:
+            raise ValueError(f"{path}: not a BFX1 file (bad magic {magic!r})")
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported BFX1 version {version}")
+        d, n, L = _GEOMETRY.unpack_from(head, _HEADER.size)
+        grid = Grid(d=int(d), n=int(n), L=float(L))
+        expected = grid.npoints * 8
+        size = os.fstat(fh.fileno()).st_size - offset
+        if size != expected:
+            raise ValueError(f"{path}: payload has {size} bytes, expected {expected}")
+        values = np.empty(grid.npoints, dtype="<f8")
+        if fh.readinto(memoryview(values).cast("B")) != expected:
+            raise ValueError(f"{path}: truncated BFX1 file")
     return RealField(grid, values)

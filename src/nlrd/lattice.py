@@ -50,7 +50,10 @@ multiples of pi/2, so the inverse discards the imaginary parts of
 self-conjugate modes exactly as ``irfftn`` does.  Both transforms take an
 ``out`` that their last product writes into, C-contiguous, of the exact
 shape and dtype and apart from the input (else ``ValueError``), so a
-stack fills its own rows with no temporary and no copy.
+stack fills its own rows with no temporary and no copy.  The forward
+products alternate between ``out`` and one scratch array, the last landing
+in ``out``; the inverse's complex products alternate between two scratch
+arrays, the spent one released before a new ``out`` is made.
 
 H^4 norms are computed spectrally with the weight 1 + |p|^8.
 """
@@ -301,15 +304,15 @@ def forward_coeffs(grid: Grid, values: np.ndarray, out: np.ndarray | None = None
     n = grid.n
     r2c, c2c, _, _ = _dft_matrices(n)
     rows = np.reshape(np.asarray(values, dtype=np.float64), (-1, n))
-    hats = (rows @ (_forward_scale(grid) * r2c)).view(np.complex128)
-    for _ in range(grid.d - 2):
-        hats = hats.reshape(n, -1).T @ c2c
-    # made last, so that a new result adds nothing to the products' peak
     out = _out(out, grid.half_shape, np.complex128, values)
-    if grid.d == 1:  # the one product is done
-        out[...] = hats.reshape(grid.half_shape)
-    else:
-        np.matmul(hats.reshape(n, -1).T, c2c, out=out.reshape(-1, n))
+    # the d products alternate between out and one scratch array, so that
+    # the last lands in out
+    scratch = np.empty_like(out) if grid.d > 1 else None
+    bufs = (out, scratch) if grid.d % 2 else (scratch, out)
+    first = bufs[0].view(np.float64).reshape(rows.shape[0], -1)
+    np.matmul(rows, _forward_scale(grid) * r2c, out=first)
+    for k in range(1, grid.d):
+        np.matmul(bufs[1 - k % 2].reshape(n, -1).T, c2c, out=bufs[k % 2].reshape(-1, n))
     return out
 
 
@@ -325,8 +328,12 @@ def inverse_values(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None
     _, _, c2c_inv, c2r = _dft_matrices(n)
     # contiguous for the float64 view below, which at d = 1 sees the input
     hats = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(grid.half_shape)
-    for _ in range(grid.d - 1):
-        hats = c2c_inv @ hats.reshape(-1, n).T
+    spare = None  # the d - 1 complex products alternate between two scratch arrays
+    for k in range(grid.d - 1):
+        dest = np.empty(grid.half_shape, np.complex128) if spare is None else spare
+        np.matmul(c2c_inv, hats.reshape(-1, n).T, out=dest.reshape(n, -1))
+        spare, hats = (hats if k else None), dest
+    del spare  # spent: released before out is made
     rows = hats.view(np.float64).reshape(-1, c2r.shape[0])
     out = _out(out, grid.shape, np.float64, coeffs)
     np.matmul(rows, _inverse_scale(grid) * c2r, out=out.reshape(-1, n))

@@ -179,11 +179,17 @@ def quadratic_nonlinearity(
     twice = 2.0 * mats
     mats.setflags(write=False)
     twice.setflags(write=False)
+    # g_m(z) = sum over i <= j of z_i z_j [A_m]_ij (2 if i < j else 1)
+    iu, ju = np.triu_indices(N)
+    packed = mats[:, iu, ju] * np.where(iu < ju, 2.0, 1.0)
 
-    # column-major values, so the solver's component rows (the transpose)
-    # are contiguous
+    # the pair products and the matmul run component-major, so the
+    # solver's component rows (the transpose of the values) are contiguous
     def _eval(z: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,mij,...j->...m", z, mats, z, order="F")
+        zt = np.asarray(z).T
+        pairs = zt[iu]
+        pairs *= zt[ju]
+        return (packed @ pairs.reshape(len(iu), -1)).reshape(zt.shape).T
 
     def _grad(z: np.ndarray) -> np.ndarray:
         return (z @ twice.reshape(N * N, N).T).reshape(np.shape(z)[:-1] + (N, N))

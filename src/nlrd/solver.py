@@ -24,7 +24,10 @@ mode and records its mass, and ``lattice.norm_h4_coeffs`` sums H^4 norms.  The
 background u0 and the coefficients eps_m (2 pi)^(d/2) H^_m are cached on
 the problem (:class:`nlrd.model.Problem`).  The residual transforms each
 forcing component in its loop, and the H^4 norm of a converged solution
-comes from its transform of u.
+comes from its transform of u.  g is evaluated on cache-sized blocks of
+u0 + v (:func:`_eval_stack`).  ``picard`` recycles its arrays: v = 0 has
+no coefficients, the old ones are released before each inverse transform
+writes v's own samples, and the last before the residual.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -60,7 +63,7 @@ from .lattice import (
     h4_norm_sq_coeffs,
     half_squared_wavenumber,
     inverse_stack,
-    inverse_values,  # noqa: F401  (a binding perfbench/tracing.py wraps)
+    inverse_values,
     l2_norm_sq_coeffs,
     norm_h4_coeffs,
     norm_h4_vector,
@@ -73,7 +76,7 @@ from .model import (
     validate_problem_data,
 )
 from .spectral import half_operator_symbol, invert_coeffs
-from .spectral import solve_linear  # noqa: F401  (as inverse_values above)
+from .spectral import solve_linear  # noqa: F401  (a binding perfbench/tracing.py wraps)
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -185,9 +188,32 @@ def _require_match(problem: Problem, u: VectorField, what: str) -> None:
 # fixed-point map
 # ---------------------------------------------------------------------------
 
-def _eval_stack(g: Nonlinearity, stack: np.ndarray) -> np.ndarray:
-    """g at every lattice point of a stack; returns (N, P)."""
-    return g.eval(stack.reshape(stack.shape[0], -1).T).T
+#: most lattice points per call of g in :func:`_eval_stack`
+_G_BLOCK_POINTS = 2**13
+
+
+def _eval_stack(
+    g: Nonlinearity, v: np.ndarray, background: np.ndarray | None = None
+) -> np.ndarray:
+    """g at every lattice point of the stack ``background + v`` (or of v
+    alone); returns a new array, (N, P).
+
+    g is pointwise, so it is evaluated on blocks of at most
+    ``_G_BLOCK_POINTS`` points, and at most a sixteenth of the lattice,
+    which with their temporaries stay in a core's L2 cache.  The sum is
+    formed one block at a time and each block's values are copied out
+    before the next, so g may return a view of its argument.
+    """
+    flat = v.reshape(len(v), -1)
+    bg = None if background is None else background.reshape(flat.shape)
+    out = np.empty(flat.shape)
+    size = max(1, min(_G_BLOCK_POINTS, flat.shape[1] // 16))
+    for s in range(0, flat.shape[1], size):
+        z = flat[:, s : s + size]
+        if bg is not None:
+            z = z + bg[:, s : s + size]
+        out[:, s : s + size] = g.eval(z.T).T
+    return out
 
 
 def _apply(
@@ -200,7 +226,7 @@ def _apply(
     :func:`~nlrd.lattice.inverse_stack`.
     """
     out = np.empty((len(v),) + problem.grid.half_shape, dtype=np.complex128)
-    return _image(problem, _eval_stack(problem.nonlinearity, background + v), out)
+    return _image(problem, _eval_stack(problem.nonlinearity, v, background), out)
 
 
 def _image(problem: Problem, gz: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -261,7 +287,8 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     total_sq = 0.0
     h4_sq = 0.0
     for m in range(problem.n_components):
-        r_hat = coupling[m] * forward_coeffs(grid, gz[m])
+        r_hat = forward_coeffs(grid, gz[m])
+        r_hat *= coupling[m]
         u_hat = forward_coeffs(grid, values[m])
         h4_sq += h4_norm_sq_coeffs(grid, u_hat)
         u_hat *= sym
@@ -329,10 +356,10 @@ def picard(
 
     if initial is None:
         v_values = np.zeros((problem.n_components,) + grid.shape)
-        v_hats = np.zeros((problem.n_components,) + grid.half_shape, dtype=np.complex128)
+        v_hats = None
     else:
         _require_match(problem, initial, "initial perturbation")
-        v_values = initial.values
+        v_values = initial.values.copy()
         v_hats = forward_stack(grid, v_values)
 
     steps: list[IterationStep] = []
@@ -345,8 +372,9 @@ def picard(
         # a step that overflows is reported by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
             new_hats, dropped = _apply(problem, background, v_values)
-            step_h4 = norm_h4_coeffs(grid, (a - b for a, b in zip(new_hats, v_hats)))
             norm_h4 = norm_h4_coeffs(grid, new_hats)
+            step_h4 = norm_h4 if v_hats is None else norm_h4_coeffs(
+                grid, (new_hats[m] - v_hats[m] for m in range(len(new_hats))))
         ratio = None
         if prev_step is not None and prev_step > 0.0 and np.isfinite(step_h4):
             ratio = step_h4 / prev_step
@@ -369,7 +397,10 @@ def picard(
             # report the last finite iterate, not the runaway one
             diverged = True
             break
-        v_values, v_hats = inverse_stack(grid, new_hats), new_hats
+        v_hats = None  # released before the inverse transform
+        for m in range(len(new_hats)):
+            inverse_values(grid, new_hats[m], out=v_values[m])
+        v_hats = new_hats
         if first_step is None:
             first_step = step_h4
         prev_step = step_h4
@@ -377,6 +408,8 @@ def picard(
             converged = True
             break
 
+    perturbation_h4 = 0.0 if v_hats is None else norm_h4_coeffs(grid, v_hats)
+    del v_hats, new_hats  # released before the residual
     solution = VectorField(grid, background + v_values)
     res = residual(problem, solution) if converged else None
     report = SolveReport(
@@ -384,7 +417,7 @@ def picard(
         perturbation=VectorField(grid, v_values),
         solution=solution,
         background_h4=problem.background_h4,
-        perturbation_h4=norm_h4_coeffs(grid, v_hats),
+        perturbation_h4=perturbation_h4,
         solution_h4=res.solution_h4 if converged else norm_h4_vector(solution),
         background_dropped=problem.background_dropped,
         converged=converged,
@@ -479,11 +512,8 @@ def _probe_ratio(
 
 
 def _g_at(problem: Problem, background: np.ndarray, hats: np.ndarray) -> np.ndarray:
-    """g(u0 + v) for the coefficients of v; u0 is added in place to new
-    samples of v, which are not written again, since g's values may view them."""
-    z = inverse_stack(problem.grid, hats)
-    z += background
-    return _eval_stack(problem.nonlinearity, z)
+    """g(u0 + v) for the coefficients of v."""
+    return _eval_stack(problem.nonlinearity, inverse_stack(problem.grid, hats), background)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """BFX1 binary field dumps."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,3 +74,27 @@ def test_rejects_payload_size_mismatch(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="payload"):
         read_field(path)
+
+
+def peak_bytes(call) -> int:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_round_trip_makes_no_copy_of_the_payload(tmp_path):
+    """A write hands the samples' own buffer to the file, and a read checks
+    the payload's size and reads it straight into the field's array."""
+    g = Grid(d=5, n=12, L=4.0)
+    f = RealField(g, np.random.default_rng(1).standard_normal(g.npoints))
+    path = tmp_path / "field.bfx1"
+    write_field(path, f)
+    read_field(path)
+    payload = f.values.nbytes
+    assert peak_bytes(lambda: write_field(path, f)) < 0.1 * payload
+    assert peak_bytes(lambda: read_field(path)) < 1.3 * payload
+    assert np.array_equal(read_field(path).values, f.values)

@@ -1,6 +1,7 @@
 """Lattice geometry, unitary transforms, and spectral norms."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,29 @@ def test_transforms_write_into_out(d, n):
     assert np.array_equal(forward_stack(g, x), np.stack([forward_coeffs(g, r) for r in x]))
     assert np.array_equal(inverse_stack(g, hat), np.stack([inverse_values(g, r) for r in hat]))
     assert np.array_equal(x, inputs[0]) and np.array_equal(hat, inputs[1])
+
+
+@pytest.mark.parametrize("d,n", [(5, 6), (6, 4), (7, 4)])
+def test_transforms_into_out_hold_their_scratch_arrays_only(d, n):
+    """Into ``out``, the forward transform's d products alternate between
+    out and one scratch array, and the inverse's d - 1 complex products
+    between two: one and two one-component half spectra at the peak."""
+    g = Grid(d=d, n=n, L=2.5)
+    x = np.random.default_rng(d).standard_normal(g.shape)
+    hat, back = np.empty(g.half_shape, dtype=complex), np.empty(g.shape)
+    inverse_values(g, forward_coeffs(g, x, out=hat), out=back)  # fills the caches
+    for transform, source, out, limit in (
+        (forward_coeffs, x, hat, 1.1), (inverse_values, hat, back, 2.1)
+    ):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            transform(g, source, out=out)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * hat.nbytes
+    assert_allclose(back, x, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d,n", [(1, 8), (3, 4), (5, 4)])

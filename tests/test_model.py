@@ -151,6 +151,21 @@ def test_quadratic_symmetrizes_input_matrices():
     assert g.eval(z)[0, 0] == pytest.approx(2.0)  # form unchanged
 
 
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)], ids=["point", "P", "a-b"])
+def test_quadratic_product_form_matches_double_sum(lead, N):
+    """eval sums the pair products z_i z_j (i <= j) against packed
+    matrices; the double sum of z_i [A_m]_ij z_j is its oracle."""
+    rng = np.random.default_rng(N)
+    mats = rng.uniform(-1.0, 1.0, (N, N, N))
+    sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+    z = rng.standard_normal(lead + (N,))
+    got = quadratic_nonlinearity(list(mats)).eval(z)
+    oracle = np.einsum("...i,mij,...j->...m", z, sym, z)
+    assert got.shape == oracle.shape == lead + (N,)
+    assert np.max(np.abs(got - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+
 def test_quadratic_rejects_non_square_stack():
     with pytest.raises(ValueError, match="square"):
         quadratic_nonlinearity([np.ones((2, 3)), np.ones((2, 3))])

@@ -179,6 +179,35 @@ def test_map_matches_full_complex_reference(d, n):
         assert np.max(np.abs(got.values - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+BLOCK = nlrd.solver._G_BLOCK_POINTS
+
+
+@pytest.mark.parametrize("with_background", [True, False], ids=["u0+v", "v"])
+@pytest.mark.parametrize("view", [False, True], ids=["quadratic", "view"])
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("points", [1, 7, 1000, 16 * BLOCK, 16 * BLOCK + 5])
+def test_eval_stack_matches_one_evaluation_of_g(points, N, view, with_background):
+    """g on blocks of the stack background + v, each block formed and its
+    values copied out on its own, equals g at every point at once: point
+    counts below the block, a multiple of it and not a multiple.  A g whose
+    values view its argument catches a block written before it is read."""
+    rng = np.random.default_rng(points + N)
+    if view:
+        g = reversed_components(N)
+    else:
+        g = quadratic_nonlinearity(list(rng.uniform(-1.0, 1.0, (N, N, N))))
+    v = rng.standard_normal((N, points))
+    background = rng.standard_normal((N, points)) if with_background else None
+    inputs = v.copy(), None if background is None else background.copy()
+    got = nlrd.solver._eval_stack(g, v, background)
+    oracle = g.eval((v if background is None else background + v).T).T
+    assert got.shape == (N, points)
+    assert np.max(np.abs(got - oracle)) <= 1e-15 * np.max(np.abs(oracle))
+    assert not np.may_share_memory(got, v)
+    assert np.array_equal(v, inputs[0])
+    assert background is None or np.array_equal(background, inputs[1])
+
+
 def test_map_warns_outside_certified_ball():
     p = tiny_problem(eps=0.01)
     bg = p.background
@@ -389,6 +418,27 @@ def test_residual_vanishes_at_linear_solution():
 
 
 @pytest.mark.parametrize("n", [6, 8])
+def test_warm_picard_holds_few_half_spectra(n):
+    """A step holds v's samples and coefficients, the values of g, the new
+    coefficients and one transform's scratch; the old coefficients are
+    released before the inverse transform writes v's own samples, and the
+    solve's before the residual: fewer than 8.5 one-component half spectra."""
+    built = build_problem(small_config(n=n))
+    p = built.problem
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+    picard(p, **kwargs)  # fills the caches
+    half_spectrum = 16 * (n // 2 + 1) * n ** (p.grid.d - 1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        picard(p, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.5 * half_spectrum
+
+
+@pytest.mark.parametrize("n", [6, 8])
 def test_residual_holds_few_half_spectra(n):
     """The residual transforms one component of the forcing, u and g(u) at
     a time, so its working set stays a few one-component half spectra."""
@@ -490,14 +540,14 @@ def test_probe_ratios_are_pinned(small_built):
     assert again.ratios == pytest.approx(rep.ratios, rel=1e-13)
 
 
-def swapped_components() -> Nonlinearity:
-    """g(z) = (z_2, z_1), whose values are a view of its argument."""
-    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+def reversed_components(N: int = 2) -> Nonlinearity:
+    """g(z) = (z_N, ..., z_1), whose values are a view of its argument."""
+    swap = np.eye(N)[::-1]
     return Nonlinearity(
-        N=2,
+        N=N,
         eval=lambda z: z[..., ::-1],
-        grad=lambda z: np.broadcast_to(swap, np.shape(z)[:-1] + (2, 2)),
-        hess=lambda z: np.zeros(np.shape(z)[:-1] + (2, 2, 2)),
+        grad=lambda z: np.broadcast_to(swap, np.shape(z)[:-1] + (N, N)),
+        hess=lambda z: np.zeros(np.shape(z)[:-1] + (N, N, N)),
     )
 
 
@@ -509,7 +559,7 @@ def test_probe_ratio_is_that_of_two_images_of_the_map(small_built, view):
     u0 + v, or into what g returned, while it still needs the values."""
     p = small_built.problem
     if view:
-        p = p.with_nonlinearity(swapped_components())
+        p = p.with_nonlinearity(reversed_components())
     rep = contraction_probe(p, pairs=3, seed=4)
     rng = np.random.default_rng(4)
     for ratio in rep.ratios:
