@@ -55,12 +55,14 @@ products alternate between ``out`` and one scratch array, the last landing
 in ``out``; the inverse's complex products alternate between two scratch
 arrays, the spent one released before a new ``out`` is made.
 
-H^4 norms are computed spectrally with the weight 1 + |p|^8.
+H^4 norms are computed spectrally with the weight 1 + |p|^8, in one blocked
+pass with no full-size temporary, not even for the norm of a difference.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -367,28 +369,51 @@ def norm_l1(f: RealField) -> float:
 
 def norm_l2(f: RealField) -> float:
     """Discrete L^2 norm (h^d sum f^2)^(1/2)."""
-    return float(np.sqrt(f.grid.h**f.grid.d * np.sum(f.values**2)))
+    return float(np.sqrt(f.grid.h**f.grid.d * np.dot(f.values, f.values)))
+
+
+#: most coefficients per block of an H^4 norm: block and buffer stay in L2 cache
+_NORM_BLOCK = 2**13
+
+
+def _floats(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Half-spectrum coefficients as one flat float64 view (a copy if not contiguous)."""
+    hats = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(grid.half_shape)
+    return hats.view(np.float64).reshape(-1)
 
 
 @np.errstate(over="ignore")  # callers check the result for finiteness
-def _weighted_sum_sq(grid: Grid, weight: np.ndarray, coeffs: np.ndarray) -> float:
-    abs_sq = coeffs.real**2
-    abs_sq += coeffs.imag**2
-    return float(grid.dp**grid.d * np.vdot(np.broadcast_to(weight, abs_sq.shape), abs_sq))
-
-
-def h4_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray) -> float:
+def h4_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray, minus: np.ndarray | None = None) -> float:
     """Squared H^4 norm dp^d sum_k (1 + |p_k|^8) |F_k|^2 over the full lattice.
 
     ``coeffs`` are half-spectrum coefficients from :func:`forward_coeffs`;
     the sum over the missing half comes in through the Hermitian weights.
+    With ``minus`` (same shape), F is ``coeffs - minus``.  Each block of
+    ``_NORM_BLOCK`` squares its parts into one buffer, then one BLAS product
+    sums them against the weight: |F|^2 and F itself are never formed in full.
     """
-    return _weighted_sum_sq(grid, half_h4_weight(grid), coeffs)
+    x = _floats(grid, coeffs)
+    y = None if minus is None else _floats(grid, minus)
+    w = half_h4_weight(grid).reshape(-1)
+    size = min(_NORM_BLOCK, len(w))
+    buf = np.empty(2 * size)
+    total = 0.0
+    for s in range(0, len(w), size):
+        block = x[2 * s : 2 * (s + size)]
+        if y is not None:
+            block = np.subtract(block, y[2 * s : 2 * (s + size)], out=buf[: len(block)])
+        squares = np.square(block, out=buf[: len(block)])
+        total += np.dot(w[s : s + size], squares.reshape(-1, 2)).sum()
+    return float(grid.dp**grid.d * total)
 
 
+@np.errstate(over="ignore")  # callers check the result for finiteness
 def l2_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray) -> float:
-    """Squared L^2 norm dp^d sum_k |F_k|^2 from half-spectrum coefficients."""
-    return _weighted_sum_sq(grid, hermitian_weight(grid), coeffs)
+    """Squared L^2 norm dp^d sum_k |F_k|^2 from half-spectrum coefficients: one
+    BLAS dot per half-axis row, on which the Hermitian weight is constant."""
+    rows = _floats(grid, coeffs).reshape(grid.n // 2 + 1, -1)
+    w = hermitian_weight(grid).reshape(-1)
+    return float(grid.dp**grid.d * sum(wr * np.dot(x, x) for wr, x in zip(w, rows)))
 
 
 def norm_h4(f: RealField) -> float:
@@ -396,9 +421,11 @@ def norm_h4(f: RealField) -> float:
     return float(np.sqrt(h4_norm_sq_coeffs(f.grid, forward_coeffs(f.grid, f.values))))
 
 
-def norm_h4_coeffs(grid: Grid, hats) -> float:
-    """Root-sum-square H^4 norm of an iterable of half-spectrum coefficients."""
-    return math.sqrt(sum(h4_norm_sq_coeffs(grid, hat) for hat in hats))
+def norm_h4_coeffs(grid: Grid, hats, minus=None) -> float:
+    """Root-sum-square H^4 norm of an iterable of half-spectrum coefficients,
+    or with ``minus``, a matching iterable, of their differences."""
+    pairs = zip(hats, itertools.repeat(None) if minus is None else minus)
+    return math.sqrt(sum(h4_norm_sq_coeffs(grid, a, b) for a, b in pairs))
 
 
 def norm_h4_vector(u: VectorField) -> float:

@@ -27,6 +27,7 @@ one) or from a seeded boundary-biased Monte Carlo estimate.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -56,9 +57,9 @@ DEFAULT_C2_BUDGET = 100_000
 class GaussianSpec:
     """Isotropic Gaussian bump a * exp(-|x - c|^2 / (2 w^2)).
 
-    Carries closed-form norms of the untruncated profile on R^d, which the
-    discrete norms of a sampled field approach when the box is wide and the
-    lattice fine relative to the width.
+    Sampled as a product of 1-D factors.  Carries closed-form norms of the
+    untruncated profile on R^d, which the discrete norms of a sampled field
+    approach when the box is wide and the lattice fine relative to the width.
     """
 
     width: float = 1.0
@@ -84,13 +85,12 @@ class GaussianSpec:
         return c
 
     def sample(self, grid: Grid) -> RealField:
-        c = self._center_for(grid.d)
-        coords = grid.coordinate_arrays()
-        r2 = np.zeros(grid.shape)
-        for axis, x in enumerate(coords):
-            r2 = r2 + (x - c[axis]) ** 2
-        vals = self.amplitude * np.exp(-r2 / (2.0 * self.width**2))
-        return RealField(grid, vals.reshape(-1))
+        """a e_1 (x) ... (x) e_d, e_j = exp(-(x - c_j)^2 / (2 w^2)) on the axis
+        coordinates: exp at d n points, and no full-size array but the result."""
+        x, two_w2 = grid.axis_coords(), 2.0 * self.width**2
+        factors = [np.exp(-((x - c) ** 2) / two_w2) for c in self._center_for(grid.d)]
+        factors[0] *= self.amplitude
+        return RealField(grid, functools.reduce(np.multiply.outer, factors).reshape(-1))
 
     def l1(self, d: int) -> float:
         """Exact L^1 norm on R^d: |a| (2 pi)^(d/2) w^d."""

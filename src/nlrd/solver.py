@@ -24,10 +24,12 @@ mode and records its mass, and ``lattice.norm_h4_coeffs`` sums H^4 norms.  The
 background u0 and the coefficients eps_m (2 pi)^(d/2) H^_m are cached on
 the problem (:class:`nlrd.model.Problem`).  The residual transforms each
 forcing component in its loop, and the H^4 norm of a converged solution
-comes from its transform of u.  g is evaluated on cache-sized blocks of
-u0 + v (:func:`_eval_stack`).  ``picard`` recycles its arrays: v = 0 has
-no coefficients, the old ones are released before each inverse transform
-writes v's own samples, and the last before the residual.
+comes from its transform of u.  Step norms and the probe's denominator
+are norms of coefficient differences never formed in full.  g is evaluated
+on cache-sized blocks of u0 + v (:func:`_eval_stack`).  ``picard`` recycles
+its arrays: v = 0 has no coefficients, the old ones are released before
+each inverse transform writes v's own samples, and the last before the
+residual; ``perturbation_h4`` is the norm the step that made v took.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -356,11 +358,11 @@ def picard(
 
     if initial is None:
         v_values = np.zeros((problem.n_components,) + grid.shape)
-        v_hats = None
+        v_hats, v_norm = None, 0.0
     else:
         _require_match(problem, initial, "initial perturbation")
         v_values = initial.values.copy()
-        v_hats = forward_stack(grid, v_values)
+        v_hats, v_norm = forward_stack(grid, v_values), None  # taken if step 1 diverges
 
     steps: list[IterationStep] = []
     first_step = None
@@ -373,8 +375,7 @@ def picard(
         with np.errstate(over="ignore", invalid="ignore"):
             new_hats, dropped = _apply(problem, background, v_values)
             norm_h4 = norm_h4_coeffs(grid, new_hats)
-            step_h4 = norm_h4 if v_hats is None else norm_h4_coeffs(
-                grid, (new_hats[m] - v_hats[m] for m in range(len(new_hats))))
+            step_h4 = norm_h4 if v_hats is None else norm_h4_coeffs(grid, new_hats, v_hats)
         ratio = None
         if prev_step is not None and prev_step > 0.0 and np.isfinite(step_h4):
             ratio = step_h4 / prev_step
@@ -400,7 +401,7 @@ def picard(
         v_hats = None  # released before the inverse transform
         for m in range(len(new_hats)):
             inverse_values(grid, new_hats[m], out=v_values[m])
-        v_hats = new_hats
+        v_hats, v_norm = new_hats, norm_h4
         if first_step is None:
             first_step = step_h4
         prev_step = step_h4
@@ -408,7 +409,7 @@ def picard(
             converged = True
             break
 
-    perturbation_h4 = 0.0 if v_hats is None else norm_h4_coeffs(grid, v_hats)
+    perturbation_h4 = norm_h4_coeffs(grid, v_hats) if v_norm is None else v_norm
     del v_hats, new_hats  # released before the residual
     solution = VectorField(grid, background + v_values)
     res = residual(problem, solution) if converged else None
@@ -502,7 +503,7 @@ def _probe_ratio(
     grid = problem.grid
     r1, r2 = problem.rho * rng.random(), problem.rho * rng.random()
     v1, v2 = (_ball_hats(grid, problem.n_components, rng, r) for r in (r1, r2))
-    denom = norm_h4_coeffs(grid, (a - b for a, b in zip(v1, v2)))
+    denom = norm_h4_coeffs(grid, v1, v2)
     if denom == 0.0:
         return None
     g2 = _g_at(problem, background, v2)

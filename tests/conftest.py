@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,17 @@ REFERENCE_CONFIG = REPO_ROOT / "configs" / "d5_n2.json"
 
 #: gaussian centres that are neither a number nor a flat list of 1 or d = 5 numbers
 BAD_CENTERS = [True, "0.5", [[0.1] * 5], None, [0.1, 0.2], [0.1, False]]
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` allocates at its peak, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def load_reference_config() -> dict:

@@ -1,11 +1,13 @@
 """Lattice geometry, unitary transforms, and spectral norms."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from conftest import traced_peak
 from scipy import integrate
 
 from nlrd.lattice import (
@@ -16,10 +18,13 @@ from nlrd.lattice import (
     forward_stack,
     h4_norm_sq_coeffs,
     h4_weight,
+    half_h4_weight,
+    hermitian_weight,
     inverse_stack,
     inverse_values,
     l2_norm_sq_coeffs,
     norm_h4,
+    norm_h4_coeffs,
     norm_h4_vector,
     norm_l1,
     norm_l2,
@@ -416,6 +421,53 @@ def test_h4_matches_radial_quadrature():
     )
     oracle = np.sqrt(sphere_measure(5) * val)
     assert norm_h4(f) == pytest.approx(oracle, rel=1e-6)
+
+
+def random_coeffs(grid: Grid, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(grid.half_shape) + 1j * rng.standard_normal(grid.half_shape)
+
+
+@pytest.mark.parametrize("d,n", [(1, 16), (2, 12), (3, 8), (4, 6), (5, 12), (6, 10), (7, 4), (7, 8)])
+def test_blocked_norms_match_plain_sums(d, n):
+    """The blocked H^4 sum, the row-wise L^2 sum and the H^4 norm of a
+    difference equal dp^d sum w |c|^2 in plain numpy.  At d6 n10 (6 * 10^5
+    coefficients) and d7 n4 the last block is a partial one."""
+    g = Grid(d=d, n=n, L=2.5)
+    a, b = random_coeffs(g, 2 * d * n), random_coeffs(g, 2 * d * n + 1)
+
+    def plain(weight, c):
+        return g.dp**d * np.sum(np.broadcast_to(weight, c.shape) * np.abs(c) ** 2)
+
+    h4_diff = plain(half_h4_weight(g), a - b)
+    assert h4_norm_sq_coeffs(g, a) == pytest.approx(plain(half_h4_weight(g), a), rel=1e-13)
+    assert l2_norm_sq_coeffs(g, a) == pytest.approx(plain(hermitian_weight(g), a), rel=1e-13)
+    assert h4_norm_sq_coeffs(g, a, b) == pytest.approx(h4_diff, rel=1e-13)
+    assert norm_h4_coeffs(g, [a, b], [b, a]) == pytest.approx(math.sqrt(2 * h4_diff), rel=1e-13)
+    # an infinite coefficient gives an infinite norm, not inf * 0 = nan
+    a[(0,) * d] = complex(np.inf, 1.0)
+    assert h4_norm_sq_coeffs(g, a) == l2_norm_sq_coeffs(g, a) == math.inf
+
+
+@pytest.mark.parametrize("d,n", [(5, 16), (6, 10), (7, 8)])
+def test_norms_hold_no_full_size_temporary(d, n):
+    """Each norm, and the H^4 norm of a difference, works through one
+    block buffer: its peak stays below 0.05 real half spectra."""
+    g = Grid(d=d, n=n, L=2.5)
+    a, b = random_coeffs(g, d), random_coeffs(g, d + 1)
+    for norm in (
+        lambda: h4_norm_sq_coeffs(g, a), lambda: h4_norm_sq_coeffs(g, a, b),
+        lambda: l2_norm_sq_coeffs(g, a),
+    ):
+        norm()  # fills the weight caches
+        assert traced_peak(norm) < 0.05 * a.real.nbytes
+
+
+def test_norm_l2_holds_no_squared_copy():
+    g = Grid(d=5, n=12, L=2.5)
+    f = random_field(g, seed=5)
+    assert traced_peak(lambda: norm_l2(f)) < 0.01 * f.values.nbytes
+    assert norm_l2(f) == pytest.approx(math.sqrt(g.h**g.d * np.sum(f.values**2)), rel=1e-14)
 
 
 def test_vector_norms_are_root_sum_square():

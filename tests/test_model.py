@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import BAD_CENTERS
+from conftest import BAD_CENTERS, traced_peak
 from numpy.testing import assert_allclose
 
 from nlrd.cli import _jsonable
@@ -118,6 +118,35 @@ def test_gaussian_closed_form_norms_in_dimension_five():
     f = spec.sample(g)
     assert norm_l1(f) == pytest.approx(spec.l1(5), rel=1e-6)
     assert norm_l2(f) == pytest.approx(spec.l2(5), rel=1e-6)
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("where", ["scalar", "per_axis", "off_lattice"])
+def test_separable_sample_matches_the_radius_formula(d, where):
+    """The product of 1-D factors is a exp(-|x - c|^2 / (2 w^2)) formed
+    from r^2, to roundoff, for a scalar, a per-axis and an off-lattice centre."""
+    g = Grid(d=d, n=8 if d > 5 else 10, L=4.0)
+    center = {
+        "scalar": 0.8,
+        "per_axis": tuple(g.axis_coords()[(3 * np.arange(d)) % g.n]),
+        "off_lattice": tuple(np.linspace(-0.93, 1.41, d)),
+    }[where]
+    spec = GaussianSpec(width=1.3, amplitude=-1.7, center=center)
+    c = np.broadcast_to(center, (d,))
+    r2 = sum((x - cj) ** 2 for x, cj in zip(g.coordinate_arrays(), c))
+    expected = -1.7 * np.exp(-r2 / (2.0 * 1.3**2))
+    # relative to the peak: in the tails exp(-r^2 / (2 w^2)) carries the
+    # rounding of its argument, about r^2 / (2 w^2) ulps
+    assert_allclose(spec.sample(g).reshaped(), expected, rtol=0, atol=1e-14 * 1.7)
+
+
+def test_gaussian_sample_holds_the_field_and_its_factors_only():
+    """No |x - c|^2 or exp temporary of full size: the peak is the result
+    plus factors of at most n^(d-1) points and the finiteness check."""
+    g = Grid(d=7, n=8, L=4.0)
+    spec = GaussianSpec(width=1.3, amplitude=0.7, center=0.25)
+    spec.sample(g)
+    assert traced_peak(lambda: spec.sample(g)) < 1.3 * 8 * g.npoints
 
 
 def test_gaussian_norms_are_shift_invariant():

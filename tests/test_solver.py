@@ -375,6 +375,46 @@ def test_picard_detects_divergence():
     assert rep.solution_h4 == pytest.approx(norm_h4_vector(rep.solution), rel=1e-13)
 
 
+@pytest.mark.parametrize("exit", ["converged", "max_iter", "diverged", "diverged_from_initial"])
+def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, exit):
+    """``perturbation_h4`` is the norm picard already took for the iterate
+    it returns: the last accepted step's ``norm_h4``, or that of a given
+    ``initial`` when the first step diverges.  No final pass of N norms:
+    a run of k steps from v = 0 takes N (2k - 1) of them, and a report that
+    did not converge N more for ``solution_h4``."""
+    p, kwargs, initial = small_built.problem, dict(tol=small_built.tol), None
+    if exit == "max_iter":
+        kwargs = dict(tol=1e-14, max_iter=2)
+    elif exit.startswith("diverged"):
+        p, kwargs = tiny_problem(eps=1e6), dict(tol=1e-10, max_iter=100, budget=500)
+    if exit == "diverged_from_initial":  # g of samples ~1e100 makes a step of norm inf
+        initial = random_ball_field(p.grid, 2, np.random.default_rng(3), 1e100)
+    p.background_h4  # fills the problem's caches
+    calls = []
+
+    def counted(*args, _original=nlrd.lattice.h4_norm_sq_coeffs):
+        calls.append(args)
+        return _original(*args)
+
+    monkeypatch.setattr(nlrd.lattice, "h4_norm_sq_coeffs", counted)
+    raised = {"converged": None, "max_iter": MaxIterExceeded}.get(exit, DivergenceDetected)
+    try:
+        rep = picard(p, initial=initial, **kwargs)
+        assert raised is None
+    except (MaxIterExceeded, DivergenceDetected) as err:
+        assert type(err) is raised
+        rep = err.report
+    steps, N = rep.trace.steps, p.n_components
+    if exit == "diverged_from_initial":
+        assert len(steps) == 1 and not np.isfinite(steps[0].norm_h4)
+        assert rep.perturbation_h4 == norm_h4_vector(initial)
+        return
+    assert len(calls) == N * (2 * len(steps) - 1) + (0 if rep.converged else N)
+    accepted = steps[-2] if exit == "diverged" else steps[-1]
+    assert rep.perturbation_h4 == accepted.norm_h4 > 0.0
+    assert rep.perturbation_h4 == pytest.approx(norm_h4_vector(rep.perturbation), rel=1e-12)
+
+
 def test_picard_warns_above_certified_threshold(small_built, small_solution):
     eps_max = small_solution.bounds.eps_max
     rep = picard(small_built.problem.with_eps(10.0 * eps_max), tol=1e-8, max_iter=100)
