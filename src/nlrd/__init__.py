@@ -18,7 +18,6 @@ from .lattice import (
     Grid,
     RealField,
     VectorField,
-    norm_h4,
     norm_h4_vector,
     norm_l1,
     norm_l2,
@@ -88,7 +87,7 @@ __all__ = [
     "__version__",
     # lattice
     "Grid", "RealField", "VectorField",
-    "norm_l1", "norm_l2", "norm_h4", "norm_h4_vector",
+    "norm_l1", "norm_l2", "norm_h4_vector",
     # io
     "read_field", "write_field",
     # spectral

@@ -26,7 +26,10 @@ the convolution estimate (:func:`frequency_split_minimum`); a d-independent
 preconditions (useful for algebraic checks); :func:`compute_bounds`
 validates the data and nonlinearity requirements and reports every
 constant for one problem, raising :class:`AssumptionsNotValidated`, which
-carries the uncertified report, when a requirement fails.
+carries the uncertified report, when a requirement fails.  It is the one
+place a certified constant is derived: ``config.build_problem`` reads
+eps_max and the state-ball radius from the report on its uncoupled
+problem, and :func:`validate_problem` holds the one state-ball rule.
 """
 
 from __future__ import annotations
@@ -278,7 +281,7 @@ def compute_bounds(
     d = problem.d
     c2 = problem.c2_bound
     kappa = lipschitz_coefficient_raw(d, c2, l1_rss, l2_rss, background_h4)
-    eps_used = problem.eps_max_component
+    eps_used = max(problem.eps)
     report = BoundsReport(
         d=d,
         rho=problem.rho,

@@ -27,16 +27,18 @@ and a null section is an absent one.
 Coupling resolution: at most one of ``eps`` and ``eps_fraction`` is given,
 and with neither every coupling is 0.  ``eps`` gives the amplitudes
 directly (scalar or one per component); ``eps_fraction`` q sets every
-amplitude to q * eps_max, where eps_max is the certified threshold computed
-around the background of the configured forcings.  ``scale_c2_to_fraction``
-rescales the nonlinearity so its exact C^2 norm over the relevant state
-ball equals that fraction of ``c2_bound``.
+amplitude to q * eps_max.  ``scale_c2_to_fraction`` rescales the
+nonlinearity so its exact C^2 norm over the state ball equals that
+fraction of ``c2_bound``.
 
-``build_problem`` resolves everything around the background and the data
-report the problem caches (see :class:`nlrd.model.Problem`), so the kernel
-and forcing norms are measured once per build and shared by the problem it
-returns, together with the fully resolved configuration dictionary that
-reports embed.
+``build_problem`` reads eps_max and the state-ball radius from the
+:class:`~nlrd.bounds.BoundsReport` of its uncoupled problem (uncertified
+when a requirement fails: the build certifies nothing), as
+:mod:`nlrd.bounds` is the one place a certified constant is derived.  The
+background and data report are cached on the problem (see
+:class:`nlrd.model.Problem`), so the kernel and forcing norms are measured
+once per build and shared by the problem it returns, together with the
+fully resolved configuration dictionary that reports embed.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .bounds import coupling_threshold_raw, sobolev_embedding_constant
+from .bounds import AssumptionsNotValidated, compute_bounds
 from .fieldio import read_field
 from .lattice import Grid, RealField, VectorField, real_number
 from .model import (
@@ -61,7 +63,6 @@ from .model import (
     Nonlinearity,
     Problem,
     c2_norm,
-    image_ball_radius,
     quadratic_nonlinearity,
     scale_nonlinearity,
     validate_problem_data,
@@ -325,8 +326,8 @@ def build_problem(
 
     warnings: list[str] = []
 
-    # The background (and hence the state-ball radius and eps_max) depends
-    # only on the grid and forcings, so it can be resolved before couplings.
+    # The background, the state ball and eps_max depend on the grid, the
+    # data, rho and c2_bound only, so the uncoupled base problem carries them.
     try:
         base = Problem(
             grid=grid,
@@ -345,13 +346,16 @@ def build_problem(
             raise ValueError(f"its H^4 norm is {background_h4}")
     except ValueError as err:
         raise ConfigError(f"the forcings give no finite background: {err}") from err
+    # the build certifies nothing: a failed requirement is the commands' to report
+    try:
+        report = compute_bounds(base, background_h4, budget=solver["budget"], seed=solver["seed"])
+    except AssumptionsNotValidated as err:
+        report = err.report
+    eps_max = report.eps_max
 
     scale_applied = None
     if nl["scale_c2_to_fraction"] is not None:
-        radius = image_ball_radius(
-            background_h4, sobolev_embedding_constant(grid.d)
-        )
-        current = c2_norm(g, radius, budget=solver["budget"], seed=solver["seed"])
+        current = c2_norm(g, report.state_ball_radius, budget=solver["budget"], seed=solver["seed"])
         # an inf norm would give the finite scale 0 and silently drop g
         if not math.isfinite(current.value):
             raise ConfigError(
@@ -366,11 +370,6 @@ def build_problem(
                 f"the scale {scale_applied} is not finite"
             )
         g = scale_nonlinearity(g, scale_applied)
-
-    data = validate_problem_data(base)
-    eps_max = coupling_threshold_raw(
-        grid.d, rho, c2_bound, data.kernel_l1_rss, data.kernel_l2_rss, background_h4
-    )
 
     # (q, eps_source prefix, name in errors, adjective in warnings)
     fraction = None
@@ -408,7 +407,7 @@ def build_problem(
         raise ConfigError(str(err)) from err
     # |eps_m (2 pi)^(d/2) H^_m| <= eps_m |H_m|_L1 bounds the coupling coefficients
     scale = (2.0 * math.pi) ** (grid.d / 2.0)
-    for m, (e, l1) in enumerate(zip(eps, data.kernel_l1)):
+    for m, (e, l1) in enumerate(zip(eps, validate_problem_data(base).kernel_l1)):
         if not (math.isfinite(e * scale) and math.isfinite(e * l1)):
             raise ConfigError(
                 f"coupling {m} overflows: eps = {e:g} on a kernel of L1 norm {l1:g}"

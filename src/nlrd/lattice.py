@@ -362,18 +362,25 @@ def inverse_stack(grid: Grid, hats: np.ndarray) -> np.ndarray:
 # norms
 # ---------------------------------------------------------------------------
 
+#: most values or coefficients per block of a norm: block and buffer stay in L2 cache
+_NORM_BLOCK = 2**13
+
+
 def norm_l1(f: RealField) -> float:
-    """Discrete L^1 norm h^d sum |f|."""
-    return float(f.grid.h**f.grid.d * np.sum(np.abs(f.values)))
+    """Discrete L^1 norm h^d sum |f|, summed in blocks of ``_NORM_BLOCK``
+    through one buffer, with no full-size |f|."""
+    x = f.values
+    buf = np.empty(min(_NORM_BLOCK, len(x)))
+    total = 0.0
+    for s in range(0, len(x), len(buf)):
+        block = x[s : s + len(buf)]
+        total += np.abs(block, out=buf[: len(block)]).sum()
+    return float(f.grid.h**f.grid.d * total)
 
 
 def norm_l2(f: RealField) -> float:
     """Discrete L^2 norm (h^d sum f^2)^(1/2)."""
     return float(np.sqrt(f.grid.h**f.grid.d * np.dot(f.values, f.values)))
-
-
-#: most coefficients per block of an H^4 norm: block and buffer stay in L2 cache
-_NORM_BLOCK = 2**13
 
 
 def _floats(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -414,11 +421,6 @@ def l2_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray) -> float:
     rows = _floats(grid, coeffs).reshape(grid.n // 2 + 1, -1)
     w = hermitian_weight(grid).reshape(-1)
     return float(grid.dp**grid.d * sum(wr * np.dot(x, x) for wr, x in zip(w, rows)))
-
-
-def norm_h4(f: RealField) -> float:
-    """Sobolev H^4 norm, computed spectrally."""
-    return float(np.sqrt(h4_norm_sq_coeffs(f.grid, forward_coeffs(f.grid, f.values))))
 
 
 def norm_h4_coeffs(grid: Grid, hats, minus=None) -> float:

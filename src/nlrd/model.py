@@ -412,10 +412,6 @@ class Problem:
     def n_components(self) -> int:
         return self.nonlinearity.N
 
-    @property
-    def eps_max_component(self) -> float:
-        return max(self.eps)
-
     def with_eps(self, eps: Sequence[float] | float) -> "Problem":
         if np.isscalar(eps):
             eps = (float(eps),) * self.n_components

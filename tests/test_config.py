@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from conftest import small_config
 
+import nlrd.bounds
 from nlrd import __version__
-from nlrd.bounds import sobolev_embedding_constant
+from nlrd.bounds import compute_bounds, sobolev_embedding_constant, validate_problem
 from nlrd.config import ConfigError, build_field, build_problem, load_config
 from nlrd.fieldio import write_field
 from nlrd.lattice import Grid
@@ -81,6 +82,23 @@ def test_build_resolves_reference_instance(small_built):
         "tol": 1e-10, "max_iter": 200, "seed": 0, "budget": 100000,
     }
     assert built.warnings == ()
+
+
+def test_build_reads_its_constants_from_the_bounds_report(monkeypatch):
+    """With the state-ball rule and the threshold changed in ``nlrd.bounds``
+    alone, the build still normalises g on the ball the validators check and
+    scales the coupling from the threshold the bounds report."""
+    radius, threshold = nlrd.bounds.image_ball_radius, nlrd.bounds.coupling_threshold_raw
+    monkeypatch.setattr(nlrd.bounds, "image_ball_radius", lambda *a: 1.5 * radius(*a))
+    monkeypatch.setattr(nlrd.bounds, "coupling_threshold_raw", lambda *a: 0.75 * threshold(*a))
+    cfg = small_config()
+    built = build_problem(cfg)
+    p, options = built.problem, dict(budget=built.budget, seed=built.seed)
+    c2 = validate_problem(p, built.background_h4, **options)[1].c2_norm
+    fraction = cfg["nonlinearity"]["scale_c2_to_fraction"]
+    assert c2 == pytest.approx(fraction * p.c2_bound, rel=1e-12)
+    eps_max = compute_bounds(p, built.background_h4, **options).eps_max
+    assert built.resolved["eps"] == [cfg["problem"]["eps_fraction"] * eps_max] * 2
 
 
 def test_cli_fraction_overrides_config():

@@ -23,7 +23,6 @@ from nlrd.lattice import (
     inverse_stack,
     inverse_values,
     l2_norm_sq_coeffs,
-    norm_h4,
     norm_h4_coeffs,
     norm_h4_vector,
     norm_l1,
@@ -386,21 +385,21 @@ def test_self_conjugate_modes_are_exactly_real(d, n):
 def test_norms_of_zero_and_constant_fields():
     g = Grid(d=2, n=8, L=2.0)
     z = RealField.zeros(g)
-    assert norm_l1(z) == norm_l2(z) == norm_h4(z) == 0.0
+    assert norm_l1(z) == norm_l2(z) == norm_h4_vector(VectorField((z,))) == 0.0
     c = -1.5
     f = RealField(g, np.full(g.npoints, c))
     box = (2.0 * g.L) ** g.d
     assert norm_l1(f) == pytest.approx(abs(c) * box, rel=1e-14)
     assert norm_l2(f) == pytest.approx(abs(c) * np.sqrt(box), rel=1e-14)
     # constant field concentrates on p = 0 where the H^4 weight is 1
-    assert norm_h4(f) == pytest.approx(norm_l2(f), rel=1e-13)
+    assert norm_h4_vector(VectorField((f,))) == pytest.approx(norm_l2(f), rel=1e-13)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_h4_dominates_l2(seed):
     g = Grid(d=2, n=10, L=1.5)
     f = random_field(g, seed)
-    assert norm_h4(f) >= norm_l2(f)
+    assert norm_h4_vector(VectorField((f,))) >= norm_l2(f)
 
 
 def test_single_mode_h4_weight():
@@ -408,7 +407,7 @@ def test_single_mode_h4_weight():
     g = Grid(d=2, n=8, L=np.pi)
     coords = g.coordinate_arrays()
     f = RealField(g, np.broadcast_to(np.cos(coords[0]), g.shape).reshape(-1).copy())
-    assert norm_h4(f) == pytest.approx(np.sqrt(2.0) * norm_l2(f), rel=1e-12)
+    assert norm_h4_vector(VectorField((f,))) == pytest.approx(np.sqrt(2.0) * norm_l2(f), rel=1e-12)
 
 
 def test_h4_matches_radial_quadrature():
@@ -420,7 +419,7 @@ def test_h4_matches_radial_quadrature():
         lambda r: (1.0 + r**8) * np.exp(-r * r) * r**4, 0.0, np.inf
     )
     oracle = np.sqrt(sphere_measure(5) * val)
-    assert norm_h4(f) == pytest.approx(oracle, rel=1e-6)
+    assert norm_h4_vector(VectorField((f,))) == pytest.approx(oracle, rel=1e-6)
 
 
 def random_coeffs(grid: Grid, seed: int) -> np.ndarray:
@@ -470,11 +469,23 @@ def test_norm_l2_holds_no_squared_copy():
     assert norm_l2(f) == pytest.approx(math.sqrt(g.h**g.d * np.sum(f.values**2)), rel=1e-14)
 
 
+@pytest.mark.parametrize("d,n", [(5, 12), (6, 10)])
+def test_norm_l1_sums_blocks_through_one_buffer(d, n):
+    """h^d sum |f| in blocks, with no full-size |f|, on grids whose point
+    counts are not multiples of the block, so the last block is a partial one."""
+    g = Grid(d=d, n=n, L=2.5)
+    f = random_field(g, seed=d)
+    assert norm_l1(f) == pytest.approx(g.h**d * np.sum(np.abs(f.values)), rel=1e-14)
+    assert traced_peak(lambda: norm_l1(f)) < 0.1 * f.values.nbytes
+
+
 def test_vector_norms_are_root_sum_square():
     g = Grid(d=2, n=8, L=2.0)
     f = random_field(g, seed=3)
     u = VectorField((f, f))
-    assert norm_h4_vector(u) == pytest.approx(np.sqrt(2.0) * norm_h4(f), rel=1e-14)
+    assert norm_h4_vector(u) == pytest.approx(
+        np.sqrt(2.0) * norm_h4_vector(VectorField((f,))), rel=1e-14
+    )
     z = VectorField.zeros(g, 3)
     assert norm_h4_vector(z) == 0.0
 

@@ -380,7 +380,7 @@ def test_problem_helpers():
     assert p.n_components == 2
     q = p.with_eps(0.25)
     assert q.eps == (0.25, 0.25)
-    assert q.eps_max_component == 0.25
+    assert max(q.eps) == 0.25
     r = p.with_eps([0.1, 0.3])
     assert r.eps == (0.1, 0.3)
     g2 = quadratic_nonlinearity([np.eye(2), np.eye(2)], label="other")

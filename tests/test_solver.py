@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import small_config
+from conftest import small_config, traced_peak
 
 import nlrd.config
 import nlrd.lattice
@@ -749,6 +749,23 @@ def test_continuity_experiment_small_scaling(small_built):
     assert rep.measured <= rep.bound * 1.05 + rep.slack
     assert rep.measured > 0.0
     assert max(rep.residuals) <= 1e-8
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_continuity_holds_one_perturbation_beside_a_solve(n):
+    """While the second solve runs, the experiment holds the first one's
+    perturbation and none of its solution, and it takes the shift from the
+    two perturbations: its peak is at most one picard's plus 1.25 stacks."""
+    built = build_problem(small_config(n=n))
+    p = built.problem
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+    g1, g2 = p.nonlinearity, scale_nonlinearity(p.nonlinearity, 1.01)
+    continuity_experiment(p, g1, g2, **kwargs)  # fills the caches
+    stack = 8 * p.n_components * p.grid.npoints
+    solve_peak = traced_peak(lambda: picard(p, **kwargs))
+    assert traced_peak(lambda: continuity_experiment(p, g1, g2, **kwargs)) <= (
+        solve_peak + 1.25 * stack
+    )
 
 
 def test_continuity_experiment_requires_both_nonlinearities_valid(small_built):
