@@ -34,6 +34,7 @@ from .spectral import (
 from .model import (
     C2Norm,
     DataReport,
+    GaussianSource,
     GaussianSpec,
     Nonlinearity,
     NonlinearityReport,
@@ -94,7 +95,7 @@ __all__ = [
     "DIRECT_CONV_MAX_POINTS", "GridTooLarge",
     "apply_operator", "convolve", "convolve_direct", "solve_linear",
     # model
-    "C2Norm", "DataReport", "GaussianSpec", "Nonlinearity",
+    "C2Norm", "DataReport", "GaussianSource", "GaussianSpec", "Nonlinearity",
     "NonlinearityReport", "Problem", "ball_samples", "c2_gap", "c2_norm",
     "gaussian_field", "image_ball_radius", "quadratic_nonlinearity",
     "scale_nonlinearity", "validate_nonlinearity", "validate_problem_data",

@@ -28,8 +28,8 @@ validates the data and nonlinearity requirements and reports every
 constant for one problem, raising :class:`AssumptionsNotValidated`, which
 carries the uncertified report, when a requirement fails.  It is the one
 place a certified constant is derived: ``config.build_problem`` reads
-eps_max and the state-ball radius from the report on its uncoupled
-problem, and :func:`validate_problem` holds the one state-ball rule.
+eps_max and the C^2 norm of g over the state ball from the report on its
+uncoupled problem, and :func:`validate_problem` holds the one state-ball rule.
 """
 
 from __future__ import annotations
@@ -226,7 +226,8 @@ def continuity_bound_raw(
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Every certified constant for one problem instance."""
+    """Every certified constant for one problem instance, and the C^2 norm
+    of its nonlinearity over the state ball with the method that took it."""
 
     d: int
     rho: float
@@ -236,6 +237,8 @@ class BoundsReport:
     background_h4: float
     sobolev_constant: float
     state_ball_radius: float
+    c2_norm: float
+    c2_method: str  # "analytic" (exact) or "sampled" (a lower bound)
     eps: tuple[float, ...]
     eps_used: float
     eps_max: float
@@ -291,6 +294,8 @@ def compute_bounds(
         background_h4=float(background_h4),
         sobolev_constant=sobolev_embedding_constant(d),
         state_ball_radius=nl.ball_radius,
+        c2_norm=nl.c2_norm,
+        c2_method=nl.c2_method,
         eps=problem.eps,
         eps_used=eps_used,
         eps_max=coupling_threshold_raw(

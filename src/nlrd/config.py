@@ -19,6 +19,8 @@ A config file has seven sections::
 
 Field constructors: ``gaussian`` (params ``width``, ``amplitude``,
 ``center``), ``bfx1`` (``path``, from the config's directory; same grid), ``zero``.
+A ``gaussian`` or ``zero`` field is a source the problem samples each time
+a pass reads it; a ``bfx1`` field is read once, at build time.
 
 A key not shown is an error in any object, and so is a boolean or a
 string where a number belongs.  A key with a default may be left out,
@@ -31,9 +33,9 @@ amplitude to q * eps_max.  ``scale_c2_to_fraction`` rescales the
 nonlinearity so its exact C^2 norm over the state ball equals that
 fraction of ``c2_bound``.
 
-``build_problem`` reads eps_max and the state-ball radius from the
-:class:`~nlrd.bounds.BoundsReport` of its uncoupled problem (uncertified
-when a requirement fails: the build certifies nothing), as
+``build_problem`` reads eps_max and the C^2 norm of g over the state ball
+from the :class:`~nlrd.bounds.BoundsReport` of its uncoupled problem
+(uncertified when a requirement fails: the build certifies nothing), as
 :mod:`nlrd.bounds` is the one place a certified constant is derived.  The
 background and data report are cached on the problem (see
 :class:`nlrd.model.Problem`), so the kernel and forcing norms are measured
@@ -59,18 +61,20 @@ from .fieldio import read_field
 from .lattice import Grid, RealField, VectorField, real_number
 from .model import (
     DEFAULT_C2_BUDGET,
+    GaussianSource,
     GaussianSpec,
     Nonlinearity,
     Problem,
-    c2_norm,
     quadratic_nonlinearity,
     scale_nonlinearity,
     validate_problem_data,
 )
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
-#: peak resident bytes of a solve per grid point per component, above the
-#: interpreter's own; calibrated against measured benchmark peaks
+#: peak resident bytes of a CLI run per grid point per component, above the
+#: interpreter's own: 1.4x the largest traced peak of a subcommand, 91 B
+#: (`continuity` at d = 7, n = 8, with every kernel and forcing held as
+#: samples, as bfx1 inputs are; 75 B when all are gaussian or zero sources)
 _PEAK_BYTES_PER_POINT = 128
 
 
@@ -258,16 +262,17 @@ _CONFIG = {
 }
 
 
-def build_field(grid: Grid, spec: Any, where: str = "field") -> RealField:
-    """Construct one field from a constructor spec found at ``where`` in a config."""
+def build_field(grid: Grid, spec: Any, where: str = "field") -> GaussianSource | RealField:
+    """Construct one field source from a constructor spec found at ``where``
+    in a config: a Gaussian, sampled when read, or a bfx1 file's samples."""
     spec = _read(spec, where, _FIELD)
     name = spec["constructor"]
     params = _read(spec["params"], f"{where}.params", _FIELD_PARAMS[name])
     try:
         if name == "gaussian":
-            return GaussianSpec(**params).sample(grid)
-        if name == "zero":
-            return RealField.zeros(grid)
+            return GaussianSource(grid, GaussianSpec(**params))
+        if name == "zero":  # a Gaussian of amplitude 0 samples to exact zeros
+            return GaussianSource(grid, GaussianSpec(amplitude=0.0))
         f = read_field(params["path"])
     except (TypeError, ValueError, OSError, ArithmeticError) as err:
         raise ConfigError(f"cannot build {name!r} field: {err}") from err
@@ -355,18 +360,16 @@ def build_problem(
 
     scale_applied = None
     if nl["scale_c2_to_fraction"] is not None:
-        current = c2_norm(g, report.state_ball_radius, budget=solver["budget"], seed=solver["seed"])
+        current = report.c2_norm  # g's C^2 norm over the state ball
         # an inf norm would give the finite scale 0 and silently drop g
-        if not math.isfinite(current.value):
-            raise ConfigError(
-                f"cannot rescale a nonlinearity of C^2 norm {current.value}"
-            )
-        if current.value <= 0.0:
+        if not math.isfinite(current):
+            raise ConfigError(f"cannot rescale a nonlinearity of C^2 norm {current}")
+        if current <= 0.0:
             raise ConfigError("cannot rescale a vanishing nonlinearity")
-        scale_applied = nl["scale_c2_to_fraction"] * c2_bound / current.value
+        scale_applied = nl["scale_c2_to_fraction"] * c2_bound / current
         if not math.isfinite(scale_applied):
             raise ConfigError(
-                f"cannot rescale a nonlinearity of C^2 norm {current.value:.3g}: "
+                f"cannot rescale a nonlinearity of C^2 norm {current:.3g}: "
                 f"the scale {scale_applied} is not finite"
             )
         g = scale_nonlinearity(g, scale_applied)

@@ -193,6 +193,13 @@ class RealField:
     def zeros(cls, grid: Grid) -> "RealField":
         return cls(grid, np.zeros(grid.npoints))
 
+    def sample(self, out: np.ndarray | None = None) -> "RealField":
+        """This field, or its copy in ``out``: a field is its own source."""
+        if out is None:
+            return self
+        np.copyto(out, self.values.reshape(np.shape(out)))
+        return RealField(self.grid, out)
+
     def reshaped(self) -> np.ndarray:
         """Values as a d-dimensional array (view when possible)."""
         return self.values.reshape(self.grid.shape)

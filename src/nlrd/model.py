@@ -8,7 +8,9 @@ stationary nonlocal reaction-diffusion system
 
 truncated to the periodic box carried by its grid: the coupling amplitudes
 eps_m, the convolution kernels H_m, the forcings f_m, and the nonlinearity
-g.  It caches the linear background u0 = L^(-1) f, inverted by
+g.  It holds each kernel and forcing as a source, which a Gaussian from a
+config (:class:`GaussianSource`) samples only when a pass reads it.  It
+caches the linear background u0 = L^(-1) f, inverted by
 ``spectral.invert_coeffs``, the report on its data and the kernel
 coefficients of ``spectral.kernel_coeffs`` the solver shares.  The
 certified-bounds layer (:mod:`nlrd.bounds`) consumes these through the
@@ -84,13 +86,24 @@ class GaussianSpec:
             raise ValueError(f"center has {c.size} entries for dimension {d}")
         return c
 
-    def sample(self, grid: Grid) -> RealField:
-        """a e_1 (x) ... (x) e_d, e_j = exp(-(x - c_j)^2 / (2 w^2)) on the axis
-        coordinates: exp at d n points, and no full-size array but the result."""
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # callers check finiteness
+    def _factors(self, grid: Grid) -> list[np.ndarray]:
+        """Factors a e_1, e_2, ..., e_d, e_j = exp(-(x - c_j)^2 / (2 w^2)) in [0, 1]."""
         x, two_w2 = grid.axis_coords(), 2.0 * self.width**2
         factors = [np.exp(-((x - c) ** 2) / two_w2) for c in self._center_for(grid.d)]
         factors[0] *= self.amplitude
-        return RealField(grid, functools.reduce(np.multiply.outer, factors).reshape(-1))
+        return factors
+
+    def sample(self, grid: Grid, out: np.ndarray | None = None) -> RealField:
+        """a e_1 (x) ... (x) e_d: exp at d n points, and no full-size array but
+        the result, which views ``out`` (C-contiguous float64) when given."""
+        if out is not None and (out.dtype != np.float64 or out.size != grid.npoints
+                                or not out.flags.c_contiguous):
+            raise ValueError(f"out must be a C-contiguous float64 array of {grid.npoints} samples")
+        *head, last = self._factors(grid)
+        dest = None if out is None else out.reshape(grid.shape)
+        values = np.multiply.outer(functools.reduce(np.multiply.outer, head, 1.0), last, out=dest)
+        return RealField(grid, values.reshape(-1))
 
     def l1(self, d: int) -> float:
         """Exact L^1 norm on R^d: |a| (2 pi)^(d/2) w^d."""
@@ -102,6 +115,26 @@ class GaussianSpec:
 
     def linf(self) -> float:
         return abs(self.amplitude)
+
+
+@dataclass(frozen=True)
+class GaussianSource:
+    """A field source: ``grid``, ``values`` and ``sample(out=None)``, the
+    samples as a :class:`RealField` (in ``out`` when given), as a RealField
+    is its own source.  Here each read samples the spec afresh, to the same
+    bits; finite factors (each e_j lies in [0, 1]) give finite samples."""
+
+    grid: Grid
+    spec: GaussianSpec
+
+    def __post_init__(self) -> None:
+        if not all(np.all(np.isfinite(f)) for f in self.spec._factors(self.grid)):
+            raise ValueError("gaussian samples must be finite")
+
+    values = property(lambda self: self.sample().values)
+
+    def sample(self, out: np.ndarray | None = None) -> RealField:
+        return self.spec.sample(self.grid, out=out)
 
 
 def gaussian_field(
@@ -341,18 +374,20 @@ def image_ball_radius(background_h4: float, embedding_constant: float) -> float:
 class Problem:
     """One instance of the truncated nonlocal reaction-diffusion system.
 
-    The background u0, the data report of :func:`validate_problem_data`
-    and the coupling coefficients are computed on first use and cached.
-    Derived problems share the caches by reference, so each array exists
-    once: :meth:`with_nonlinearity` shares all three, :meth:`with_eps`
-    u0 and the data report, as the coupling scales with eps.
-    ``dataclasses.replace`` starts with empty caches.
+    Kernels and forcings are sources (a :class:`RealField` or a
+    :class:`GaussianSource`), read once per field by each pass that needs
+    their samples: the data report of :func:`validate_problem_data`, the
+    background u0 and the coupling coefficients, computed on first use and
+    cached, and each residual.  Derived problems share the caches by
+    reference, so each array exists once: :meth:`with_nonlinearity` shares
+    all three, :meth:`with_eps` u0 and the data report, as the coupling
+    scales with eps.  ``dataclasses.replace`` starts with empty caches.
     """
 
     grid: Grid
     eps: tuple[float, ...]
-    kernels: tuple[RealField, ...]
-    forcings: tuple[RealField, ...]
+    kernels: tuple[RealField | GaussianSource, ...]
+    forcings: tuple[RealField | GaussianSource, ...]
     nonlinearity: Nonlinearity
     rho: float = 1.0
     c2_bound: float = 1.0
@@ -442,7 +477,9 @@ class Problem:
     def _background(self) -> dict:
         if "background" not in self._data:
             grid = self.grid
-            hats = lattice.forward_stack(grid, [f.values for f in self.forcings])
+            hats = np.empty((self.n_components,) + grid.half_shape, dtype=np.complex128)
+            for m, f in enumerate(self.forcings):  # one forcing sampled at a time
+                lattice.forward_coeffs(grid, f.values, out=hats[m])
             dropped = tuple(invert_coeffs(grid, hats).tolist())
             u0 = VectorField(grid, lattice.inverse_stack(grid, hats))  # checks finiteness
             u0.values.flags.writeable = False  # shared by every derived problem
@@ -457,7 +494,7 @@ class Problem:
         if not self._coupling:
             out = np.empty((self.n_components,) + self.grid.half_shape, dtype=np.complex128)
             for m, (eps, H) in enumerate(zip(self.eps, self.kernels)):
-                np.multiply(kernel_coeffs(H), eps, out=out[m])
+                np.multiply(kernel_coeffs(H.sample()), eps, out=out[m])
             out.flags.writeable = False
             self._coupling["coupling"] = out
         return self._coupling["coupling"]
@@ -502,14 +539,14 @@ def validate_problem_data(problem: Problem) -> DataReport:
 
     The report depends on the kernels and forcings only, so it is
     measured once per problem and cached beside the background, where
-    the problems derived from it find it too.
+    the problems derived from it find it too.  Both norms of a field come
+    from one sample of it.
     """
     if "report" in problem._data:
         return problem._data["report"]
-    f_l1 = tuple(norm_l1(f) for f in problem.forcings)
-    f_l2 = tuple(norm_l2(f) for f in problem.forcings)
-    k_l1 = tuple(norm_l1(H) for H in problem.kernels)
-    k_l2 = tuple(norm_l2(H) for H in problem.kernels)
+    # (L^1 norms, L^2 norms) of each kind, one field sampled at a time
+    f_l1, f_l2 = zip(*[(norm_l1(f), norm_l2(f)) for f in (s.sample() for s in problem.forcings)])
+    k_l1, k_l2 = zip(*[(norm_l1(H), norm_l2(H)) for H in (s.sample() for s in problem.kernels)])
     l1_rss, l2_rss = _rss(k_l1), _rss(k_l2)
 
     failures: list[str] = []

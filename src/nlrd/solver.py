@@ -277,7 +277,8 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     forcing vector (from the problem's data report), or absolute when the
     forcing vanishes.  The forcing, u and g(u) are transformed from their
     samples, one component at a time, so the check does not depend on the
-    solve; the H^4 norm of u comes from the same transform of u.
+    solve; the H^4 norm of u comes from the same transform of u.  Forcing m
+    is sampled into the row of g(u) already transformed.
     """
     _require_match(problem, u, "candidate solution")
     grid = problem.grid
@@ -296,7 +297,8 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
         u_hat *= sym
         r_hat -= u_hat
         del u_hat  # not held through the forcing's transform
-        r_hat += forward_coeffs(grid, problem.forcings[m].values)
+        # the forcing is sampled into g(u)'s spent row: no new field
+        r_hat += forward_coeffs(grid, problem.forcings[m].sample(out=gz[m]).values)
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))
@@ -312,26 +314,6 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
 # Picard iteration
 # ---------------------------------------------------------------------------
 
-def _bounds_with_warnings(
-    problem: Problem, budget: int, seed: int
-) -> tuple[BoundsReport, list[str]]:
-    warnings: list[str] = []
-    try:
-        report = compute_bounds(problem, problem.background_h4, budget=budget, seed=seed)
-    except AssumptionsNotValidated as err:
-        warnings.append(
-            "requirements failed (" + ", ".join(err.failures) + "); "
-            "bounds reported without certification"
-        )
-        report = err.report
-    if report.eps_used > report.eps_max:
-        warnings.append(
-            f"coupling {report.eps_used:.6g} exceeds the certified threshold "
-            f"{report.eps_max:.6g}; contraction is not guaranteed"
-        )
-    return report, warnings
-
-
 def picard(
     problem: Problem,
     tol: float = DEFAULT_TOL,
@@ -345,16 +327,42 @@ def picard(
     Returns the full report on convergence; raises
     :class:`DivergenceDetected` / :class:`MaxIterExceeded` (each carrying
     the partial report) otherwise.  A coupling above the certified
-    threshold downgrades to a warning -- the guard that actually stops
-    runaway iterations is the divergence check.
+    threshold, or a failed requirement, downgrades to a warning -- the
+    guard that actually stops runaway iterations is the divergence check.
     """
+    try:
+        report = compute_bounds(problem, problem.background_h4, budget=budget, seed=seed)
+        warn = []
+    except AssumptionsNotValidated as err:
+        report = err.report
+        warn = [
+            "requirements failed (" + ", ".join(err.failures) + "); "
+            "bounds reported without certification"
+        ]
+    return _iterate(problem, report, warn, tol, max_iter, initial)
+
+
+def _iterate(
+    problem: Problem,
+    bounds_report: BoundsReport,
+    warn: list[str],
+    tol: float,
+    max_iter: int,
+    initial: VectorField | None = None,
+) -> SolveReport:
+    """The loop of :func:`picard`, given the problem's bounds report and
+    the warnings its certification raised."""
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
+    if bounds_report.eps_used > bounds_report.eps_max:
+        warn = warn + [
+            f"coupling {bounds_report.eps_used:.6g} exceeds the certified threshold "
+            f"{bounds_report.eps_max:.6g}; contraction is not guaranteed"
+        ]
     grid = problem.grid
     background = problem.background.values
-    bounds_report, warn = _bounds_with_warnings(problem, budget, seed)
 
     if initial is None:
         v_values = np.zeros((problem.n_components,) + grid.shape)
@@ -593,27 +601,26 @@ def continuity_experiment(
 ) -> ContinuityReport:
     """Solve with g1 and g2 and compare |u1 - u2|_H4 to the certified bound.
 
-    The bound assumes that both maps contract, so the problem is validated
-    with each nonlinearity before either solve; a failure raises
-    :class:`AssumptionsNotValidated`.  Both solves share the problem's
-    background, data report and coupling coefficients, so certifying
-    each again inside :func:`picard` only re-checks its nonlinearity,
-    at a cost that does not grow with the grid.  The shared background
-    cancels in u1 - u2, so the shift is measured as |v1 - v2|_H4 of the
-    perturbations, and while the second solve runs only the first one's
-    perturbation, bounds, iteration count and residual are held.  The
-    pass rule allows the stated relative margin plus an absolute slack of
-    10 * tol (two converged solves cannot be distinguished below that).
+    The bound assumes that both maps contract, so the problem is certified
+    with each nonlinearity, once, before either solve; a failure raises
+    :class:`AssumptionsNotValidated`.  Each solve is the loop of
+    :func:`picard` on the report already taken.  Both solves share the
+    problem's background, data report and coupling coefficients.  The
+    shared background cancels in u1 - u2, so the shift is measured as
+    |v1 - v2|_H4 of the perturbations, and while the second solve runs
+    only the first one's perturbation, bounds, iteration count and
+    residual are held.  The pass rule allows the stated relative margin
+    plus an absolute slack of 10 * tol (two converged solves cannot be
+    distinguished below that).
     """
     problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
-    for p in problems:
-        compute_bounds(p, problem.background_h4, budget=budget, seed=seed)
-    kwargs = dict(tol=tol, max_iter=max_iter, budget=budget, seed=seed)
-    first = picard(problems[0], **kwargs)  # converged: picard raises otherwise
+    h4 = problem.background_h4
+    reports = [compute_bounds(p, h4, budget=budget, seed=seed) for p in problems]
+    first = _iterate(problems[0], reports[0], [], tol, max_iter)  # converged, or it raises
     shift, bounds = first.perturbation.values, first.bounds
     iterations, residual = first.iterations, first.residual.relative
     del first  # its solution is not held through the second solve
-    second = picard(problems[1], **kwargs)
+    second = _iterate(problems[1], reports[1], [], tol, max_iter)
     shift -= second.perturbation.values
     measured = norm_h4_vector(VectorField(problem.grid, shift))
     gap = c2_gap(g1, g2, bounds.state_ball_radius, budget=budget, seed=seed)

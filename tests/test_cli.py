@@ -713,6 +713,7 @@ SHIPPED_BOUNDS = {
     "lipschitz_coeff": 18.532885830483604,
     "apriori_bound": 0.5,
     "background_h4": 0.3902195484821371,
+    "c2_norm": 0.5,
 }
 SHIPPED_SOLVE = {
     "perturbation_h4": 0.00013037223903941266,
@@ -734,6 +735,7 @@ def test_shipped_instance_is_pinned(capsys):
     assert code == 0
     for key, value in SHIPPED_BOUNDS.items():
         assert bounds["bounds"][key] == pytest.approx(value, rel=1e-12), key
+    assert bounds["bounds"]["c2_method"] == "analytic"
 
     code, solve, _ = run_json(capsys, "solve", cfg)
     assert code == 0

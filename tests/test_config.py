@@ -1,18 +1,24 @@
 """Config loading and problem building."""
 
+import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from conftest import small_config
 
 import nlrd.bounds
+import nlrd.config
+import nlrd.model
 from nlrd import __version__
 from nlrd.bounds import compute_bounds, sobolev_embedding_constant, validate_problem
 from nlrd.config import ConfigError, build_field, build_problem, load_config
 from nlrd.fieldio import write_field
 from nlrd.lattice import Grid
-from nlrd.model import c2_norm, gaussian_field, image_ball_radius
+from nlrd.model import GaussianSpec, c2_norm, gaussian_field, image_ball_radius
+from nlrd.solver import picard, residual
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +105,25 @@ def test_build_reads_its_constants_from_the_bounds_report(monkeypatch):
     assert c2 == pytest.approx(fraction * p.c2_bound, rel=1e-12)
     eps_max = compute_bounds(p, built.background_h4, **options).eps_max
     assert built.resolved["eps"] == [cfg["problem"]["eps_fraction"] * eps_max] * 2
+
+
+def test_build_takes_the_c2_norm_of_g_once(monkeypatch):
+    """scale_c2_to_fraction reads g's C^2 norm from the bounds report of the
+    base problem, so a build evaluates c2_norm once, through every binding."""
+    calls = []
+    for module in (nlrd.model, nlrd.config):
+        if hasattr(module, "c2_norm"):
+            def counted(*args, _original=getattr(module, "c2_norm"), **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "c2_norm", counted)
+    cfg = small_config(n=4)
+    built = build_problem(cfg)
+    assert len(calls) == 1
+    g, radius = calls[0][:2]
+    scale = cfg["nonlinearity"]["scale_c2_to_fraction"] * built.problem.c2_bound / c2_norm(
+        g, radius, budget=built.budget, seed=built.seed).value
+    assert built.resolved["nonlinearity"]["scale_applied"] == scale
 
 
 def test_cli_fraction_overrides_config():
@@ -290,3 +315,86 @@ def test_null_optional_sections_are_absent():
     absent = build_problem(cfg)
     assert nulls.resolved["solver"] == absent.resolved["solver"]
     assert nulls.margins == absent.margins == {"contraction": 0.05, "continuity": 0.05}
+
+
+# ---------------------------------------------------------------------------
+# field sources
+# ---------------------------------------------------------------------------
+
+def count_samples(monkeypatch) -> list:
+    """Record every call of ``GaussianSpec.sample``."""
+    calls = []
+    original = GaussianSpec.sample
+
+    def counted(self, grid, out=None):
+        calls.append(self)
+        return original(self, grid, out=out)
+
+    monkeypatch.setattr(GaussianSpec, "sample", counted)
+    return calls
+
+
+def test_each_pass_samples_each_field_once(monkeypatch):
+    """A config's Gaussian and zero fields are sampled when a pass reads them:
+    the build each field once for its norms and each forcing once for the
+    background, the coupling each kernel once, and each residual each
+    forcing once; derived problems reuse the cached passes."""
+    calls = count_samples(monkeypatch)
+    cfg = small_config(n=4)
+    cfg["forcings"][1] = {"constructor": "zero"}
+    built = build_problem(cfg)
+    p = built.problem
+    N = p.n_components
+    assert len(calls) == 2 * N + N
+    p.coupling
+    assert len(calls) == 4 * N
+    rep = picard(p.with_nonlinearity(p.nonlinearity), tol=built.tol, max_iter=built.max_iter,
+                 budget=500)
+    assert len(calls) == 5 * N
+    residual(p, rep.solution)
+    assert len(calls) == 6 * N
+    assert calls[-N:] == [f.spec for f in p.forcings]
+
+
+def arrays_reachable(obj, found: dict) -> dict:
+    """``id -> nbytes`` of each array reachable from ``obj`` through
+    dataclass fields, dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        found[id(obj)] = obj.nbytes
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            arrays_reachable(getattr(obj, f.name), found)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            arrays_reachable(value, found)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            arrays_reachable(item, found)
+    return found
+
+
+def test_a_warm_problem_holds_no_samples_of_its_data():
+    """After a solve has filled its caches, a built problem's sources and
+    caches hold exactly the background (N fields) and the coupling (N half
+    spectra): no kernel or forcing samples."""
+    built = build_problem(small_config(n=4))
+    p = built.problem
+    picard(p, tol=built.tol, max_iter=built.max_iter, budget=500)
+    held = arrays_reachable([p.kernels, p.forcings, p._data, p._coupling], {})
+    N, grid = p.n_components, p.grid
+    assert sum(held.values()) == N * 8 * grid.npoints + N * 16 * math.prod(grid.half_shape)
+
+
+@pytest.mark.parametrize("section", ["kernels", "forcings"])
+@pytest.mark.parametrize("param,value", [("width", 1e-300), ("width", 1e200), ("amplitude", 1e308)])
+def test_extreme_gaussian_params_fail_when_built(section, param, value):
+    """A Gaussian is refused at build time although it is sampled only when
+    used: a width of 1e-300 (a NaN at its centre) or 1e200 by its 1-D
+    factors, an amplitude of 1e308 by the norms or the background; and
+    with no numpy warning."""
+    cfg = small_config(n=4)
+    cfg[section][0]["params"][param] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError):
+            build_problem(cfg)

@@ -1,6 +1,8 @@
 """Problem data: Gaussian profiles, nonlinearities, validators."""
 
 import dataclasses
+import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from numpy.testing import assert_allclose
 from nlrd.cli import _jsonable
 from nlrd.lattice import Grid, RealField, forward_coeffs, norm_h4_vector, norm_l1, norm_l2
 from nlrd.model import (
+    GaussianSource,
     GaussianSpec,
     Nonlinearity,
     Problem,
@@ -147,6 +150,55 @@ def test_gaussian_sample_holds_the_field_and_its_factors_only():
     spec = GaussianSpec(width=1.3, amplitude=0.7, center=0.25)
     spec.sample(g)
     assert traced_peak(lambda: spec.sample(g)) < 1.3 * 8 * g.npoints
+
+
+@pytest.mark.parametrize("d", [5, 6, 7])
+def test_gaussian_source_samples_the_spec_bit_for_bit(d):
+    """A source's values, read twice, and its write into ``out`` are the
+    product of the 1-D factors in their order, bit for bit; the field it
+    returns views ``out``."""
+    g = Grid(d=d, n=4, L=3.0)
+    spec = GaussianSpec(width=0.9, amplitude=-1.3, center=tuple(np.linspace(-0.4, 0.7, d)))
+    x = g.axis_coords()
+    factors = [np.exp(-((x - c) ** 2) / (2.0 * 0.9**2)) for c in spec.center]
+    factors[0] *= -1.3
+    expected = functools.reduce(np.multiply.outer, factors).reshape(-1)
+    source = GaussianSource(g, spec)
+    out = np.empty((2, g.npoints))
+    written = source.sample(out=out[1])
+    assert np.shares_memory(written.values, out[1])
+    for values in (source.values, source.values, spec.sample(g).values, written.values):
+        assert np.array_equal(values, expected)
+
+
+def test_sample_out_must_hold_the_grid_as_contiguous_floats():
+    g = Grid(d=5, n=4, L=3.0)
+    spec = GaussianSpec()
+    for out in (np.empty(g.npoints, np.float32), np.empty((g.npoints, 2))[:, 0],
+                np.empty(g.npoints + 1)):
+        with pytest.raises(ValueError, match="out must be"):
+            spec.sample(g, out=out)
+
+
+def test_a_real_field_is_its_own_source():
+    f = gaussian_field(Grid(d=5, n=4, L=3.0), width=0.8)
+    assert f.sample() is f
+    out = np.empty(f.grid.shape)
+    copy = f.sample(out=out)
+    assert np.shares_memory(copy.values, out)
+    assert np.array_equal(copy.values, f.values)
+
+
+@pytest.mark.parametrize("params", [{"width": 1e-300}, {"width": 1e200}])
+def test_gaussian_source_refuses_non_finite_samples_quietly(params):
+    """A width whose square underflows samples 0/0 at a centre on the
+    lattice, and one whose square overflows cannot be sampled: either is
+    refused when the source is made, from its 1-D factors, with no numpy
+    warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises((ValueError, OverflowError)):
+            GaussianSource(Grid(d=5, n=4, L=3.0), GaussianSpec(**params))
 
 
 def test_gaussian_norms_are_shift_invariant():

@@ -768,6 +768,23 @@ def test_continuity_holds_one_perturbation_beside_a_solve(n):
     )
 
 
+def test_continuity_certifies_each_problem_once(monkeypatch, small_built):
+    """The experiment certifies the problem with g1 and with g2 up front, and
+    its two solves reuse those reports: 2 compute_bounds calls, not 4."""
+    calls = []
+
+    def counted(*args, _original=nlrd.solver.compute_bounds, **kwargs):
+        calls.append(args[0].nonlinearity)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(nlrd.solver, "compute_bounds", counted)
+    p = small_built.problem
+    g2 = scale_nonlinearity(p.nonlinearity, 1.01)
+    rep = continuity_experiment(p, p.nonlinearity, g2, budget=500)
+    assert rep.passed
+    assert calls == [p.nonlinearity, g2]
+
+
 def test_continuity_experiment_requires_both_nonlinearities_valid(small_built):
     from nlrd.bounds import AssumptionsNotValidated
 
