@@ -42,7 +42,6 @@ from .model import (
     ball_samples,
     c2_gap,
     c2_norm,
-    gaussian_field,
     image_ball_radius,
     quadratic_nonlinearity,
     scale_nonlinearity,
@@ -97,8 +96,8 @@ __all__ = [
     # model
     "C2Norm", "DataReport", "GaussianSource", "GaussianSpec", "Nonlinearity",
     "NonlinearityReport", "Problem", "ball_samples", "c2_gap", "c2_norm",
-    "gaussian_field", "image_ball_radius", "quadratic_nonlinearity",
-    "scale_nonlinearity", "validate_nonlinearity", "validate_problem_data",
+    "image_ball_radius", "quadratic_nonlinearity", "scale_nonlinearity",
+    "validate_nonlinearity", "validate_problem_data",
     # bounds
     "AssumptionsNotValidated", "BadDimension", "BoundsReport",
     "ContractionNotStrict", "NonPositiveAlpha",

@@ -12,7 +12,7 @@ Reports go to stdout as strict JSON (keys sorted; only wall-time fields
 vary between identical runs; non-finite numbers are written as the strings
 "inf", "-inf" and "nan"); diagnostics go to stderr.  Exit codes: 0 success,
 1 requirement/certification failure, 2 configuration error or unwritable
-output path, 3 solver failure (divergence or iteration budget).
+output (a path or stdout), 3 solver failure (divergence or iteration budget).
 """
 
 from __future__ import annotations
@@ -81,7 +81,11 @@ def _jsonable(obj):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False))
+    """Print the report; a closed or full stdout is an unwritable output."""
+    try:
+        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False), flush=True)
+    except OSError as err:
+        raise ConfigError(f"cannot write report: {err}") from err
 
 
 def _diag(msg: str) -> None:

@@ -189,16 +189,9 @@ class RealField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def zeros(cls, grid: Grid) -> "RealField":
-        return cls(grid, np.zeros(grid.npoints))
-
     def sample(self, out: np.ndarray | None = None) -> "RealField":
-        """This field, or its copy in ``out``: a field is its own source."""
-        if out is None:
-            return self
-        np.copyto(out, self.values.reshape(np.shape(out)))
-        return RealField(self.grid, out)
+        """This field, never copied: a field is its own source (``out`` unused)."""
+        return self
 
     def reshaped(self) -> np.ndarray:
         """Values as a d-dimensional array (view when possible)."""

@@ -113,16 +113,13 @@ class GaussianSpec:
         """Exact L^2 norm on R^d: |a| pi^(d/4) w^(d/2)."""
         return abs(self.amplitude) * np.pi ** (d / 4.0) * self.width ** (d / 2.0)
 
-    def linf(self) -> float:
-        return abs(self.amplitude)
-
 
 @dataclass(frozen=True)
 class GaussianSource:
     """A field source: ``grid``, ``values`` and ``sample(out=None)``, the
-    samples as a :class:`RealField` (in ``out`` when given), as a RealField
-    is its own source.  Here each read samples the spec afresh, to the same
-    bits; finite factors (each e_j lies in [0, 1]) give finite samples."""
+    samples as a :class:`RealField`, made in ``out`` when given; a RealField
+    is its own source and returns itself.  Each read samples the spec afresh,
+    to the same bits; finite factors (each e_j in [0, 1]) give finite ones."""
 
     grid: Grid
     spec: GaussianSpec
@@ -135,16 +132,6 @@ class GaussianSource:
 
     def sample(self, out: np.ndarray | None = None) -> RealField:
         return self.spec.sample(self.grid, out=out)
-
-
-def gaussian_field(
-    grid: Grid,
-    width: float = 1.0,
-    amplitude: float = 1.0,
-    center: tuple[float, ...] | float = 0.0,
-) -> RealField:
-    """Sample an isotropic Gaussian bump on the grid."""
-    return GaussianSpec(width=width, amplitude=amplitude, center=center).sample(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,8 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     forcing vector (from the problem's data report), or absolute when the
     forcing vanishes.  The forcing, u and g(u) are transformed from their
     samples, one component at a time, so the check does not depend on the
-    solve; the H^4 norm of u comes from the same transform of u.  Forcing m
-    is sampled into the row of g(u) already transformed.
+    solve; the H^4 norm of u comes from the same transform of u.  A sampled
+    forcing is made in g(u)'s transformed row; a held one is read in place.
     """
     _require_match(problem, u, "candidate solution")
     grid = problem.grid
@@ -297,7 +297,7 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
         u_hat *= sym
         r_hat -= u_hat
         del u_hat  # not held through the forcing's transform
-        # the forcing is sampled into g(u)'s spent row: no new field
+        # a sampled forcing goes into g(u)'s spent row: no new field
         r_hat += forward_coeffs(grid, problem.forcings[m].sample(out=gz[m]).values)
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)

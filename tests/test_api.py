@@ -18,8 +18,11 @@ DELETED = (
     "SYMMETRY_RTOL", "operator_symbol", "TOL_ZERO_MODE", "ZeroModePolicy",
     "ZeroModeRejected", "coupling_threshold", "lipschitz_coefficient",
     "apriori_bound", "continuity_bound", "solve_background", "kernel_aggregates",
-    "norm_linf", "norm_l2_vector", "norm_h4",
+    "norm_linf", "norm_l2_vector", "norm_h4", "gaussian_field",
 )
+
+#: methods deleted for the same reason, as (class, attribute)
+DELETED_METHODS = ((nlrd.RealField, "zeros"), (nlrd.GaussianSpec, "linf"))
 
 
 def traced_bindings() -> tuple[tuple[str, str], ...]:
@@ -50,6 +53,11 @@ def test_deleted_names_are_not_exported(name):
     assert name not in nlrd.__all__
     for module in (nlrd, nlrd.lattice, nlrd.spectral, nlrd.model, nlrd.bounds):
         assert not hasattr(module, name), module.__name__
+
+
+@pytest.mark.parametrize("cls,name", DELETED_METHODS)
+def test_deleted_methods_are_gone(cls, name):
+    assert not hasattr(cls, name)
 
 
 def test_traced_bindings_exist():

@@ -24,8 +24,9 @@ from nlrd.bounds import (
     sphere_measure,
 )
 from nlrd.cli import _jsonable
-from nlrd.lattice import Grid, RealField
-from nlrd.model import Problem, gaussian_field, quadratic_nonlinearity
+from nlrd.config import build_field
+from nlrd.lattice import Grid
+from nlrd.model import GaussianSpec, Problem, quadratic_nonlinearity
 from nlrd.solver import picard
 
 TWO_PI = 2.0 * np.pi
@@ -46,8 +47,8 @@ def tiny_problem(**overrides) -> Problem:
     fields = dict(
         grid=g,
         eps=(0.0, 0.0),
-        kernels=(gaussian_field(g, 1.0, 1.0), gaussian_field(g, 0.9, 0.8)),
-        forcings=(gaussian_field(g, 1.2, 0.05), gaussian_field(g, 1.1, -0.03)),
+        kernels=(GaussianSpec(1.0, 1.0).sample(g), GaussianSpec(0.9, 0.8).sample(g)),
+        forcings=(GaussianSpec(1.2, 0.05).sample(g), GaussianSpec(1.1, -0.03).sample(g)),
         nonlinearity=quadratic_nonlinearity(
             [np.array([[1.0, 0.3], [0.3, 0.5]]), np.array([[0.2, -0.4], [-0.4, 1.0]])]
         ),
@@ -298,7 +299,7 @@ def test_compute_bounds_report_consistency():
 
 def test_validated_layer_requires_sound_data():
     g = Grid(d=5, n=4, L=4.0)
-    zero = RealField.zeros(g)
+    zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(forcings=(zero, zero))
     with pytest.raises(AssumptionsNotValidated) as err:
         compute_bounds(p, background_h4=0.0, budget=500)
@@ -314,7 +315,7 @@ def test_validated_layer_requires_sound_data():
 )
 def test_degenerate_kernels_fail_validation_not_arithmetic(amplitude, clause, eps_max):
     g = Grid(d=5, n=4, L=4.0)
-    p = tiny_problem(kernels=(gaussian_field(g, 1.0, amplitude),) * 2, c2_bound=10.0)
+    p = tiny_problem(kernels=(GaussianSpec(1.0, amplitude).sample(g),) * 2, c2_bound=10.0)
     with np.errstate(over="ignore"):
         with pytest.raises(AssumptionsNotValidated) as err:
             compute_bounds(p, p.background_h4, budget=500)
@@ -336,7 +337,7 @@ def test_each_norm_is_taken_once_per_certification(monkeypatch):
     N = p.n_components
     compute_bounds(p, p.background_h4, budget=500)
     assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
-    zero = RealField.zeros(p.grid)
+    zero = build_field(p.grid, {"constructor": "zero"})
     failing = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0, kernels=(zero, zero))
     calls.update(norm_l1=0, norm_l2=0)
     rep = picard(failing, tol=1e-10, max_iter=10, budget=500)

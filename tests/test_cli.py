@@ -2,6 +2,10 @@
 
 import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from conftest import BAD_CENTERS, REFERENCE_CONFIG, small_config
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nlrd
 from nlrd.cli import main
 from nlrd.config import build_problem
 from nlrd.fieldio import read_field
@@ -294,6 +299,35 @@ def test_unwritable_solver_output_is_a_config_error(
     assert out == ""
 
 
+def closed_pipe():
+    """The write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return os.fdopen(write_end, "wb")
+
+
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    return open("/dev/full", "wb")
+
+
+@pytest.mark.parametrize("sink", [closed_pipe, full_device])
+def test_unwritable_stdout_is_a_config_error(sink):
+    """A report that cannot be written exits 2 with one stderr line, in a
+    process of its own, with no traceback at the write or at shutdown."""
+    src = str(Path(nlrd.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with sink() as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nlrd.cli", "bounds", str(REFERENCE_CONFIG)],
+            stdout=stdout, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: cannot write report")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def test_grid_beyond_physical_memory_is_a_config_error(tmp_path, capsys, monkeypatch):
     # 2 x 16^5 points need about 270 MB; pretend the machine has 100 MB
     monkeypatch.setattr("nlrd.config._physical_memory", lambda: 100e6)
@@ -469,13 +503,29 @@ def valid_configs(draw):
 )
 @given(cfg=valid_configs())
 def test_valid_configs_never_exit_as_config_errors(tmp_path, capsys, cfg):
+    """No valid config is a config error, and one whose solve reports a
+    contractive map meets every certified inequality these runs can check.
+    A solve whose requirements failed (a vanishing forcing) still reports
+    its uncertified constants; the probe then exits 1 on the same failure."""
     path = write_cfg(tmp_path, cfg)
+    codes, reports = {}, {}
     for command in (["solve"], ["continuity"], ["probe-contraction", "--pairs", "2"]):
         code, out, err = run(capsys, command[0], path, *command[1:])
         assert code in (0, 1, 3), (command, err)
         assert "Traceback" not in err
-        if out:
-            strict_json(out)
+        codes[command[0]] = code
+        reports[command[0]] = strict_json(out) if out else None
+    solve = reports["solve"]
+    if solve is not None and solve["bounds"]["contractive"]:
+        kappa = solve["bounds"]["contraction_constant"]
+        certified = not any(w.startswith("requirements failed") for w in solve["warnings"])
+        assert codes["solve"] == 0, cfg
+        assert solve["perturbation_h4"] <= solve["bounds"]["apriori_bound"], cfg
+        assert all(s["ratio"] is None or s["ratio"] <= kappa for s in solve["trace"]), cfg
+        assert codes["probe-contraction"] == (0 if certified else 1), cfg
+        if certified:
+            assert reports["probe-contraction"]["max_ratio"] <= kappa, cfg
+        assert codes["continuity"] != 3, cfg
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from nlrd.bounds import compute_bounds, sobolev_embedding_constant, validate_pro
 from nlrd.config import ConfigError, build_field, build_problem, load_config
 from nlrd.fieldio import write_field
 from nlrd.lattice import Grid
-from nlrd.model import GaussianSpec, c2_norm, gaussian_field, image_ball_radius
+from nlrd.model import GaussianSpec, c2_norm, image_ball_radius
 from nlrd.solver import picard, residual
 
 
@@ -261,7 +261,7 @@ def test_scale_fraction_domain():
 def test_bfx1_constructor_round_trips(tmp_path):
     cfg = small_config()
     grid = Grid(d=5, n=6, L=8.0)
-    stored = gaussian_field(grid, width=1.2, amplitude=0.05)
+    stored = GaussianSpec(width=1.2, amplitude=0.05).sample(grid)
     path = tmp_path / "forcing.bfx1"
     write_field(path, stored)
     cfg["forcings"][0] = {"constructor": "bfx1", "params": {"path": str(path)}}
@@ -271,7 +271,7 @@ def test_bfx1_constructor_round_trips(tmp_path):
 
 def test_bfx1_constructor_checks_grid(tmp_path):
     cfg = small_config()
-    other = gaussian_field(Grid(d=5, n=4, L=8.0))
+    other = GaussianSpec().sample(Grid(d=5, n=4, L=8.0))
     path = tmp_path / "wrong.bfx1"
     write_field(path, other)
     cfg["forcings"][0] = {"constructor": "bfx1", "params": {"path": str(path)}}
@@ -284,7 +284,7 @@ def test_relative_bfx1_path_is_beside_the_config(tmp_path, monkeypatch):
     directory, from any working directory; a config dict keeps paths
     relative to the working directory."""
     cfg = small_config()
-    stored = gaussian_field(Grid(d=5, n=6, L=8.0), width=1.2, amplitude=0.05)
+    stored = GaussianSpec(width=1.2, amplitude=0.05).sample(Grid(d=5, n=6, L=8.0))
     (tmp_path / "cfgs").mkdir()
     (tmp_path / "elsewhere").mkdir()
     write_field(tmp_path / "cfgs" / "forcing.bfx1", stored)

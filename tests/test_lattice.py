@@ -28,7 +28,7 @@ from nlrd.lattice import (
     norm_l1,
     norm_l2,
 )
-from nlrd.model import gaussian_field
+from nlrd.model import GaussianSpec
 from nlrd.bounds import sphere_measure
 
 TWO_PI = 2.0 * np.pi
@@ -116,7 +116,7 @@ def test_field_containers_validate():
         VectorField(())
     other = Grid(d=2, n=6, L=1.0)
     with pytest.raises(ValueError):
-        VectorField((RealField.zeros(g), RealField.zeros(other)))
+        VectorField((RealField(g, np.zeros(g.npoints)), RealField(other, np.zeros(other.npoints))))
 
 
 @pytest.mark.parametrize(
@@ -384,7 +384,7 @@ def test_self_conjugate_modes_are_exactly_real(d, n):
 
 def test_norms_of_zero_and_constant_fields():
     g = Grid(d=2, n=8, L=2.0)
-    z = RealField.zeros(g)
+    z = RealField(g, np.zeros(g.npoints))
     assert norm_l1(z) == norm_l2(z) == norm_h4_vector(VectorField((z,))) == 0.0
     c = -1.5
     f = RealField(g, np.full(g.npoints, c))
@@ -414,7 +414,7 @@ def test_h4_matches_radial_quadrature():
     # exp(-|x|^2 / 2) transforms to itself under the unitary convention, so
     # its squared H^4 norm is S_d * int (1 + r^8) exp(-r^2) r^(d-1) dr
     g = Grid(d=5, n=20, L=6.0)
-    f = gaussian_field(g, width=1.0, amplitude=1.0)
+    f = GaussianSpec(width=1.0, amplitude=1.0).sample(g)
     val, _ = integrate.quad(
         lambda r: (1.0 + r**8) * np.exp(-r * r) * r**4, 0.0, np.inf
     )
@@ -494,6 +494,6 @@ def test_gaussian_l2_matches_closed_form_in_2d():
     # fine grid, wide box: the discrete norm approaches the closed form
     g = Grid(d=2, n=64, L=8.0)
     w, a = 1.3, 0.7
-    f = gaussian_field(g, width=w, amplitude=a)
+    f = GaussianSpec(width=w, amplitude=a).sample(g)
     exact = a * np.pi ** (2.0 / 4.0) * w ** (2.0 / 2.0)
     assert norm_l2(f) == pytest.approx(exact, rel=1e-8)

@@ -10,6 +10,7 @@ from conftest import BAD_CENTERS, traced_peak
 from numpy.testing import assert_allclose
 
 from nlrd.cli import _jsonable
+from nlrd.config import build_field
 from nlrd.lattice import Grid, RealField, forward_coeffs, norm_h4_vector, norm_l1, norm_l2
 from nlrd.model import (
     GaussianSource,
@@ -19,7 +20,6 @@ from nlrd.model import (
     ball_samples,
     c2_gap,
     c2_norm,
-    gaussian_field,
     image_ball_radius,
     quadratic_nonlinearity,
     scale_nonlinearity,
@@ -34,8 +34,8 @@ TWO_PI = 2.0 * np.pi
 def small_problem(d=5, n=4, L=4.0, eps=0.0, **overrides) -> Problem:
     g = Grid(d=d, n=n, L=L)
     fields = dict(
-        kernels=(gaussian_field(g, 1.0, 1.0), gaussian_field(g, 0.9, 0.8)),
-        forcings=(gaussian_field(g, 1.2, 0.05), gaussian_field(g, 1.1, -0.03)),
+        kernels=(GaussianSpec(1.0, 1.0).sample(g), GaussianSpec(0.9, 0.8).sample(g)),
+        forcings=(GaussianSpec(1.2, 0.05).sample(g), GaussianSpec(1.1, -0.03).sample(g)),
         nonlinearity=quadratic_nonlinearity(
             [np.array([[1.0, 0.3], [0.3, 0.5]]), np.array([[0.2, -0.4], [-0.4, 1.0]])]
         ),
@@ -103,7 +103,7 @@ def test_gaussian_peak_and_linf():
     f = spec.sample(g)
     # x = 0 is a lattice point, so the discrete sup hits the amplitude
     assert np.min(f.values) == pytest.approx(-2.5, rel=1e-14)
-    assert spec.linf() == 2.5
+    assert np.max(np.abs(f.values)) == pytest.approx(2.5, rel=1e-14)
 
 
 def test_gaussian_closed_form_norms_match_discrete_sums():
@@ -181,12 +181,12 @@ def test_sample_out_must_hold_the_grid_as_contiguous_floats():
 
 
 def test_a_real_field_is_its_own_source():
-    f = gaussian_field(Grid(d=5, n=4, L=3.0), width=0.8)
+    """A held field is returned, never copied, and ``out`` is left as it was."""
+    f = GaussianSpec(width=0.8).sample(Grid(d=5, n=4, L=3.0))
     assert f.sample() is f
-    out = np.empty(f.grid.shape)
-    copy = f.sample(out=out)
-    assert np.shares_memory(copy.values, out)
-    assert np.array_equal(copy.values, f.values)
+    buf = np.full(f.grid.shape, -7.0)
+    assert f.sample(out=buf) is f
+    assert np.all(buf == -7.0)
 
 
 @pytest.mark.parametrize("params", [{"width": 1e-300}, {"width": 1e200}])
@@ -203,8 +203,8 @@ def test_gaussian_source_refuses_non_finite_samples_quietly(params):
 
 def test_gaussian_norms_are_shift_invariant():
     g = Grid(d=2, n=32, L=8.0)
-    centered = gaussian_field(g, width=1.0, amplitude=1.0)
-    shifted = gaussian_field(g, width=1.0, amplitude=1.0, center=(1.0, -0.5))
+    centered = GaussianSpec(width=1.0, amplitude=1.0).sample(g)
+    shifted = GaussianSpec(width=1.0, amplitude=1.0, center=(1.0, -0.5)).sample(g)
     assert norm_l1(shifted) == pytest.approx(norm_l1(centered), rel=1e-10)
     assert norm_l2(shifted) == pytest.approx(norm_l2(centered), rel=1e-10)
 
@@ -383,8 +383,8 @@ def test_problem_rejects_unsupported_dimension():
         Problem(
             grid=g4,
             eps=(0.0, 0.0),
-            kernels=(RealField.zeros(g4),) * 2,
-            forcings=(RealField.zeros(g4),) * 2,
+            kernels=(build_field(g4, {"constructor": "zero"}),) * 2,
+            forcings=(build_field(g4, {"constructor": "zero"}),) * 2,
             nonlinearity=quadratic_nonlinearity([np.eye(2), np.eye(2)]),
         )
 
@@ -395,8 +395,8 @@ def test_problem_warns_on_single_component():
         Problem(
             grid=g,
             eps=(0.0,),
-            kernels=(gaussian_field(g),),
-            forcings=(gaussian_field(g),),
+            kernels=(GaussianSpec().sample(g),),
+            forcings=(GaussianSpec().sample(g),),
             nonlinearity=quadratic_nonlinearity([np.array([[1.0]])]),
         )
     # the warning names the caller, not the generated __init__
@@ -417,13 +417,13 @@ def test_problem_validates_parameters():
         Problem(
             grid=g,
             eps=(0.0, 0.0, 0.0),
-            kernels=(gaussian_field(g),) * 2,
-            forcings=(gaussian_field(g),) * 2,
+            kernels=(GaussianSpec().sample(g),) * 2,
+            forcings=(GaussianSpec().sample(g),) * 2,
             nonlinearity=quadratic_nonlinearity([np.eye(2), np.eye(2)]),
         )
     with pytest.raises(ValueError, match="problem grid"):
         other = Grid(d=5, n=6, L=4.0)
-        small_problem(kernels=(gaussian_field(other), gaussian_field(other)))
+        small_problem(kernels=(GaussianSpec().sample(other), GaussianSpec().sample(other)))
 
 
 def test_problem_helpers():
@@ -521,7 +521,7 @@ def test_validate_problem_data_passes_on_reference_style_instance():
 
 def test_validate_problem_data_flags_trivial_data():
     g = Grid(d=5, n=4, L=4.0)
-    zero = RealField.zeros(g)
+    zero = build_field(g, {"constructor": "zero"})
     rep = validate_problem_data(small_problem(forcings=(zero, zero)))
     assert not rep.passed
     assert "forcing_nontrivial" in rep.failures
@@ -536,7 +536,7 @@ def test_validate_problem_data_flags_overflowing_norms(amplitude):
     """1e153: finite norms whose squares overflow the aggregate; 1e160: the
     L^2 norm itself overflows.  Flagged, with no numpy warning."""
     p = small_problem()
-    big = gaussian_field(p.grid, 1.0, amplitude)
+    big = GaussianSpec(1.0, amplitude).sample(p.grid)
     rep = validate_problem_data(small_problem(kernels=(big, p.kernels[1])))
     assert rep.failures == ("norms_finite",)
     assert rep.kernel_l1_rss == np.inf

@@ -13,7 +13,7 @@ import nlrd.lattice
 import nlrd.model
 import nlrd.solver
 from nlrd.bounds import compute_bounds
-from nlrd.config import build_problem
+from nlrd.config import build_field, build_problem
 from nlrd.lattice import (
     Grid,
     RealField,
@@ -23,9 +23,9 @@ from nlrd.lattice import (
     norm_h4_vector,
 )
 from nlrd.model import (
+    GaussianSpec,
     Nonlinearity,
     Problem,
-    gaussian_field,
     quadratic_nonlinearity,
     scale_nonlinearity,
     validate_problem_data,
@@ -61,8 +61,8 @@ def tiny_problem(n=4, eps=0.0, d=5, **overrides) -> Problem:
     fields = dict(
         grid=g,
         eps=(eps,) * 2,
-        kernels=(gaussian_field(g, 1.0, 1.0), gaussian_field(g, 0.9, 0.8)),
-        forcings=(gaussian_field(g, 1.2, 0.05), gaussian_field(g, 1.1, -0.03)),
+        kernels=(GaussianSpec(1.0, 1.0).sample(g), GaussianSpec(0.9, 0.8).sample(g)),
+        forcings=(GaussianSpec(1.2, 0.05).sample(g), GaussianSpec(1.1, -0.03).sample(g)),
         nonlinearity=quadratic_nonlinearity(REFERENCE_MATRICES),
     )
     fields.update(overrides)
@@ -107,7 +107,7 @@ def test_solve_background_inverts_the_operator():
 
 def test_solve_background_of_zero_forcing_is_zero():
     g = Grid(d=5, n=4, L=4.0)
-    zero = RealField.zeros(g)
+    zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(forcings=(zero, zero))
     assert norm_h4_vector(p.background) == 0.0
     assert p.background_h4 == 0.0
@@ -250,7 +250,7 @@ def test_single_mode_linear_response_matches_hand_multiplier():
     # narrower along sample axis 0, the axis the mode varies on, so that the
     # kernel coefficient of a mode on another axis would not match
     x0 = g.coordinate_arrays()[0]
-    kernel = RealField(g, np.exp(-x0**2) * gaussian_field(g, 1.0, 1.0).reshaped())
+    kernel = RealField(g, np.exp(-x0**2) * GaussianSpec(1.0, 1.0).sample(g).reshaped())
     c = 0.7
 
     def lin_eval(z):
@@ -268,7 +268,7 @@ def test_single_mode_linear_response_matches_hand_multiplier():
     with pytest.warns(UserWarning, match="N = 1"):
         p = Problem(
             grid=g, eps=(0.3,), kernels=(kernel,),
-            forcings=(gaussian_field(g, 1.2, 0.05),),
+            forcings=(GaussianSpec(1.2, 0.05).sample(g),),
             nonlinearity=glin, c2_bound=1000.0,
         )
 
@@ -307,7 +307,7 @@ def test_picard_without_coupling_returns_background(small_built):
 
 def test_picard_zero_forcing_converges_with_requirement_warning():
     g = Grid(d=5, n=4, L=4.0)
-    zero = RealField.zeros(g)
+    zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(eps=0.01, forcings=(zero, zero))
     rep = picard(p, tol=1e-10, max_iter=10, budget=500)
     assert rep.converged
@@ -319,7 +319,7 @@ def test_picard_zero_forcing_converges_with_requirement_warning():
 def test_picard_zero_kernels_converge_with_requirement_warning():
     """kappa = 0: the uncertified report gives eps_max = inf, no division."""
     g = Grid(d=5, n=4, L=4.0)
-    zero = RealField.zeros(g)
+    zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(eps=0.01, kernels=(zero, zero))
     rep = picard(p, tol=1e-10, max_iter=10, budget=500)
     assert rep.converged
