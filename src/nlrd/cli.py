@@ -22,6 +22,7 @@ import contextlib
 import csv
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import asdict, is_dataclass
@@ -81,10 +82,16 @@ def _jsonable(obj):
 
 
 def _emit(payload: dict) -> None:
-    """Print the report; a closed or full stdout is an unwritable output."""
+    """Print the report; a closed or full stdout is an unwritable output.
+    After a failed write stdout is pointed at os.devnull, so the bytes left
+    in its buffer do not fail again when the interpreter shuts down."""
     try:
         print(json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False), flush=True)
     except OSError as err:
+        with contextlib.suppress(OSError):  # an in-memory stdout has no descriptor
+            stdout_fd = sys.stdout.fileno()
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), stdout_fd)
         raise ConfigError(f"cannot write report: {err}") from err
 
 
@@ -227,12 +234,16 @@ def _cmd_continuity(built: BuiltProblem, args) -> Outcome:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("config", help="path to a JSON config file")
-    sub.add_argument(
+def _add_subcommand(sub, name: str, handler, help: str) -> argparse.ArgumentParser:
+    """A subcommand that runs `handler` on the problem built from its config."""
+    p = sub.add_parser(name, help=help)
+    p.add_argument("config", help="path to a JSON config file")
+    p.add_argument(
         "--eps-fraction", type=float, default=None, metavar="Q",
         help="set every coupling to Q * eps_max (overrides the config)",
     )
+    p.set_defaults(handler=handler)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,17 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    _add_subcommand(sub, "validate", _cmd_validate, "check problem requirements")
+    _add_subcommand(sub, "bounds", _cmd_bounds, "compute certified constants")
 
-    p = sub.add_parser("validate", help="check problem requirements")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("bounds", help="compute certified constants")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("solve", help="run the Picard solve")
-    _add_common(p)
+    p = _add_subcommand(sub, "solve", _cmd_solve, "run the Picard solve")
     p.add_argument("--tol", type=float, default=None, help="H^4 step tolerance")
     p.add_argument("--max-iter", type=int, default=None, help="iteration budget")
     p.add_argument(
@@ -265,25 +269,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-csv", metavar="PATH", default=None,
         help="write the per-iteration trace as CSV",
     )
-    p.set_defaults(handler=_cmd_solve)
 
-    p = sub.add_parser(
-        "probe-contraction", help="empirical contraction ratios vs. theory"
+    p = _add_subcommand(
+        sub, "probe-contraction", _cmd_probe, "empirical contraction ratios vs. theory"
     )
-    _add_common(p)
     p.add_argument("--pairs", type=int, default=50, help="number of random pairs")
     p.add_argument("--seed", type=int, default=None, help="probe RNG seed")
-    p.set_defaults(handler=_cmd_probe)
 
-    p = sub.add_parser(
-        "continuity", help="fixed-point shift under a nonlinearity perturbation"
+    p = _add_subcommand(
+        sub, "continuity", _cmd_continuity,
+        "fixed-point shift under a nonlinearity perturbation",
     )
-    _add_common(p)
     p.add_argument(
         "--delta", type=float, default=0.01,
         help="relative size of the nonlinearity perturbation (default 0.01)",
     )
-    p.set_defaults(handler=_cmd_continuity)
     return parser
 
 

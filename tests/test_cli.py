@@ -315,9 +315,12 @@ def full_device():
 @pytest.mark.parametrize("sink", [closed_pipe, full_device])
 def test_unwritable_stdout_is_a_config_error(sink):
     """A report that cannot be written exits 2 with one stderr line, in a
-    process of its own, with no traceback at the write or at shutdown."""
+    process of its own, with no traceback at the write or at shutdown.
+    Its stdout is block-buffered, as it is in a pipeline, so the report
+    fits in the buffer and the shutdown flush would meet the error again."""
     src = str(Path(nlrd.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
     with sink() as stdout:
         proc = subprocess.run(
             [sys.executable, "-m", "nlrd.cli", "bounds", str(REFERENCE_CONFIG)],
@@ -504,9 +507,7 @@ def valid_configs(draw):
 @given(cfg=valid_configs())
 def test_valid_configs_never_exit_as_config_errors(tmp_path, capsys, cfg):
     """No valid config is a config error, and one whose solve reports a
-    contractive map meets every certified inequality these runs can check.
-    A solve whose requirements failed (a vanishing forcing) still reports
-    its uncertified constants; the probe then exits 1 on the same failure."""
+    contractive map meets every certified inequality these runs can check."""
     path = write_cfg(tmp_path, cfg)
     codes, reports = {}, {}
     for command in (["solve"], ["continuity"], ["probe-contraction", "--pairs", "2"]):
@@ -518,14 +519,20 @@ def test_valid_configs_never_exit_as_config_errors(tmp_path, capsys, cfg):
     solve = reports["solve"]
     if solve is not None and solve["bounds"]["contractive"]:
         kappa = solve["bounds"]["contraction_constant"]
-        certified = not any(w.startswith("requirements failed") for w in solve["warnings"])
         assert codes["solve"] == 0, cfg
         assert solve["perturbation_h4"] <= solve["bounds"]["apriori_bound"], cfg
         assert all(s["ratio"] is None or s["ratio"] <= kappa for s in solve["trace"]), cfg
-        assert codes["probe-contraction"] == (0 if certified else 1), cfg
-        if certified:
-            assert reports["probe-contraction"]["max_ratio"] <= kappa, cfg
         assert codes["continuity"] != 3, cfg
+        if any(w.startswith("requirements failed") for w in solve["warnings"]):
+            # A known defect, not the contract: a solve whose requirements
+            # failed (a vanishing forcing) still reports `contractive` from
+            # uncertified constants, and the probe refuses the same data with
+            # exit 1. Until reports say whether they are certified (ROADMAP
+            # item 4), the probe is held to the solve's `contractive` on
+            # certified runs only.
+            return
+        assert codes["probe-contraction"] == 0, cfg
+        assert reports["probe-contraction"]["max_ratio"] <= kappa, cfg
 
 
 # ---------------------------------------------------------------------------
