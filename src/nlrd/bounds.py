@@ -2,9 +2,10 @@
 
 With u = u0 + v and u0 the solution of the linear problem, candidates v live
 in the closed H^4 ball of radius rho <= 1, so every state value u(x) lies in
-the ball of radius c_e (|u0|_H4 + 1) in R^N, where c_e is the constant of
-the sup-norm embedding of H^4(R^d) for d < 8.  On that ball the fixed-point
-map is Lipschitz with constant eps * kappa, where eps = max_m eps_m and
+the ball of radius max(c_e, c_h) (|u0|_H4 + 1) in R^N, with c_e and c_h the
+sup-norm embedding constants of H^4(R^d), d < 8, and of H^4 on the lattice
+(:func:`lattice_embedding_constant`).  On that ball the fixed-point map is
+Lipschitz with constant eps * kappa, where eps = max_m eps_m and
 
     kappa = c2 (|u0|_H4 + 1) [ l1^2 (|u0|_H4 + 1)^(8/d - 2)
                 (S_d / 4)^(4/d) d / ((d - 4) (2 pi)^4) + l2^2 ]^(1/2),
@@ -25,20 +26,21 @@ the convolution estimate (:func:`frequency_split_minimum`); a d-independent
 ``*_raw`` functions evaluate the formulas on plain numbers with no
 preconditions (useful for algebraic checks); :func:`compute_bounds`
 validates the data and nonlinearity requirements and reports every
-constant for one problem, raising :class:`AssumptionsNotValidated`, which
-carries the uncertified report, when a requirement fails.  It is the one
-place a certified constant is derived: ``config.build_problem`` reads
-eps_max and the C^2 norm of g over the state ball from the report on its
-uncoupled problem, and :func:`validate_problem` holds the one state-ball rule.
+constant for one problem, certified only when its ``failures`` are empty.
+It is the one place a certified constant is derived: ``config.build_problem``
+reads eps_max and the C^2 norm of g over the state ball from the report on
+its uncoupled problem, and :func:`validate_problem` holds the one state-ball rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import Grid, half_h4_weight, hermitian_weight
 from .model import (
     DEFAULT_C2_BUDGET,
     DataReport,
@@ -65,15 +67,11 @@ class ContractionNotStrict(ValueError):
 
 
 class AssumptionsNotValidated(RuntimeError):
-    """Raised when problem data or nonlinearity requirements fail.
+    """Raised by a caller that cannot go on without a certificate, naming
+    the failed requirement clauses of a :class:`BoundsReport`."""
 
-    Carries the failing clause names and the bounds ``report`` evaluated
-    anyway, which certifies nothing.
-    """
-
-    def __init__(self, failures: tuple[str, ...], report: "BoundsReport"):
+    def __init__(self, failures: tuple[str, ...]):
         self.failures = failures
-        self.report = report
         super().__init__(
             "problem requirements failed: " + ", ".join(failures)
         )
@@ -112,6 +110,18 @@ def sobolev_embedding_constant(d: int) -> float:
     return float(
         _TWO_PI ** (-d / 2.0) * np.sqrt(sphere_measure(d) * radial_weight_integral(d))
     )
+
+
+@functools.lru_cache(maxsize=16)
+def lattice_embedding_constant(grid: Grid) -> float:
+    """Sharp constant c_h = (2 pi)^(-d/2) dp^(d/2) (sum_k 1 / (1 + |p_k|^8))^(1/2)
+    with max |u| <= c_h |u|_H4 on the lattice: Cauchy-Schwarz against the H^4
+    weight, an equality for F_k = 1 / (1 + |p_k|^8).  Summed as w^2 / W per
+    half-axis row (w the Hermitian multiplicity, W = ``half_h4_weight``)."""
+    rows = half_h4_weight(grid).reshape(grid.n // 2 + 1, -1)
+    w = hermitian_weight(grid).reshape(-1)
+    total = sum(wr * wr * np.reciprocal(row).sum() for wr, row in zip(w, rows))
+    return float(_TWO_PI ** (-grid.d / 2.0) * grid.dp ** (grid.d / 2.0) * math.sqrt(total))
 
 
 def frequency_split_minimum(alpha: float, d: int) -> tuple[float, float]:
@@ -226,9 +236,10 @@ def continuity_bound_raw(
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """Every certified constant for one problem instance, and the C^2 norm
-    of its nonlinearity over the state ball with the method that took it."""
+    """Every constant for one problem instance, certified only when ``failures``
+    is empty, and the C^2 norm of g over the state ball with its method."""
 
+    failures: tuple[str, ...]
     d: int
     rho: float
     c2_bound: float
@@ -236,6 +247,7 @@ class BoundsReport:
     kernel_l2_rss: float
     background_h4: float
     sobolev_constant: float
+    lattice_sobolev_constant: float
     state_ball_radius: float
     c2_norm: float
     c2_method: str  # "analytic" (exact) or "sampled" (a lower bound)
@@ -256,9 +268,8 @@ def validate_problem(
 ) -> tuple[DataReport, NonlinearityReport]:
     """Run both validators for a problem around a given background norm."""
     data = validate_problem_data(problem)
-    radius = image_ball_radius(
-        background_h4, sobolev_embedding_constant(problem.d)
-    )
+    embedding = max(sobolev_embedding_constant(problem.d), lattice_embedding_constant(problem.grid))
+    radius = image_ball_radius(background_h4, embedding)
     nl = validate_nonlinearity(
         problem.nonlinearity, radius, problem.c2_bound, budget=budget, seed=seed
     )
@@ -276,8 +287,8 @@ def compute_bounds(
     Validates the data and nonlinearity requirements and evaluates every
     constant from the kernel norms and state-ball radius the validators
     measured, at eps_used = max_m eps_m, the coupling the contraction
-    argument sees.  When a requirement fails, the report certifies nothing
-    and is raised as ``report`` of :class:`AssumptionsNotValidated`.
+    argument sees.  It always returns the report: when a requirement
+    fails, ``failures`` names it and the constants certify nothing.
     """
     data, nl = validate_problem(problem, background_h4, budget=budget, seed=seed)
     l1_rss, l2_rss = data.kernel_l1_rss, data.kernel_l2_rss
@@ -285,7 +296,8 @@ def compute_bounds(
     c2 = problem.c2_bound
     kappa = lipschitz_coefficient_raw(d, c2, l1_rss, l2_rss, background_h4)
     eps_used = max(problem.eps)
-    report = BoundsReport(
+    return BoundsReport(
+        failures=data.failures + nl.failures,
         d=d,
         rho=problem.rho,
         c2_bound=problem.c2_bound,
@@ -293,6 +305,7 @@ def compute_bounds(
         kernel_l2_rss=l2_rss,
         background_h4=float(background_h4),
         sobolev_constant=sobolev_embedding_constant(d),
+        lattice_sobolev_constant=lattice_embedding_constant(problem.grid),
         state_ball_radius=nl.ball_radius,
         c2_norm=nl.c2_norm,
         c2_method=nl.c2_method,
@@ -308,6 +321,3 @@ def compute_bounds(
             d, eps_used, c2, l1_rss, l2_rss, background_h4
         ),
     )
-    if not (data.passed and nl.passed):
-        raise AssumptionsNotValidated(data.failures + nl.failures, report)
-    return report

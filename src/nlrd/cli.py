@@ -11,8 +11,10 @@ Subcommands::
 Reports go to stdout as strict JSON (keys sorted; only wall-time fields
 vary between identical runs; non-finite numbers are written as the strings
 "inf", "-inf" and "nan"); diagnostics go to stderr.  Exit codes: 0 success,
-1 requirement/certification failure, 2 configuration error or unwritable
-output (a path or stdout), 3 solver failure (divergence or iteration budget).
+1 requirement/certification failure (``bounds``, ``solve`` and ``probe-contraction``
+still write a report resting on failed requirements, named in ``bounds.failures``;
+the probe draws no pairs), 2 configuration error or unwritable output (a path or
+stdout), 3 solver failure (divergence or iteration budget).
 """
 
 from __future__ import annotations
@@ -116,24 +118,23 @@ def _build(args) -> BuiltProblem:
 Outcome = tuple[dict, str | Exception | None]
 
 
+def _uncertified(failures: tuple[str, ...]) -> str | None:
+    """The stderr line of a bounds report with these failures, or None if certified."""
+    return str(AssumptionsNotValidated(failures)) if failures else None
+
+
 def _cmd_validate(built: BuiltProblem, args) -> Outcome:
     data, nl = validate_problem(
         built.problem, built.background_h4, budget=built.budget, seed=built.seed
     )
-    passed = data.passed and nl.passed
-    payload = {"data": data, "nonlinearity": nl, "passed": passed}
-    failures = ", ".join(data.failures + nl.failures)
-    return payload, None if passed else "validation failed: " + failures
+    failures = data.failures + nl.failures
+    payload = {"data": data, "nonlinearity": nl, "passed": not failures}
+    return payload, "validation failed: " + ", ".join(failures) if failures else None
 
 
 def _cmd_bounds(built: BuiltProblem, args) -> Outcome:
-    try:
-        rep = compute_bounds(
-            built.problem, built.background_h4, budget=built.budget, seed=built.seed
-        )
-    except AssumptionsNotValidated as err:
-        return {"error": "requirements_failed", "failures": err.failures}, err
-    return {"bounds": rep}, None
+    rep = compute_bounds(built.problem, built.background_h4, budget=built.budget, seed=built.seed)
+    return {"bounds": rep}, _uncertified(rep.failures)
 
 
 def _open_outputs(args):
@@ -197,16 +198,16 @@ def _cmd_solve(built: BuiltProblem, args) -> Outcome:
             "wall_time_total": time.perf_counter() - t0,
         }
         _write_outputs(rep, args, trace_fh, payload)
-    return payload, error
+    return payload, error or _uncertified(rep.bounds.failures)
 
 
 def _cmd_probe(built: BuiltProblem, args) -> Outcome:
-    theory = compute_bounds(
-        built.problem, built.background_h4, budget=built.budget, seed=built.seed
-    )
+    certified, failure = _cmd_bounds(built, args)
+    if failure:  # no pairs are drawn against constants that certify nothing
+        return certified, failure
     seed = args.seed if args.seed is not None else built.seed
     probe = contraction_probe(built.problem, pairs=args.pairs, seed=seed)
-    kappa = theory.contraction_constant
+    kappa = certified["bounds"].contraction_constant
     margin = built.margins["contraction"]
     passed = probe.max_ratio <= kappa * (1.0 + margin)
     payload = {**asdict(probe), "contraction_constant": kappa, "margin": margin}

@@ -56,7 +56,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .bounds import AssumptionsNotValidated, compute_bounds
+from .bounds import compute_bounds
 from .fieldio import read_field
 from .lattice import Grid, RealField, VectorField, real_number
 from .model import (
@@ -352,10 +352,7 @@ def build_problem(
     except ValueError as err:
         raise ConfigError(f"the forcings give no finite background: {err}") from err
     # the build certifies nothing: a failed requirement is the commands' to report
-    try:
-        report = compute_bounds(base, background_h4, budget=solver["budget"], seed=solver["seed"])
-    except AssumptionsNotValidated as err:
-        report = err.report
+    report = compute_bounds(base, background_h4, budget=solver["budget"], seed=solver["seed"])
     eps_max = report.eps_max
 
     scale_applied = None

@@ -341,10 +341,10 @@ def c2_gap(
 
 
 def image_ball_radius(background_h4: float, embedding_constant: float) -> float:
-    """Radius c_e (|u0|_H4 + 1) of the ball of state values seen by g.
+    """Radius c (|u0|_H4 + 1) of the ball of state values seen by g.
 
     Solution candidates live in the H^4 ball of radius 1 around the
-    background u0; the sup-norm embedding maps them into this ball in R^N.
+    background u0; the sup-norm embedding of constant c maps them here.
     """
     if background_h4 < 0.0 or not np.isfinite(background_h4):
         raise ValueError("background norm must be finite and nonnegative")
@@ -503,8 +503,7 @@ def _rss(norms: Sequence[float]) -> float:
 class DataReport:
     """Integrability/nontriviality report for kernels and forcings."""
 
-    passed: bool
-    failures: tuple[str, ...]
+    failures: tuple[str, ...]  # the failed clauses; passed when empty
     forcing_l1: tuple[float, ...]
     forcing_l2: tuple[float, ...]
     kernel_l1: tuple[float, ...]
@@ -544,7 +543,6 @@ def validate_problem_data(problem: Problem) -> DataReport:
     if max(k_l2, default=0.0) == 0.0:
         failures.append("kernel_nontrivial")
     report = problem._data["report"] = DataReport(
-        passed=not failures,
         failures=tuple(failures),
         forcing_l1=f_l1,
         forcing_l2=f_l2,
@@ -560,8 +558,7 @@ def validate_problem_data(problem: Problem) -> DataReport:
 class NonlinearityReport:
     """Origin and C^2-bound report for a nonlinearity on a state ball."""
 
-    passed: bool
-    failures: tuple[str, ...]
+    failures: tuple[str, ...]  # the failed clauses; passed when empty
     value_at_zero: float
     gradient_at_zero: float
     c2_norm: float
@@ -602,7 +599,6 @@ def validate_nonlinearity(
     if not (c2.value <= c2_bound):
         failures.append("c2_within_bound")
     return NonlinearityReport(
-        passed=not failures,
         failures=tuple(failures),
         value_at_zero=v0,
         gradient_at_zero=g0,

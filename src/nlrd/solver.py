@@ -326,41 +326,32 @@ def picard(
 
     Returns the full report on convergence; raises
     :class:`DivergenceDetected` / :class:`MaxIterExceeded` (each carrying
-    the partial report) otherwise.  A coupling above the certified
-    threshold, or a failed requirement, downgrades to a warning -- the
-    guard that actually stops runaway iterations is the divergence check.
+    the partial report) otherwise.  Failed requirements (``bounds.failures``)
+    do not stop the solve, and a coupling above the certified threshold is a
+    warning -- the guard that stops runaway iterations is the divergence check.
     """
-    try:
-        report = compute_bounds(problem, problem.background_h4, budget=budget, seed=seed)
-        warn = []
-    except AssumptionsNotValidated as err:
-        report = err.report
-        warn = [
-            "requirements failed (" + ", ".join(err.failures) + "); "
-            "bounds reported without certification"
-        ]
-    return _iterate(problem, report, warn, tol, max_iter, initial)
+    bounds_report = compute_bounds(problem, problem.background_h4, budget=budget, seed=seed)
+    return _iterate(problem, bounds_report, tol, max_iter, initial)
 
 
 def _iterate(
     problem: Problem,
     bounds_report: BoundsReport,
-    warn: list[str],
     tol: float,
     max_iter: int,
     initial: VectorField | None = None,
 ) -> SolveReport:
-    """The loop of :func:`picard`, given the problem's bounds report and
-    the warnings its certification raised."""
+    """The loop of :func:`picard`, given the problem's bounds report."""
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
+    warn = []
     if bounds_report.eps_used > bounds_report.eps_max:
-        warn = warn + [
+        warn.append(
             f"coupling {bounds_report.eps_used:.6g} exceeds the certified threshold "
             f"{bounds_report.eps_max:.6g}; contraction is not guaranteed"
-        ]
+        )
     grid = problem.grid
     background = problem.background.values
 
@@ -602,11 +593,11 @@ def continuity_experiment(
     """Solve with g1 and g2 and compare |u1 - u2|_H4 to the certified bound.
 
     The bound assumes that both maps contract, so the problem is certified
-    with each nonlinearity, once, before either solve; a failure raises
-    :class:`AssumptionsNotValidated`.  Each solve is the loop of
-    :func:`picard` on the report already taken.  Both solves share the
-    problem's background, data report and coupling coefficients.  The
-    shared background cancels in u1 - u2, so the shift is measured as
+    with each nonlinearity, once, before either solve; failed requirements,
+    g1's before g2's, raise :class:`AssumptionsNotValidated`.  Each solve is
+    the loop of :func:`picard` on the report already taken.  Both solves
+    share the problem's background, data report and coupling coefficients.
+    The shared background cancels in u1 - u2, so the shift is measured as
     |v1 - v2|_H4 of the perturbations, and while the second solve runs
     only the first one's perturbation, bounds, iteration count and
     residual are held.  The pass rule allows the stated relative margin
@@ -616,11 +607,14 @@ def continuity_experiment(
     problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
     h4 = problem.background_h4
     reports = [compute_bounds(p, h4, budget=budget, seed=seed) for p in problems]
-    first = _iterate(problems[0], reports[0], [], tol, max_iter)  # converged, or it raises
+    for report in reports:
+        if report.failures:
+            raise AssumptionsNotValidated(report.failures)
+    first = _iterate(problems[0], reports[0], tol, max_iter)  # converged, or it raises
     shift, bounds = first.perturbation.values, first.bounds
     iterations, residual = first.iterations, first.residual.relative
     del first  # its solution is not held through the second solve
-    second = _iterate(problems[1], reports[1], [], tol, max_iter)
+    second = _iterate(problems[1], reports[1], tol, max_iter)
     shift -= second.perturbation.values
     measured = norm_h4_vector(VectorField(problem.grid, shift))
     gap = c2_gap(g1, g2, bounds.state_ball_radius, budget=budget, seed=seed)

@@ -9,7 +9,6 @@ from scipy import integrate, optimize
 
 import nlrd.model
 from nlrd.bounds import (
-    AssumptionsNotValidated,
     BadDimension,
     ContractionNotStrict,
     NonPositiveAlpha,
@@ -18,6 +17,7 @@ from nlrd.bounds import (
     continuity_bound_raw,
     coupling_threshold_raw,
     frequency_split_minimum,
+    lattice_embedding_constant,
     lipschitz_coefficient_raw,
     radial_weight_integral,
     sobolev_embedding_constant,
@@ -25,7 +25,7 @@ from nlrd.bounds import (
 )
 from nlrd.cli import _jsonable
 from nlrd.config import build_field
-from nlrd.lattice import Grid
+from nlrd.lattice import Grid, h4_norm_sq_coeffs, half_squared_wavenumber, inverse_values
 from nlrd.model import GaussianSpec, Problem, quadratic_nonlinearity
 from nlrd.solver import picard
 
@@ -42,8 +42,7 @@ def random_raw_instance(rng) -> dict:
     )
 
 
-def tiny_problem(**overrides) -> Problem:
-    g = Grid(d=5, n=4, L=4.0)
+def tiny_problem(g: Grid = Grid(d=5, n=4, L=4.0), **overrides) -> Problem:
     fields = dict(
         grid=g,
         eps=(0.0, 0.0),
@@ -98,6 +97,30 @@ def test_sobolev_embedding_constant_values():
         assert 0.0 < c < 1.0
     with pytest.raises(BadDimension):
         sobolev_embedding_constant(8)
+
+
+@pytest.mark.parametrize("d,n,L", [(5, 8, 1.5), (6, 6, 4.0), (7, 4, 8.0)])
+def test_lattice_embedding_constant_is_attained(d, n, L):
+    """F_k = 1 / (1 + |p_k|^8) meets max |u| <= c_h |u|_H4 with equality."""
+    grid = Grid(d=d, n=n, L=L)
+    hats = (1.0 / (1.0 + half_squared_wavenumber(grid) ** 4)).astype(complex)
+    sup = np.max(np.abs(inverse_values(grid, hats)))
+    h4 = math.sqrt(h4_norm_sq_coeffs(grid, hats))
+    assert sup == pytest.approx(lattice_embedding_constant(grid) * h4, rel=1e-13)
+
+
+@pytest.mark.parametrize("L,lattice_wins", [(1.5, True), (8.0, False)])
+def test_state_ball_takes_the_larger_embedding_constant(L, lattice_wins):
+    """On a small box the lattice constant c_h exceeds c_e and sizes the state
+    ball; on a large box the ball is c_e (|u0|_H4 + 1), bit for bit."""
+    p = tiny_problem(Grid(d=5, n=4, L=L), c2_bound=100.0)
+    rep = compute_bounds(p, p.background_h4, budget=500)
+    c_e, c_h = rep.sobolev_constant, rep.lattice_sobolev_constant
+    assert (c_h > c_e) == lattice_wins
+    if lattice_wins:
+        assert rep.state_ball_radius == pytest.approx(c_h * (rep.background_h4 + 1.0), rel=1e-14)
+    else:
+        assert rep.state_ball_radius == c_e * (rep.background_h4 + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,11 +324,9 @@ def test_validated_layer_requires_sound_data():
     g = Grid(d=5, n=4, L=4.0)
     zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(forcings=(zero, zero))
-    with pytest.raises(AssumptionsNotValidated) as err:
-        compute_bounds(p, background_h4=0.0, budget=500)
-    assert "forcing_nontrivial" in err.value.failures
+    rep = compute_bounds(p, background_h4=0.0, budget=500)
+    assert "forcing_nontrivial" in rep.failures
     # the failed validation still carries the formulas' values, uncertified
-    rep = err.value.report
     assert rep.eps_max > 0.0
 
 
@@ -317,10 +338,9 @@ def test_degenerate_kernels_fail_validation_not_arithmetic(amplitude, clause, ep
     g = Grid(d=5, n=4, L=4.0)
     p = tiny_problem(kernels=(GaussianSpec(1.0, amplitude).sample(g),) * 2, c2_bound=10.0)
     with np.errstate(over="ignore"):
-        with pytest.raises(AssumptionsNotValidated) as err:
-            compute_bounds(p, p.background_h4, budget=500)
-    assert clause in err.value.failures
-    assert err.value.report.eps_max == eps_max
+        rep = compute_bounds(p, p.background_h4, budget=500)
+    assert clause in rep.failures
+    assert rep.eps_max == eps_max
 
 
 def test_each_norm_is_taken_once_per_certification(monkeypatch):
@@ -341,7 +361,7 @@ def test_each_norm_is_taken_once_per_certification(monkeypatch):
     failing = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0, kernels=(zero, zero))
     calls.update(norm_l1=0, norm_l2=0)
     rep = picard(failing, tol=1e-10, max_iter=10, budget=500)
-    assert "kernel_nontrivial" in rep.warnings[0]
+    assert "kernel_nontrivial" in rep.bounds.failures
     assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
 
 

@@ -392,7 +392,8 @@ def test_non_finite_numbers_are_strict_json_strings(tmp_path, capsys):
     cfg = mutated_config([(("problem", "eps"), 0.01)])
     cfg["kernels"] = [{"constructor": "zero"}] * 2
     code, payload, err = run_json(capsys, "solve", write_cfg(tmp_path, cfg))
-    assert code == 0
+    assert code == 1  # the report is written, though vanishing kernels certify nothing
+    assert payload["bounds"]["failures"] == ["kernel_nontrivial"]
     assert payload["bounds"]["eps_max"] == "inf"
     assert payload["config"]["eps_max_at_build"] == "inf"
     huge = write_cfg(tmp_path, mutated_config([(("problem", "eps"), 1e160)]), "huge.json")
@@ -479,7 +480,7 @@ MATRIX_ENTRY = st.floats(-1.0, 1.0)
 
 @st.composite
 def valid_configs(draw):
-    """n = 4 configs with every value in a physical range."""
+    """n = 4 configs in d = 5, 6, 7 with every value in a physical range."""
     matrices = draw(
         st.lists(st.lists(PAIR(MATRIX_ENTRY), min_size=2, max_size=2),
                  min_size=2, max_size=2)
@@ -487,6 +488,7 @@ def valid_configs(draw):
     )
     return small_config(
         n=4,
+        grid={"d": draw(st.sampled_from([5, 6, 7])), "L": draw(st.floats(0.5, 10.0))},
         problem={
             "rho": draw(st.floats(1e-3, 1.0)),
             "eps_fraction": draw(st.floats(0.0, 20.0, exclude_min=True)),
@@ -506,8 +508,9 @@ def valid_configs(draw):
 )
 @given(cfg=valid_configs())
 def test_valid_configs_never_exit_as_config_errors(tmp_path, capsys, cfg):
-    """No valid config is a config error, and one whose solve reports a
-    contractive map meets every certified inequality these runs can check."""
+    """No valid config is a config error.  One whose requirements fail exits 1
+    from every command; one certified with a contractive map meets every
+    certified inequality these runs can check."""
     path = write_cfg(tmp_path, cfg)
     codes, reports = {}, {}
     for command in (["solve"], ["continuity"], ["probe-contraction", "--pairs", "2"]):
@@ -516,23 +519,23 @@ def test_valid_configs_never_exit_as_config_errors(tmp_path, capsys, cfg):
         assert "Traceback" not in err
         codes[command[0]] = code
         reports[command[0]] = strict_json(out) if out else None
-    solve = reports["solve"]
-    if solve is not None and solve["bounds"]["contractive"]:
-        kappa = solve["bounds"]["contraction_constant"]
+    bounds = reports["solve"]["bounds"]
+    if bounds["failures"]:
+        assert codes == {"solve": 1, "continuity": 1, "probe-contraction": 1}, cfg
+        return
+    assert codes["solve"] in (0, 3), cfg
+    if bounds["contractive"]:
+        kappa = bounds["contraction_constant"]
+        solve = reports["solve"]
         assert codes["solve"] == 0, cfg
-        assert solve["perturbation_h4"] <= solve["bounds"]["apriori_bound"], cfg
+        assert solve["perturbation_h4"] <= bounds["apriori_bound"], cfg
         assert all(s["ratio"] is None or s["ratio"] <= kappa for s in solve["trace"]), cfg
-        assert codes["continuity"] != 3, cfg
-        if any(w.startswith("requirements failed") for w in solve["warnings"]):
-            # A known defect, not the contract: a solve whose requirements
-            # failed (a vanishing forcing) still reports `contractive` from
-            # uncertified constants, and the probe refuses the same data with
-            # exit 1. Until reports say whether they are certified (ROADMAP
-            # item 4), the probe is held to the solve's `contractive` on
-            # certified runs only.
-            return
         assert codes["probe-contraction"] == 0, cfg
         assert reports["probe-contraction"]["max_ratio"] <= kappa, cfg
+        assert codes["continuity"] != 3, cfg
+        if codes["continuity"] == 0:
+            cont = reports["continuity"]
+            assert cont["measured"] <= cont["bound"] + cont["slack"], cfg
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +559,29 @@ def test_bounds_requirements_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, small_config(forcings=ZERO_FORCINGS))
     code, payload, err = run_json(capsys, "bounds", cfg)
     assert code == 1
-    assert payload["error"] == "requirements_failed"
-    assert "forcing_nontrivial" in payload["failures"]
+    assert err == "problem requirements failed: forcing_nontrivial\n"
+    # the report is written: its constants, uncertified, and what failed
+    assert payload["bounds"]["failures"] == ["forcing_nontrivial"]
+    assert payload["bounds"]["eps_max"] > 0.0
+
+
+def test_failed_requirements_still_write_every_report(tmp_path, capsys):
+    """solve writes its report, dumps and trace, and the probe its bounds
+    without drawing a pair; each names the failed clause and exits 1."""
+    cfg = write_cfg(tmp_path, small_config(n=4, forcings=ZERO_FORCINGS))
+    line = "problem requirements failed: forcing_nontrivial\n"
+    csv_path = tmp_path / "trace.csv"
+    code, solve, err = run_json(
+        capsys, "solve", cfg, "--dump-fields", str(tmp_path / "fields"), "--trace-csv", str(csv_path)
+    )
+    assert (code, err) == (1, line)
+    assert solve["converged"] is True
+    assert solve["bounds"]["failures"] == ["forcing_nontrivial"]
+    assert len(solve["dumped_fields"]) == 6 and csv_path.exists()
+    code, probe, err = run_json(capsys, "probe-contraction", cfg, "--pairs", "2")
+    assert (code, err) == (1, line)
+    assert probe["bounds"] == solve["bounds"]
+    assert "ratios" not in probe
 
 
 def test_bounds_output_is_deterministic(tmp_path, capsys):
@@ -767,6 +791,7 @@ def test_continuity_perturbation_overflowing_the_matrices(tmp_path, capsys, delt
 # continuity measurement by 2e-13, and every other field by at most 2e-15.
 SHIPPED_BOUNDS = {
     "eps_max": 0.0388126734771414,
+    "lattice_sobolev_constant": 0.03335381217464288,
     "lipschitz_coeff": 18.532885830483604,
     "apriori_bound": 0.5,
     "background_h4": 0.3902195484821371,
@@ -793,6 +818,7 @@ def test_shipped_instance_is_pinned(capsys):
     for key, value in SHIPPED_BOUNDS.items():
         assert bounds["bounds"][key] == pytest.approx(value, rel=1e-12), key
     assert bounds["bounds"]["c2_method"] == "analytic"
+    assert bounds["bounds"]["failures"] == []
 
     code, solve, _ = run_json(capsys, "solve", cfg)
     assert code == 0

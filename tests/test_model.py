@@ -509,13 +509,12 @@ def test_validate_problem_data_aggregates_constant_kernels():
 
 def test_validate_problem_data_passes_on_reference_style_instance():
     rep = validate_problem_data(small_problem())
-    assert rep.passed
     assert rep.failures == ()
     assert rep.kernel_l1_rss == pytest.approx(
         np.hypot(rep.kernel_l1[0], rep.kernel_l1[1]), rel=1e-14
     )
     d = _jsonable(rep)
-    assert d["passed"] is True
+    assert d["failures"] == []
     assert len(d["forcing_l2"]) == 2
 
 
@@ -523,11 +522,9 @@ def test_validate_problem_data_flags_trivial_data():
     g = Grid(d=5, n=4, L=4.0)
     zero = build_field(g, {"constructor": "zero"})
     rep = validate_problem_data(small_problem(forcings=(zero, zero)))
-    assert not rep.passed
-    assert "forcing_nontrivial" in rep.failures
+    assert rep.failures == ("forcing_nontrivial",)
     rep = validate_problem_data(small_problem(kernels=(zero, zero)))
-    assert not rep.passed
-    assert "kernel_nontrivial" in rep.failures
+    assert rep.failures == ("kernel_nontrivial",)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -546,7 +543,7 @@ def test_validate_problem_data_flags_overflowing_norms(amplitude):
 def test_validate_nonlinearity_passes_with_ample_bound():
     g = quadratic_nonlinearity([np.eye(2), np.eye(2)])
     rep = validate_nonlinearity(g, radius=0.5, c2_bound=100.0, budget=2000)
-    assert rep.passed
+    assert rep.failures == ()
     assert rep.value_at_zero == 0.0
     assert rep.gradient_at_zero == 0.0
     assert rep.sampled_sup > 0.0

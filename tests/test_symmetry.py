@@ -8,7 +8,10 @@ certified constants stay put and the solution moves with the data.
 * a roll of the forcings by a lattice vector rolls v*, the kernels staying
   in displacement order;
 * the reflection j -> (n - j) mod n of every field, which is x -> -x on
-  x_j = -L + j h, reflects v*.
+  x_j = -L + j h, reflects v*;
+* a permutation of the components (couplings, kernels, forcings, and the
+  quadratic matrices on all three indices) permutes v*;
+* (f, eps) -> (a f, eps / a) maps (u0, v*) to a (u0, v*), as g is quadratic.
 
 The fields are held samples of off-centre Gaussians with a different centre
 on each axis, so a permutation moves them across the half-spectrum axis, the
@@ -41,19 +44,19 @@ def fields(grid: Grid):
             [s.sample(grid).reshaped() for s in forcings])
 
 
-def problem(grid: Grid, kernels, forcings, eps: float) -> Problem:
+def problem(grid: Grid, kernels, forcings, eps, matrices=MATRICES) -> Problem:
     return Problem(
-        grid=grid, eps=(eps, eps),
+        grid=grid, eps=tuple(eps),
         kernels=tuple(RealField(grid, k) for k in kernels),
         forcings=tuple(RealField(grid, f) for f in forcings),
-        nonlinearity=quadratic_nonlinearity(MATRICES), c2_bound=10.0,
+        nonlinearity=quadratic_nonlinearity(matrices), c2_bound=10.0,
     )
 
 
-def solve(grid: Grid, kernels, forcings, eps: float):
+def solve(grid: Grid, kernels, forcings, eps, matrices=MATRICES, tol=1e-12):
     """(eps_max, background_h4, perturbation_h4), and v* as a stack."""
-    rep = picard(problem(grid, kernels, forcings, eps), tol=1e-12)
-    assert rep.converged and not rep.warnings
+    rep = picard(problem(grid, kernels, forcings, eps, matrices), tol=tol)
+    assert rep.converged and not rep.warnings and not rep.bounds.failures
     constants = (rep.bounds.eps_max, rep.background_h4, rep.perturbation_h4)
     return constants, rep.perturbation.values
 
@@ -63,8 +66,9 @@ def base(d: int, n: int):
     """The unmapped problem's coupling, answer and fields on one grid."""
     grid = Grid(d=d, n=n, L=4.0)
     kernels, forcings = fields(grid)
-    uncoupled = problem(grid, kernels, forcings, 0.0)
-    eps = 0.5 * compute_bounds(uncoupled, uncoupled.background_h4).eps_max
+    uncoupled = problem(grid, kernels, forcings, (0.0, 0.0))
+    eps_max = compute_bounds(uncoupled, uncoupled.background_h4).eps_max
+    eps = (0.5 * eps_max, 0.3 * eps_max)
     return grid, kernels, forcings, eps, solve(grid, kernels, forcings, eps)
 
 
@@ -92,3 +96,27 @@ def test_lattice_symmetry_moves_the_solution_with_the_data(d, n, relation):
     np.testing.assert_allclose(mapped, constants, rtol=RTOL, atol=0.0)
     expected = np.stack([move(vm) for vm in v])
     assert np.max(np.abs(v_mapped - expected)) <= RTOL * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("d,n", GRIDS)
+def test_permuting_the_components_permutes_the_solution(d, n):
+    grid, kernels, forcings, eps, (constants, v) = base(d, n)
+    matrices = np.stack(MATRICES)[::-1, ::-1, ::-1]
+    mapped, v_mapped = solve(grid, kernels[::-1], forcings[::-1], eps[::-1], matrices)
+    np.testing.assert_allclose(mapped, constants, rtol=RTOL, atol=0.0)
+    assert np.max(np.abs(v_mapped - v[::-1])) <= RTOL * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("d,n", GRIDS)
+def test_scaling_forcing_against_coupling_scales_the_solution(d, n):
+    """|v| < 1, so the solve stops once a step is below tol: a tol scaled by
+    a stops the scaled solve after as many steps."""
+    a = 3.0
+    grid, kernels, forcings, eps, ((_, u0_h4, v_h4), v) = base(d, n)
+    scaled = [a * f for f in forcings], [e / a for e in eps]
+    (_, u0_h4_a, v_h4_a), v_a = solve(grid, kernels, *scaled, tol=a * 1e-12)
+    np.testing.assert_allclose((u0_h4_a, v_h4_a), (a * u0_h4, a * v_h4), rtol=RTOL, atol=0.0)
+    assert np.max(np.abs(v_a - a * v)) <= RTOL * a * np.max(np.abs(v))
+    u0, u0_a = (problem(grid, kernels, *data).background.values
+                for data in ((forcings, eps), scaled))
+    assert np.max(np.abs(u0_a - a * u0)) <= RTOL * a * np.max(np.abs(u0))
