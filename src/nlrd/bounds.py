@@ -43,6 +43,7 @@ import numpy as np
 from .lattice import Grid, half_h4_weight, hermitian_weight
 from .model import (
     DEFAULT_C2_BUDGET,
+    SUPPORTED_DIMENSIONS,
     DataReport,
     NonlinearityReport,
     Problem,
@@ -169,8 +170,8 @@ def lipschitz_coefficient_raw(
     background_h4: float,
 ) -> float:
     """Lipschitz constant of the fixed-point map per unit coupling."""
-    if d not in (5, 6, 7):
-        raise BadDimension(f"bounds are derived for d in (5, 6, 7), got {d}")
+    if d not in SUPPORTED_DIMENSIONS:
+        raise BadDimension(f"bounds are derived for d in {SUPPORTED_DIMENSIONS}, got {d}")
     b = background_h4 + 1.0
     return c2_bound * b * math.sqrt(
         _kernel_bracket(d, kernel_l1_rss, kernel_l2_rss, b)

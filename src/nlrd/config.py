@@ -192,7 +192,7 @@ def _checked(read, ok, rule: str):
 
 
 #: readers of the solver settings that the command line can override too
-read_tol = _checked(_number, lambda tol: tol > 0.0, "positive")
+read_tol = _checked(_number, lambda tol: 0.0 < tol < math.inf, "finite and positive")
 read_max_iter = _checked(_integer, lambda n: n >= 1, ">= 1")
 read_seed = _checked(_integer, lambda seed: seed >= 0, ">= 0")
 

@@ -29,7 +29,8 @@ are norms of coefficient differences never formed in full.  g is evaluated
 on cache-sized blocks of u0 + v (:func:`_eval_stack`).  ``picard`` recycles
 its arrays: v = 0 has no coefficients, the old ones are released before
 each inverse transform writes v's own samples, and the last before the
-residual; ``perturbation_h4`` is the norm the step that made v took.
+residual; ``perturbation_h4`` is the norm the step that made v took, or
+that of a given ``initial``, taken once before the first step.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -218,23 +219,15 @@ def _eval_stack(
     return out
 
 
-def _apply(
-    problem: Problem, background: np.ndarray, v: np.ndarray
+def _image(
+    problem: Problem, gz: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, tuple[float, ...]]:
-    """One application of T to the stack v around u0 = background.
-
-    Returns (coeffs, dropped).  Only the coefficients are computed; callers
-    that need the samples of T(v) transform them back with
-    :func:`~nlrd.lattice.inverse_stack`.
-    """
-    out = np.empty((len(v),) + problem.grid.half_shape, dtype=np.complex128)
-    return _image(problem, _eval_stack(problem.nonlinearity, v, background), out)
-
-
-def _image(problem: Problem, gz: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """M F(gz), written into ``out``, for values gz (N, P) of g, and the
-    zero-mode masses dropped: all of T but the evaluation of g."""
+    """M F(gz), into ``out`` (a new array by default), for values gz (N, P)
+    of g, and the zero-mode masses dropped: all of T but the evaluation of
+    g, so T(v)'s coefficients are ``_image(problem, _eval_stack(g, v, u0))``."""
     grid = problem.grid
+    if out is None:
+        out = np.empty((len(gz),) + grid.half_shape, dtype=np.complex128)
     for m, row in enumerate(gz):
         forward_coeffs(grid, row, out=out[m])
         out[m] *= problem.coupling[m]
@@ -260,7 +253,7 @@ def apply_fixed_point_map(
             stacklevel=2,
         )
     _require_match(problem, background, "background")
-    hats, _ = _apply(problem, background.values, v.values)
+    hats, _ = _image(problem, _eval_stack(problem.nonlinearity, v.values, background.values))
     return VectorField(problem.grid, inverse_stack(problem.grid, hats))
 
 
@@ -342,8 +335,8 @@ def _iterate(
     initial: VectorField | None = None,
 ) -> SolveReport:
     """The loop of :func:`picard`, given the problem's bounds report."""
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"iteration budget must be >= 1, got {max_iter}")
     warn = []
@@ -352,7 +345,7 @@ def _iterate(
             f"coupling {bounds_report.eps_used:.6g} exceeds the certified threshold "
             f"{bounds_report.eps_max:.6g}; contraction is not guaranteed"
         )
-    grid = problem.grid
+    grid, g = problem.grid, problem.nonlinearity
     background = problem.background.values
 
     if initial is None:
@@ -361,23 +354,22 @@ def _iterate(
     else:
         _require_match(problem, initial, "initial perturbation")
         v_values = initial.values.copy()
-        v_hats, v_norm = forward_stack(grid, v_values), None  # taken if step 1 diverges
+        v_hats = forward_stack(grid, v_values)
+        v_norm = norm_h4_coeffs(grid, v_hats)
 
     steps: list[IterationStep] = []
-    first_step = None
-    prev_step = None
     converged = diverged = False
     t0 = time.perf_counter()
 
     for k in range(1, max_iter + 1):
         # a step that overflows is reported by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            new_hats, dropped = _apply(problem, background, v_values)
+            new_hats, dropped = _image(problem, _eval_stack(g, v_values, background))
             norm_h4 = norm_h4_coeffs(grid, new_hats)
             step_h4 = norm_h4 if v_hats is None else norm_h4_coeffs(grid, new_hats, v_hats)
         ratio = None
-        if prev_step is not None and prev_step > 0.0 and np.isfinite(step_h4):
-            ratio = step_h4 / prev_step
+        if steps and steps[-1].step_h4 > 0.0 and np.isfinite(step_h4):
+            ratio = step_h4 / steps[-1].step_h4
         steps.append(
             IterationStep(
                 k=k,
@@ -389,10 +381,8 @@ def _iterate(
             )
         )
         finite = np.isfinite(step_h4) and np.isfinite(norm_h4)
-        blown_up = (
-            first_step is not None
-            and step_h4 > DIVERGENCE_FACTOR * max(first_step, np.finfo(float).tiny)
-        )
+        # at k = 1 the step is compared with itself, which never blows up
+        blown_up = step_h4 > DIVERGENCE_FACTOR * max(steps[0].step_h4, np.finfo(float).tiny)
         if not finite or blown_up:
             # report the last finite iterate, not the runaway one
             diverged = True
@@ -401,14 +391,10 @@ def _iterate(
         for m in range(len(new_hats)):
             inverse_values(grid, new_hats[m], out=v_values[m])
         v_hats, v_norm = new_hats, norm_h4
-        if first_step is None:
-            first_step = step_h4
-        prev_step = step_h4
         if step_h4 <= tol * max(1.0, norm_h4):
             converged = True
             break
 
-    perturbation_h4 = norm_h4_coeffs(grid, v_hats) if v_norm is None else v_norm
     del v_hats, new_hats  # released before the residual
     solution = VectorField(grid, background + v_values)
     res = residual(problem, solution) if converged else None
@@ -417,7 +403,7 @@ def _iterate(
         perturbation=VectorField(grid, v_values),
         solution=solution,
         background_h4=problem.background_h4,
-        perturbation_h4=perturbation_h4,
+        perturbation_h4=v_norm,
         solution_h4=res.solution_h4 if converged else norm_h4_vector(solution),
         background_dropped=problem.background_dropped,
         converged=converged,
@@ -505,15 +491,11 @@ def _probe_ratio(
     denom = norm_h4_coeffs(grid, v1, v2)
     if denom == 0.0:
         return None
-    g2 = _g_at(problem, background, v2)
+    g = problem.nonlinearity
+    g2 = _eval_stack(g, inverse_stack(grid, v2), background)
     del v2  # released before the samples of v1 are made
-    image, _ = _image(problem, _g_at(problem, background, v1) - g2, out=v1)
+    image, _ = _image(problem, _eval_stack(g, inverse_stack(grid, v1), background) - g2, out=v1)
     return norm_h4_coeffs(grid, image) / denom
-
-
-def _g_at(problem: Problem, background: np.ndarray, hats: np.ndarray) -> np.ndarray:
-    """g(u0 + v) for the coefficients of v."""
-    return _eval_stack(problem.nonlinearity, inverse_stack(problem.grid, hats), background)
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,9 @@ def test_nonpositive_eps_fraction_is_a_config_error(tmp_path, capsys):
         ("probe-contraction", {"seed": -1}, ()),
         # validate_nonlinearity draws with seed + 1
         ("bounds", {"seed": -2}, ()),
+        # an infinite tolerance would stop any run after one step
+        ("solve", {}, ("--tol", "inf")),
+        ("solve", {"tol": float("inf")}, ()),
     ],
 )
 def test_bad_solver_settings_are_config_errors(tmp_path, capsys, command, solver, extra):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -374,13 +375,16 @@ def test_picard_detects_divergence():
     assert rep.solution_h4 == pytest.approx(norm_h4_vector(rep.solution), rel=1e-13)
 
 
-@pytest.mark.parametrize("exit", ["converged", "max_iter", "diverged", "diverged_from_initial"])
+@pytest.mark.parametrize(
+    "exit", ["converged", "max_iter", "diverged", "diverged_from_initial", "converged_from_initial"]
+)
 def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, exit):
     """``perturbation_h4`` is the norm picard already took for the iterate
     it returns: the last accepted step's ``norm_h4``, or that of a given
     ``initial`` when the first step diverges.  No final pass of N norms:
-    a run of k steps from v = 0 takes N (2k - 1) of them, and a report that
-    did not converge N more for ``solution_h4``."""
+    a run of k steps from v = 0 takes N (2k - 1) of them, one from
+    ``initial`` N (2k + 1), and a report that did not converge N more for
+    ``solution_h4``."""
     p, kwargs, initial = small_built.problem, dict(tol=small_built.tol), None
     if exit == "max_iter":
         kwargs = dict(tol=1e-14, max_iter=2)
@@ -388,6 +392,8 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
         p, kwargs = tiny_problem(eps=1e6), dict(tol=1e-10, max_iter=100, budget=500)
     if exit == "diverged_from_initial":  # g of samples ~1e100 makes a step of norm inf
         initial = random_ball_field(p.grid, 2, np.random.default_rng(3), 1e100)
+    if exit == "converged_from_initial":
+        initial = random_ball_field(p.grid, 2, np.random.default_rng(3), 0.5 * p.rho)
     p.background_h4  # fills the problem's caches
     calls = []
 
@@ -396,7 +402,9 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
         return _original(*args)
 
     monkeypatch.setattr(nlrd.lattice, "h4_norm_sq_coeffs", counted)
-    raised = {"converged": None, "max_iter": MaxIterExceeded}.get(exit, DivergenceDetected)
+    raised = {"converged": None, "converged_from_initial": None, "max_iter": MaxIterExceeded}.get(
+        exit, DivergenceDetected
+    )
     try:
         rep = picard(p, initial=initial, **kwargs)
         assert raised is None
@@ -407,6 +415,10 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
     if exit == "diverged_from_initial":
         assert len(steps) == 1 and not np.isfinite(steps[0].norm_h4)
         assert rep.perturbation_h4 == norm_h4_vector(initial)
+        return
+    if exit == "converged_from_initial":
+        assert rep.converged and len(calls) == N * (2 * len(steps) + 1)
+        assert rep.perturbation_h4 == steps[-1].norm_h4
         return
     assert len(calls) == N * (2 * len(steps) - 1) + (0 if rep.converged else N)
     accepted = steps[-2] if exit == "diverged" else steps[-1]
@@ -426,6 +438,8 @@ def test_picard_rejects_bad_arguments(small_built):
         picard(small_built.problem, tol=0.0)
     with pytest.raises(ValueError, match="tolerance"):
         picard(small_built.problem, tol=float("nan"))
+    with pytest.raises(ValueError, match="tolerance"):
+        picard(small_built.problem, tol=math.inf)
     with pytest.raises(ValueError, match="budget"):
         picard(small_built.problem, max_iter=0)
     other = Grid(d=5, n=4, L=4.0)
