@@ -74,7 +74,9 @@ from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 #: peak resident bytes of a CLI run per grid point per component, above the
 #: interpreter's own: 1.4x the largest traced peak of a subcommand, 91 B
 #: (`continuity` at d = 7, n = 8, with every kernel and forcing held as
-#: samples, as bfx1 inputs are; 75 B when all are gaussian or zero sources)
+#: samples, as bfx1 inputs are, and 83 B when measured again since; 57 B
+#: when all are gaussian or zero sources, whose coupling is folded into
+#: the transforms)
 _PEAK_BYTES_PER_POINT = 128
 
 

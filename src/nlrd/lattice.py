@@ -55,6 +55,14 @@ products alternate between ``out`` and one scratch array, the last landing
 in ``out``; the inverse's complex products alternate between two scratch
 arrays, the spent one released before a new ``out`` is made.
 
+A rank-one field f_1 (x) ... (x) f_d (a Gaussian) needs no d-dimensional
+transform: the DFT of a product is the product of the 1-D DFTs, so
+``axis_coeffs`` gives its coefficients as d 1-D arrays and
+``outer_coeffs`` their outer product.  ``forward_coeffs`` takes such
+per-axis ``factors`` too and returns the coefficients of its input times
+their outer product, folded into its axis matrices: a convolution with a
+Gaussian kernel costs one transform and holds no kernel spectrum.
+
 H^4 norms are computed spectrally with the weight 1 + |p|^8, in one blocked
 pass with no full-size temporary, not even for the norm of a difference.
 """
@@ -189,9 +197,17 @@ class RealField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def sample(self, out: np.ndarray | None = None) -> "RealField":
-        """This field, never copied: a field is its own source (``out`` unused)."""
+    def sample(self) -> "RealField":
+        """This field, never copied: a field is its own source."""
         return self
+
+    def coeffs(self, out: np.ndarray | None = None) -> np.ndarray:
+        """:func:`forward_coeffs` of the samples, into ``out`` when given."""
+        return forward_coeffs(self.grid, self.values, out=out)
+
+    def norms(self) -> tuple[float, float]:
+        """:func:`norm_l1` and :func:`norm_l2` of the samples."""
+        return norm_l1(self), norm_l2(self)
 
     def reshaped(self) -> np.ndarray:
         """Values as a d-dimensional array (view when possible)."""
@@ -292,7 +308,9 @@ def _out(out, shape: tuple[int, ...], dtype, source) -> np.ndarray:
     return out
 
 
-def forward_coeffs(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def forward_coeffs(
+    grid: Grid, values: np.ndarray, out: np.ndarray | None = None, factors=None
+) -> np.ndarray:
     """Unitary half-spectrum coefficients of one component's samples.
 
     ``values`` holds ``grid.npoints`` samples in natural layout, flat or of
@@ -302,19 +320,63 @@ def forward_coeffs(grid: Grid, values: np.ndarray, out: np.ndarray | None = None
     One real product transforms the last sample axis to its half spectrum;
     each of d - 1 complex products then transforms the leading axis and
     rotates it to the end, which leaves the half axis leading.
+
+    ``factors``, when given, is d complex 1-D arrays, one per axis of the
+    half spectrum (lengths ``grid.half_shape``), and the result is the
+    coefficients times their outer product, with no full-size multiply:
+    the half-axis factor is mixed into the cos / -sin columns of the real
+    product's matrix, and each other axis's factor scales the columns of
+    its complex product's matrix, O(d n^2) work on top of the transform.
     """
     n = grid.n
     r2c, c2c, _, _ = _dft_matrices(n)
     rows = np.reshape(np.asarray(values, dtype=np.float64), (-1, n))
     out = _out(out, grid.half_shape, np.complex128, values)
+    scale = _forward_scale(grid)
+    if factors is None:
+        r2c, c2cs = scale * r2c, [c2c] * (grid.d - 1)
+    else:
+        r2c = (r2c.view(np.complex128) * (scale * factors[0])).view(np.float64)
+        c2cs = [c2c * f for f in factors[1:]]
     # the d products alternate between out and one scratch array, so that
     # the last lands in out
     scratch = np.empty_like(out) if grid.d > 1 else None
     bufs = (out, scratch) if grid.d % 2 else (scratch, out)
     first = bufs[0].view(np.float64).reshape(rows.shape[0], -1)
-    np.matmul(rows, _forward_scale(grid) * r2c, out=first)
+    np.matmul(rows, r2c, out=first)
     for k in range(1, grid.d):
-        np.matmul(bufs[1 - k % 2].reshape(n, -1).T, c2c, out=bufs[k % 2].reshape(-1, n))
+        np.matmul(bufs[1 - k % 2].reshape(n, -1).T, c2cs[k - 1], out=bufs[k % 2].reshape(-1, n))
+    return out
+
+
+def axis_coeffs(grid: Grid, factors) -> list[np.ndarray]:
+    """Per-axis coefficients of the rank-one samples f_1 (x) ... (x) f_d.
+
+    ``factors`` is d real arrays of n samples, one per sample axis.  Returns
+    d complex 1-D arrays in half-spectrum axis order: the half spectrum of
+    f_d, then the full 1-D DFTs of f_1 .. f_(d-1), the transform scale
+    folded into the first.  Their outer product is ``forward_coeffs`` of
+    the samples (a DFT of a product is the product of the DFTs), for
+    O(d n^2) work.
+    """
+    r2c, c2c, _, _ = _dft_matrices(grid.n)
+    *head, last = factors
+    return [_forward_scale(grid) * (last @ r2c.view(np.complex128))] + [f @ c2c for f in head]
+
+
+def outer_coeffs(grid: Grid, factors, out: np.ndarray | None = None) -> np.ndarray:
+    """``forward_coeffs`` of the rank-one samples f_1 (x) ... (x) f_d (see
+    :func:`axis_coeffs`), formed as an outer product into ``out`` (checked
+    as a transform's destination) or a new array: no samples, no transform.
+    Each outer product is a rank-one matrix product, which, unlike a
+    broadcast multiply, takes no iterator buffers (up to 8192 elements per
+    operand)."""
+    *head, last = axis_coeffs(grid, factors)
+    out = _out(out, grid.half_shape, np.complex128, ())
+    outer = np.ones(1)
+    for f in head:
+        outer = np.matmul(outer.reshape(-1, 1), f.reshape(1, -1))
+    np.matmul(outer.reshape(-1, 1), last.reshape(1, -1), out=out.reshape(-1, last.size))
     return out
 
 

@@ -8,11 +8,15 @@ stationary nonlocal reaction-diffusion system
 
 truncated to the periodic box carried by its grid: the coupling amplitudes
 eps_m, the convolution kernels H_m, the forcings f_m, and the nonlinearity
-g.  It holds each kernel and forcing as a source, which a Gaussian from a
-config (:class:`GaussianSource`) samples only when a pass reads it.  It
-caches the linear background u0 = L^(-1) f, inverted by
-``spectral.invert_coeffs``, the report on its data and the kernel
-coefficients of ``spectral.kernel_coeffs`` the solver shares.  The
+g.  It holds each kernel and forcing as a source: a field's samples
+(:class:`~nlrd.lattice.RealField`), or a Gaussian from a config
+(:class:`GaussianSource`), which gives its coefficients and norms in closed
+form from its 1-D factors and is sampled only where a caller asks for
+``values``.  It caches the linear background u0 = L^(-1) f, inverted by
+``spectral.invert_coeffs``, the report on its data and, per kernel, what
+:meth:`Problem.coupled_coeffs` needs: d 1-D factors for a Gaussian
+(``spectral.kernel_factors``), a half spectrum for a sampled kernel
+(``spectral.kernel_coeffs``).  The
 certified-bounds layer (:mod:`nlrd.bounds`) consumes these through the
 validators defined here:
 
@@ -38,8 +42,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import lattice
-from .lattice import Grid, RealField, VectorField, norm_l1, norm_l2, real_number
-from .spectral import invert_coeffs, kernel_coeffs
+from .lattice import Grid, RealField, VectorField, real_number
+from .spectral import invert_coeffs, kernel_coeffs, kernel_factors
 
 #: dimensions for which the certified bounds are derived
 SUPPORTED_DIMENSIONS = (5, 6, 7)
@@ -94,16 +98,10 @@ class GaussianSpec:
         factors[0] *= self.amplitude
         return factors
 
-    def sample(self, grid: Grid, out: np.ndarray | None = None) -> RealField:
+    def sample(self, grid: Grid) -> RealField:
         """a e_1 (x) ... (x) e_d: exp at d n points, and no full-size array but
-        the result, which views ``out`` (C-contiguous float64) when given."""
-        if out is not None and (out.dtype != np.float64 or out.size != grid.npoints
-                                or not out.flags.c_contiguous):
-            raise ValueError(f"out must be a C-contiguous float64 array of {grid.npoints} samples")
-        *head, last = self._factors(grid)
-        dest = None if out is None else out.reshape(grid.shape)
-        values = np.multiply.outer(functools.reduce(np.multiply.outer, head, 1.0), last, out=dest)
-        return RealField(grid, values.reshape(-1))
+        the result."""
+        return RealField(grid, functools.reduce(np.multiply.outer, self._factors(grid)))
 
     def l1(self, d: int) -> float:
         """Exact L^1 norm on R^d: |a| (2 pi)^(d/2) w^d."""
@@ -116,10 +114,15 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class GaussianSource:
-    """A field source: ``grid``, ``values`` and ``sample(out=None)``, the
-    samples as a :class:`RealField`, made in ``out`` when given; a RealField
-    is its own source and returns itself.  Each read samples the spec afresh,
-    to the same bits; finite factors (each e_j in [0, 1]) give finite ones."""
+    """A field source: ``grid``, ``values`` and ``sample()``, the samples as
+    a :class:`RealField`; ``coeffs(out=None)``, their half spectrum, made
+    in ``out`` when given; and ``norms()``, their lattice L^1 and L^2
+    norms.  A RealField is its own source, and transforms and sums its
+    samples.  A Gaussian is the rank-one tensor of its 1-D factors, so its
+    coefficients are the outer product of their 1-D transforms and its
+    norms products of 1-D sums: neither samples it.  Each read of
+    ``values`` samples the spec afresh, to the same bits; finite factors
+    (each e_j in [0, 1]) give finite ones."""
 
     grid: Grid
     spec: GaussianSpec
@@ -130,8 +133,19 @@ class GaussianSource:
 
     values = property(lambda self: self.sample().values)
 
-    def sample(self, out: np.ndarray | None = None) -> RealField:
-        return self.spec.sample(self.grid, out=out)
+    def sample(self) -> RealField:
+        return self.spec.sample(self.grid)
+
+    def coeffs(self, out: np.ndarray | None = None) -> np.ndarray:
+        return lattice.outer_coeffs(self.grid, self.spec._factors(self.grid), out=out)
+
+    def norms(self) -> tuple[float, float]:
+        """h^d prod_j sum_i |f_j(x_i)| and (h^d prod_j sum_i f_j(x_i)^2)^(1/2)
+        for the factors f_j, the sums over samples in closed form."""
+        factors = self.spec._factors(self.grid)
+        volume = self.grid.h**self.grid.d
+        l1 = volume * math.prod(float(np.abs(f).sum()) for f in factors)
+        return l1, math.sqrt(volume * math.prod(float(np.dot(f, f)) for f in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -362,13 +376,16 @@ class Problem:
     """One instance of the truncated nonlocal reaction-diffusion system.
 
     Kernels and forcings are sources (a :class:`RealField` or a
-    :class:`GaussianSource`), read once per field by each pass that needs
-    their samples: the data report of :func:`validate_problem_data`, the
-    background u0 and the coupling coefficients, computed on first use and
-    cached, and each residual.  Derived problems share the caches by
-    reference, so each array exists once: :meth:`with_nonlinearity` shares
-    all three, :meth:`with_eps` u0 and the data report, as the coupling
-    scales with eps.  ``dataclasses.replace`` starts with empty caches.
+    :class:`GaussianSource`), read by each pass that needs their norms or
+    coefficients: the data report of :func:`validate_problem_data` and the
+    background u0, computed on first use and cached, and each residual.
+    The coupling eps_m (2 pi)^(d/2) H^_m is not held as an array for a
+    Gaussian kernel: :meth:`coupled_coeffs` folds its d 1-D factors,
+    cached, into the transform.  A sampled kernel's coupling is one cached
+    half spectrum.  Derived problems share the caches by reference, so each
+    array exists once: :meth:`with_nonlinearity` shares all three,
+    :meth:`with_eps` u0 and the data report, as the coupling scales with
+    eps.  ``dataclasses.replace`` starts with empty caches.
     """
 
     grid: Grid
@@ -465,8 +482,8 @@ class Problem:
         if "background" not in self._data:
             grid = self.grid
             hats = np.empty((self.n_components,) + grid.half_shape, dtype=np.complex128)
-            for m, f in enumerate(self.forcings):  # one forcing sampled at a time
-                lattice.forward_coeffs(grid, f.values, out=hats[m])
+            for m, f in enumerate(self.forcings):
+                f.coeffs(out=hats[m])
             dropped = tuple(invert_coeffs(grid, hats).tolist())
             u0 = VectorField(grid, lattice.inverse_stack(grid, hats))  # checks finiteness
             u0.values.flags.writeable = False  # shared by every derived problem
@@ -474,17 +491,32 @@ class Problem:
             self._data.update(background=u0, h4=h4, dropped=dropped)
         return self._data
 
-    @property
-    def coupling(self) -> np.ndarray:
-        """eps_m (2 pi)^(d/2) H^_m, the kernels in displacement order
-        (see :mod:`nlrd.spectral`); shape (N, *grid.half_shape)."""
-        if not self._coupling:
-            out = np.empty((self.n_components,) + self.grid.half_shape, dtype=np.complex128)
-            for m, (eps, H) in enumerate(zip(self.eps, self.kernels)):
-                np.multiply(kernel_coeffs(H.sample()), eps, out=out[m])
-            out.flags.writeable = False
-            self._coupling["coupling"] = out
-        return self._coupling["coupling"]
+    def coupled_coeffs(
+        self, m: int, values: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """eps_m (2 pi)^(d/2) H^_m F(values), H_m in displacement order (see
+        :mod:`nlrd.spectral`): the coefficients of eps_m H_m * values, into
+        ``out`` (a new array by default), in one forward transform.
+
+        A Gaussian kernel's per-axis factors are folded into the transform;
+        a sampled kernel's half spectrum multiplies it.  Either is made on
+        first use and cached: d 1-D arrays, or one read-only half spectrum.
+        """
+        if m not in self._coupling:
+            H = self.kernels[m]
+            if isinstance(H, GaussianSource):
+                factors = kernel_factors(self.grid, H.spec._factors(self.grid), self.eps[m])
+                self._coupling[m] = (factors, None)
+            else:
+                row = kernel_coeffs(H)
+                row *= self.eps[m]
+                row.flags.writeable = False
+                self._coupling[m] = (None, row)
+        factors, row = self._coupling[m]
+        out = lattice.forward_coeffs(self.grid, values, out=out, factors=factors)
+        if row is not None:
+            out *= row
+        return out
 
 
 def _rss(norms: Sequence[float]) -> float:
@@ -525,14 +557,15 @@ def validate_problem_data(problem: Problem) -> DataReport:
 
     The report depends on the kernels and forcings only, so it is
     measured once per problem and cached beside the background, where
-    the problems derived from it find it too.  Both norms of a field come
-    from one sample of it.
+    the problems derived from it find it too.  Each source gives its own
+    norms (``norms()``): a sampled field sums its samples, a Gaussian
+    multiplies 1-D sums.
     """
     if "report" in problem._data:
         return problem._data["report"]
-    # (L^1 norms, L^2 norms) of each kind, one field sampled at a time
-    f_l1, f_l2 = zip(*[(norm_l1(f), norm_l2(f)) for f in (s.sample() for s in problem.forcings)])
-    k_l1, k_l2 = zip(*[(norm_l1(H), norm_l2(H)) for H in (s.sample() for s in problem.kernels)])
+    # (L^1 norms, L^2 norms) of each kind
+    f_l1, f_l2 = zip(*[s.norms() for s in problem.forcings])
+    k_l1, k_l2 = zip(*[s.norms() for s in problem.kernels])
     l1_rss, l2_rss = _rss(k_l1), _rss(k_l2)
 
     failures: list[str] = []

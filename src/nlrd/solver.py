@@ -12,21 +12,23 @@ A vector field is the ``values`` stack of a :class:`VectorField`, shape
 (N, *grid.shape), in natural layout, used without copying; its
 coefficients are the unitary half spectra F of
 :func:`nlrd.lattice.forward_coeffs`, shape (N, *grid.half_shape) in the
-layout that module defines, with no index shifts.  Each kernel is
-transformed once in displacement order, F(ifftshift(H_m)), which makes
+layout that module defines, with no index shifts.  Each kernel enters in
+displacement order, F(ifftshift(H_m)), which makes
 
     T(v)_m = F^(-1)( M_m F(g_m(u0 + v)) ),
     M_m = eps_m (2 pi)^(d/2) H^_m / (|p|^2 + |p|^4),   M_m(0) = 0,
 
-exact for even n: two transforms per component per step.  The kernels come
-from ``spectral.kernel_coeffs``, ``spectral.invert_coeffs`` drops the zero
-mode and records its mass, and ``lattice.norm_h4_coeffs`` sums H^4 norms.  The
-background u0 and the coefficients eps_m (2 pi)^(d/2) H^_m are cached on
-the problem (:class:`nlrd.model.Problem`).  The residual transforms each
-forcing component in its loop, and the H^4 norm of a converged solution
-comes from its transform of u.  Step norms and the probe's denominator
-are norms of coefficient differences never formed in full.  g is evaluated
-on cache-sized blocks of u0 + v (:func:`_eval_stack`).  ``picard`` recycles
+exact for even n: two transforms per component per step.  The product
+eps_m (2 pi)^(d/2) H^_m F(.) is ``Problem.coupled_coeffs``, one forward
+transform with a Gaussian kernel's 1-D factors folded into it;
+``spectral.invert_coeffs`` drops the zero mode and records its mass, and
+``lattice.norm_h4_coeffs`` sums H^4 norms.  The background u0 is cached on
+the problem (:class:`nlrd.model.Problem`).  The residual takes each
+forcing component's coefficients from its source in its loop, and the H^4
+norm of a converged solution comes from its transform of u.  Step norms
+and the probe's denominator are norms of coefficient differences never
+formed in full.  g is evaluated on cache-sized blocks of u0 + v
+(:func:`_eval_stack`).  ``picard`` recycles
 its arrays: v = 0 has no coefficients, the old ones are released before
 each inverse transform writes v's own samples, and the last before the
 residual; ``perturbation_h4`` is the norm the step that made v took, or
@@ -229,8 +231,7 @@ def _image(
     if out is None:
         out = np.empty((len(gz),) + grid.half_shape, dtype=np.complex128)
     for m, row in enumerate(gz):
-        forward_coeffs(grid, row, out=out[m])
-        out[m] *= problem.coupling[m]
+        problem.coupled_coeffs(m, row, out=out[m])
     return out, tuple(invert_coeffs(grid, out).tolist())
 
 
@@ -268,14 +269,14 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     evaluated spectrally with the p = 0 mode removed (the solve is defined
     modulo that mode).  The relative value is against the L^2 norm of the
     forcing vector (from the problem's data report), or absolute when the
-    forcing vanishes.  The forcing, u and g(u) are transformed from their
-    samples, one component at a time, so the check does not depend on the
-    solve; the H^4 norm of u comes from the same transform of u.  A sampled
-    forcing is made in g(u)'s transformed row; a held one is read in place.
+    forcing vanishes.  u and g(u) are transformed from their samples, one
+    component at a time, and the forcing's coefficients come from its
+    source (``coeffs``), so the check does not depend on the solve; the H^4
+    norm of u comes from the same transform of u.  The forcing's
+    coefficients are written into the spent coefficients of u: no new field.
     """
     _require_match(problem, u, "candidate solution")
     grid = problem.grid
-    coupling = problem.coupling
     sym = half_operator_symbol(grid)
     values = u.values
     gz = _eval_stack(problem.nonlinearity, values)
@@ -283,15 +284,13 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     total_sq = 0.0
     h4_sq = 0.0
     for m in range(problem.n_components):
-        r_hat = forward_coeffs(grid, gz[m])
-        r_hat *= coupling[m]
+        r_hat = problem.coupled_coeffs(m, gz[m])
         u_hat = forward_coeffs(grid, values[m])
         h4_sq += h4_norm_sq_coeffs(grid, u_hat)
         u_hat *= sym
         r_hat -= u_hat
-        del u_hat  # not held through the forcing's transform
-        # a sampled forcing goes into g(u)'s spent row: no new field
-        r_hat += forward_coeffs(grid, problem.forcings[m].sample(out=gz[m]).values)
+        r_hat += problem.forcings[m].coeffs(out=u_hat)  # into the spent u_hat
+        del u_hat
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))

@@ -12,10 +12,15 @@ layout of that module.  Periodic convolution is evaluated spectrally:
 
     (H * G)^(p) = (2 pi)^(d/2) H^(p) G^(p)
 
-under the unitary transform convention.  ``kernel_coeffs`` is the one place
-a kernel H is put in displacement order, ``forward_coeffs(ifftshift(H))``
-scaled by (2 pi)^(d/2): its coefficients carry no (-1)^k sign, so the product
-with the natural-layout coefficients of G transforms back to samples.  The
+under the unitary transform convention.  ``kernel_coeffs`` and
+``kernel_factors`` are the one place a kernel H is put in displacement
+order, ``forward_coeffs(ifftshift(H))`` scaled by (2 pi)^(d/2): its
+coefficients carry no (-1)^k sign, so the product with the natural-layout
+coefficients of G transforms back to samples.  ``kernel_coeffs`` transforms
+samples; ``kernel_factors`` takes a rank-one kernel (a Gaussian) as its d
+1-D factors and returns d 1-D arrays, whose outer product is those
+coefficients and which ``forward_coeffs(..., factors=...)`` folds into its
+axis matrices, so the product with F(G) is one transform.  The
 brute-force counterpart ``convolve_direct`` computes the defining lattice
 sum h^d sum_y H(x - y) G(y) with wrap-around and is intended as a
 cross-check on tiny grids only.
@@ -80,6 +85,18 @@ def kernel_coeffs(H: RealField) -> np.ndarray:
     coeffs = lattice.forward_coeffs(H.grid, np.fft.ifftshift(H.reshaped()))
     coeffs *= _TWO_PI ** (H.grid.d / 2.0)
     return coeffs
+
+
+def kernel_factors(grid: Grid, factors, scale: float) -> list[np.ndarray]:
+    """Per-axis factors of scale (2 pi)^(d/2) times the displacement-order
+    half spectrum of the rank-one kernel f_1 (x) ... (x) f_d, one real
+    n-sample factor per sample axis.  The shift of a product is the product
+    of the shifted factors, so ``forward_coeffs(grid, G, factors=...)`` is
+    ``scale * kernel_coeffs(H) * forward_coeffs(grid, G)`` with no
+    full-size array but the result."""
+    axes = lattice.axis_coeffs(grid, [np.fft.ifftshift(f) for f in factors])
+    axes[0] *= scale * _TWO_PI ** (grid.d / 2.0)
+    return axes
 
 
 def solve_linear(f: RealField) -> tuple[RealField, float]:

@@ -78,7 +78,8 @@ def test_one_transform_implementation():
 
 def test_one_spectral_step_implementation():
     """Only ``spectral`` inverts the operator or puts a kernel in displacement
-    order; every other module goes through ``invert_coeffs``/``kernel_coeffs``."""
+    order; every other module goes through ``invert_coeffs`` and
+    ``kernel_coeffs``/``kernel_factors``."""
     for path in sorted((REPO / "src" / "nlrd").glob("*.py")):
         if path.name != "spectral.py":
             text = path.read_text()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-import nlrd.model
+import nlrd.lattice
 from nlrd.bounds import (
     BadDimension,
     ContractionNotStrict,
@@ -344,15 +344,16 @@ def test_degenerate_kernels_fail_validation_not_arithmetic(amplitude, clause, ep
 
 
 def test_each_norm_is_taken_once_per_certification(monkeypatch):
-    """compute_bounds measures each kernel and forcing once (2N calls of
-    norm_l1 and of norm_l2), and so does picard on a problem that fails
-    validation: the uncertified report reuses the failed pass."""
+    """compute_bounds measures each sampled kernel and forcing once (2N
+    calls of norm_l1 and of norm_l2), and so does picard on a problem that
+    fails validation: the uncertified report reuses the failed pass.  Its
+    ``zero`` kernels give their norms in closed form, with no call."""
     calls = {"norm_l1": 0, "norm_l2": 0}
     for name in calls:
-        def counted(f, _original=getattr(nlrd.model, name), _name=name):
+        def counted(f, _original=getattr(nlrd.lattice, name), _name=name):
             calls[_name] += 1
             return _original(f)
-        monkeypatch.setattr(nlrd.model, name, counted)
+        monkeypatch.setattr(nlrd.lattice, name, counted)
     p = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0)
     N = p.n_components
     compute_bounds(p, p.background_h4, budget=500)
@@ -362,7 +363,8 @@ def test_each_norm_is_taken_once_per_certification(monkeypatch):
     calls.update(norm_l1=0, norm_l2=0)
     rep = picard(failing, tol=1e-10, max_iter=10, budget=500)
     assert "kernel_nontrivial" in rep.bounds.failures
-    assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
+    assert calls == {"norm_l1": N, "norm_l2": N}
+    assert rep.bounds.kernel_l1_rss == rep.bounds.kernel_l2_rss == 0.0
 
 
 def test_validated_wrappers_agree_with_report():

@@ -18,7 +18,7 @@ from nlrd.config import ConfigError, build_field, build_problem, load_config
 from nlrd.fieldio import write_field
 from nlrd.lattice import Grid
 from nlrd.model import GaussianSpec, c2_norm, image_ball_radius
-from nlrd.solver import picard, residual
+from nlrd.solver import contraction_probe, picard, residual
 
 
 # ---------------------------------------------------------------------------
@@ -326,34 +326,33 @@ def count_samples(monkeypatch) -> list:
     calls = []
     original = GaussianSpec.sample
 
-    def counted(self, grid, out=None):
+    def counted(self, grid):
         calls.append(self)
-        return original(self, grid, out=out)
+        return original(self, grid)
 
     monkeypatch.setattr(GaussianSpec, "sample", counted)
     return calls
 
 
 def test_each_pass_samples_each_field_once(monkeypatch):
-    """A config's Gaussian and zero fields are sampled when a pass reads them:
-    the build each field once for its norms and each forcing once for the
-    background, the coupling each kernel once, and each residual each
-    forcing once; derived problems reuse the cached passes."""
+    """A config's Gaussian and zero fields are never sampled by a pass:
+    the build takes their norms and the background's coefficients in
+    closed form, a solve folds the kernels into its transforms and each
+    residual takes the forcing's coefficients from its source.  Only a
+    caller that asks for ``values`` samples one."""
     calls = count_samples(monkeypatch)
     cfg = small_config(n=4)
     cfg["forcings"][1] = {"constructor": "zero"}
     built = build_problem(cfg)
     p = built.problem
-    N = p.n_components
-    assert len(calls) == 2 * N + N
-    p.coupling
-    assert len(calls) == 4 * N
+    assert calls == []
     rep = picard(p.with_nonlinearity(p.nonlinearity), tol=built.tol, max_iter=built.max_iter,
                  budget=500)
-    assert len(calls) == 5 * N
     residual(p, rep.solution)
-    assert len(calls) == 6 * N
-    assert calls[-N:] == [f.spec for f in p.forcings]
+    contraction_probe(p, pairs=1)
+    assert calls == []
+    p.forcings[0].values
+    assert calls == [p.forcings[0].spec]
 
 
 def arrays_reachable(obj, found: dict) -> dict:
@@ -375,14 +374,16 @@ def arrays_reachable(obj, found: dict) -> dict:
 
 def test_a_warm_problem_holds_no_samples_of_its_data():
     """After a solve has filled its caches, a built problem's sources and
-    caches hold exactly the background (N fields) and the coupling (N half
-    spectra): no kernel or forcing samples."""
+    caches hold exactly the background (N fields) and, per Gaussian
+    kernel, its d 1-D coupling factors, one per half-spectrum axis: no
+    kernel or forcing samples and no half spectrum."""
     built = build_problem(small_config(n=4))
     p = built.problem
     picard(p, tol=built.tol, max_iter=built.max_iter, budget=500)
     held = arrays_reachable([p.kernels, p.forcings, p._data, p._coupling], {})
     N, grid = p.n_components, p.grid
-    assert sum(held.values()) == N * 8 * grid.npoints + N * 16 * math.prod(grid.half_shape)
+    factors = 16 * sum(grid.half_shape)
+    assert sum(held.values()) == N * 8 * grid.npoints + N * factors
 
 
 @pytest.mark.parametrize("section", ["kernels", "forcings"])

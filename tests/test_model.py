@@ -154,9 +154,8 @@ def test_gaussian_sample_holds_the_field_and_its_factors_only():
 
 @pytest.mark.parametrize("d", [5, 6, 7])
 def test_gaussian_source_samples_the_spec_bit_for_bit(d):
-    """A source's values, read twice, and its write into ``out`` are the
-    product of the 1-D factors in their order, bit for bit; the field it
-    returns views ``out``."""
+    """A source's values, read twice, are the product of the 1-D factors in
+    their order, bit for bit."""
     g = Grid(d=d, n=4, L=3.0)
     spec = GaussianSpec(width=0.9, amplitude=-1.3, center=tuple(np.linspace(-0.4, 0.7, d)))
     x = g.axis_coords()
@@ -164,29 +163,14 @@ def test_gaussian_source_samples_the_spec_bit_for_bit(d):
     factors[0] *= -1.3
     expected = functools.reduce(np.multiply.outer, factors).reshape(-1)
     source = GaussianSource(g, spec)
-    out = np.empty((2, g.npoints))
-    written = source.sample(out=out[1])
-    assert np.shares_memory(written.values, out[1])
-    for values in (source.values, source.values, spec.sample(g).values, written.values):
+    for values in (source.values, source.values, spec.sample(g).values, source.sample().values):
         assert np.array_equal(values, expected)
 
 
-def test_sample_out_must_hold_the_grid_as_contiguous_floats():
-    g = Grid(d=5, n=4, L=3.0)
-    spec = GaussianSpec()
-    for out in (np.empty(g.npoints, np.float32), np.empty((g.npoints, 2))[:, 0],
-                np.empty(g.npoints + 1)):
-        with pytest.raises(ValueError, match="out must be"):
-            spec.sample(g, out=out)
-
-
 def test_a_real_field_is_its_own_source():
-    """A held field is returned, never copied, and ``out`` is left as it was."""
+    """A held field is returned, never copied."""
     f = GaussianSpec(width=0.8).sample(Grid(d=5, n=4, L=3.0))
     assert f.sample() is f
-    buf = np.full(f.grid.shape, -7.0)
-    assert f.sample(out=buf) is f
-    assert np.all(buf == -7.0)
 
 
 @pytest.mark.parametrize("params", [{"width": 1e-300}, {"width": 1e200}])
@@ -441,8 +425,18 @@ def test_problem_helpers():
     assert p.eps == (0.0, 0.0)
 
 
+def gaussian_kernels(g: Grid) -> tuple[GaussianSource, GaussianSource]:
+    """The kernels of :func:`small_problem` as sources, not samples."""
+    return GaussianSource(g, GaussianSpec(1.0, 1.0)), GaussianSource(g, GaussianSpec(0.9, 0.8))
+
+
 def test_derived_problems_share_the_spectral_cache():
-    p = small_problem(eps=0.03)
+    base = small_problem(eps=0.03)
+    for p in (base, small_problem(eps=0.03, kernels=gaussian_kernels(base.grid))):
+        check_derived_problems_share_the_spectral_cache(p)
+
+
+def check_derived_problems_share_the_spectral_cache(p: Problem) -> None:
     g2 = quadratic_nonlinearity([np.eye(2), np.eye(2)], label="other")
     same_eps = p.with_nonlinearity(g2)
     doubled = p.with_eps(0.06)
@@ -451,13 +445,48 @@ def test_derived_problems_share_the_spectral_cache():
     assert same_eps.background is p.background
     assert same_eps.background_h4 == p.background_h4
     assert same_eps.background_dropped == p.background_dropped
-    assert same_eps.coupling is p.coupling
-    # the coupling scales with eps, so with_eps must not reuse it
-    assert np.array_equal(doubled.coupling, 2.0 * p.coupling)
-    assert doubled.coupling is not p.coupling
-    # shared arrays cannot be changed through one of the problems
+    x = np.random.default_rng(0).standard_normal(p.grid.npoints)
+    for m, H in enumerate(p.kernels):
+        first = p.coupled_coeffs(m, x)
+        # made on first use and held: a Gaussian's d factors, a sample's half spectrum
+        factors, row = held = p._coupling[m]
+        if isinstance(H, GaussianSource):
+            assert row is None and [f.shape for f in factors] == [(n,) for n in p.grid.half_shape]
+        else:
+            assert factors is None and row.shape == p.grid.half_shape
+            # shared arrays cannot be changed through one of the problems
+            assert not row.flags.writeable
+        assert np.array_equal(same_eps.coupled_coeffs(m, x), first)
+        assert same_eps._coupling[m] is held
+        # the coupling scales with eps, so with_eps must not reuse it
+        assert np.array_equal(doubled.coupled_coeffs(m, x), 2.0 * first)
+        assert doubled._coupling[m] is not held
     assert not p.background.values.flags.writeable
-    assert not p.coupling.flags.writeable
+
+
+@pytest.mark.parametrize("d,n,L", [(5, 8, 3.0), (6, 6, 2.5), (7, 4, 2.0)])
+def test_gaussian_coeffs_and_norms_are_those_of_its_samples(d, n, L):
+    """A Gaussian source's closed-form coefficients and L^1/L^2 norms equal
+    forward_coeffs, norm_l1 and norm_l2 of its samples to 1e-14, off
+    centre and at odd widths; a zero source's are exactly 0."""
+    g = Grid(d=d, n=n, L=L)
+    specs = (GaussianSpec(0.77, -1.3, center=[0.31 * j - 0.45 for j in range(d)]),
+             GaussianSpec(1.3, 0.6, center=0.45))
+    for spec in specs:
+        source = GaussianSource(g, spec)
+        samples = source.sample()
+        expected = forward_coeffs(g, samples.values)
+        out = np.empty(g.half_shape, dtype=np.complex128)
+        assert source.coeffs(out=out) is out
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
+        l1, l2 = source.norms()
+        assert l1 == pytest.approx(norm_l1(samples), rel=1e-14)
+        assert l2 == pytest.approx(norm_l2(samples), rel=1e-14)
+        assert samples.norms() == (norm_l1(samples), norm_l2(samples))
+        assert np.array_equal(samples.coeffs(), expected)
+    zero = GaussianSource(g, GaussianSpec(amplitude=0.0))
+    assert not np.any(zero.coeffs())
+    assert zero.norms() == (0.0, 0.0)
 
 
 def test_derived_problems_share_the_data_report():
@@ -480,17 +509,24 @@ def test_derived_problems_share_the_data_report():
 
 
 def test_background_and_coupling_match_their_definitions():
-    p = small_problem(eps=0.03)
-    g = p.grid
-    for m in range(2):
-        u0, dropped = solve_linear(p.forcings[m])
-        scale = np.max(np.abs(u0.values))
-        assert_allclose(p.background.values[m], u0.reshaped(), rtol=0, atol=1e-14 * scale)
-        assert p.background_dropped[m] == pytest.approx(dropped, rel=1e-15)
-        k_hat = forward_coeffs(g, np.fft.ifftshift(p.kernels[m].reshaped()))
-        expected = 0.03 * TWO_PI ** (g.d / 2.0) * k_hat
-        assert_allclose(p.coupling[m], expected, rtol=1e-15)
-    assert p.background_h4 == pytest.approx(norm_h4_vector(p.background), rel=1e-13)
+    """Both for samples and for Gaussian sources (closed-form coefficients
+    and folded kernel factors)."""
+    base = small_problem(eps=0.03)
+    g = base.grid
+    forcings = (GaussianSource(g, GaussianSpec(1.2, 0.05)),
+                GaussianSource(g, GaussianSpec(1.1, -0.03)))
+    x = np.random.default_rng(1).standard_normal(g.npoints)
+    for p in (base, small_problem(eps=0.03, kernels=gaussian_kernels(g), forcings=forcings)):
+        for m in range(2):
+            u0, dropped = solve_linear(p.forcings[m].sample())
+            scale = np.max(np.abs(u0.values))
+            assert_allclose(p.background.values[m], u0.reshaped(), rtol=0, atol=1e-14 * scale)
+            assert p.background_dropped[m] == pytest.approx(dropped, rel=1e-15)
+            k_hat = forward_coeffs(g, np.fft.ifftshift(p.kernels[m].sample().reshaped()))
+            expected = 0.03 * TWO_PI ** (g.d / 2.0) * k_hat * forward_coeffs(g, x)
+            got = p.coupled_coeffs(m, x)
+            assert_allclose(got, expected, rtol=0, atol=1e-15 * np.max(np.abs(expected)))
+        assert p.background_h4 == pytest.approx(norm_h4_vector(p.background), rel=1e-13)
 
 
 def test_validate_problem_data_aggregates_constant_kernels():

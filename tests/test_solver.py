@@ -672,8 +672,10 @@ def count_transforms(monkeypatch) -> dict:
 
 def test_repeated_calls_transform_no_kernel_and_no_background(monkeypatch):
     """After the first call on a problem, a probe transforms only its draws
-    and images, and a solve only its iterates, its residual and the forcing
-    once: the kernel coefficients and the background are cached."""
+    and images, and a solve only its iterates and its residual: the
+    background is cached, the Gaussian kernels are folded into the
+    transforms of g, and the residual takes the Gaussian forcings'
+    coefficients in closed form."""
     built = build_problem(small_config())
     p = built.problem
     N = p.n_components
@@ -689,33 +691,38 @@ def test_repeated_calls_transform_no_kernel_and_no_background(monkeypatch):
         counts.update(forward=0, inverse=0)
         rep = picard(p, tol=built.tol, max_iter=built.max_iter, budget=built.budget)
         k = rep.iterations
-        # per step N forward and N inverse; then the forcing and the residual
-        assert counts == {"forward": N * (k + 3), "inverse": N * k}
+        # per step N forward and N inverse; then the residual's g(u) and u
+        assert counts == {"forward": N * (k + 2), "inverse": N * k}
 
 
 def count_norms(monkeypatch) -> dict:
-    """Count L^1 and L^2 norms through every binding of the data layers."""
-    calls = {"norm_l1": 0, "norm_l2": 0}
-    for module in (nlrd.model, nlrd.config, nlrd.solver):
-        for name in calls:
-            if hasattr(module, name):
-                def counted(f, _original=getattr(module, name), _name=name):
-                    calls[_name] += 1
-                    return _original(f)
-                monkeypatch.setattr(module, name, counted)
+    """Count sampled L^1 and L^2 norms (``nlrd.lattice``) and the closed-form
+    norms of Gaussian sources."""
+    calls = {"norm_l1": 0, "norm_l2": 0, "gaussian": 0}
+    for name in ("norm_l1", "norm_l2"):
+        def counted(f, _original=getattr(nlrd.lattice, name), _name=name):
+            calls[_name] += 1
+            return _original(f)
+        monkeypatch.setattr(nlrd.lattice, name, counted)
+
+    def gaussian(source, _original=nlrd.model.GaussianSource.norms):
+        calls["gaussian"] += 1
+        return _original(source)
+    monkeypatch.setattr(nlrd.model.GaussianSource, "norms", gaussian)
     return calls
 
 
 def test_data_norms_are_measured_once_per_problem(monkeypatch):
-    """build_problem measures each kernel and forcing once; the problem it
-    returns and the problems derived from it reuse that measurement, and a
-    problem with other kernels measures its own."""
+    """build_problem measures each kernel and forcing once, a Gaussian in
+    closed form with no sampled norm; the problem it returns and the
+    problems derived from it reuse that measurement, and a problem with
+    other (sampled) kernels measures its own."""
     calls = count_norms(monkeypatch)
     built = build_problem(small_config(n=4))
     p = built.problem
     N = p.n_components
-    assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
-    calls.update(norm_l1=0, norm_l2=0)
+    assert calls == {"norm_l1": 0, "norm_l2": 0, "gaussian": 2 * N}
+    calls.update(gaussian=0)
     g2 = scale_nonlinearity(p.nonlinearity, 1.01)
     for q in (p, p.with_eps(0.5 * max(p.eps)), p.with_nonlinearity(g2)):
         compute_bounds(q, q.background_h4, budget=500)
@@ -723,16 +730,43 @@ def test_data_norms_are_measured_once_per_problem(monkeypatch):
         residual(q, rep.solution)
         contraction_probe(q, pairs=2)
     continuity_experiment(p, p.nonlinearity, g2, budget=500)
-    assert calls == {"norm_l1": 0, "norm_l2": 0}
+    assert calls == {"norm_l1": 0, "norm_l2": 0, "gaussian": 0}
 
     doubled = dataclasses.replace(
         p, kernels=tuple(RealField(p.grid, 2.0 * H.values) for H in p.kernels)
     )
     data = validate_problem_data(doubled)
-    assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
+    assert calls == {"norm_l1": N, "norm_l2": N, "gaussian": N}
     before = validate_problem_data(p)
-    assert data.kernel_l1 == pytest.approx([2.0 * v for v in before.kernel_l1], rel=1e-15)
-    assert data.kernel_l2 == pytest.approx([2.0 * v for v in before.kernel_l2], rel=1e-15)
+    assert data.kernel_l1 == pytest.approx([2.0 * v for v in before.kernel_l1], rel=1e-14)
+    assert data.kernel_l2 == pytest.approx([2.0 * v for v in before.kernel_l2], rel=1e-14)
+    assert data.forcing_l2 == before.forcing_l2
+
+
+def test_a_sampled_kernel_gives_the_gaussian_results():
+    """Kernel 1 held as its samples, the rest Gaussian sources: the solve,
+    the residual and the seeded probe agree with the all-Gaussian problem,
+    and the problem holds one half spectrum, for that kernel only, beside
+    the Gaussian kernel's d 1-D factors."""
+    built = build_problem(small_config(n=6))
+    p = built.problem
+    mixed = dataclasses.replace(p, kernels=(p.kernels[0], p.kernels[1].sample()))
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=500)
+    reps = [picard(q, **kwargs) for q in (p, mixed)]
+    assert reps[1].iterations == reps[0].iterations
+    assert reps[1].perturbation_h4 == pytest.approx(reps[0].perturbation_h4, rel=1e-12)
+    assert reps[1].solution_h4 == pytest.approx(reps[0].solution_h4, rel=1e-12)
+    u = reps[0].solution
+    r0, r1 = residual(p, u), residual(mixed, u)
+    assert r0.relative < 1e-9
+    assert r1.relative == pytest.approx(r0.relative, abs=1e-12)
+    probes = [contraction_probe(q, pairs=3, seed=4).ratios for q in (p, mixed)]
+    assert probes[1] == pytest.approx(probes[0], rel=1e-12)
+    grid = p.grid
+    (factors, none), (no_factors, row) = mixed._coupling[0], mixed._coupling[1]
+    assert none is None and no_factors is None
+    assert [f.nbytes for f in factors] == [16 * n for n in grid.half_shape]
+    assert row.shape == grid.half_shape and row.dtype == np.complex128
 
 
 def test_probe_rejects_empty_request(small_built):

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from nlrd.lattice import Grid, RealField, forward_coeffs, norm_l1, norm_l2
+from nlrd.model import GaussianSpec
 from nlrd.spectral import (
     DIRECT_CONV_MAX_POINTS,
     GridTooLarge,
@@ -13,6 +14,8 @@ from nlrd.spectral import (
     convolve_direct,
     half_operator_symbol,
     invert_coeffs,
+    kernel_coeffs,
+    kernel_factors,
     solve_linear,
 )
 
@@ -232,3 +235,31 @@ def test_young_inequality_for_convolution(d, n, pairs):
         lhs = norm_l2(convolve(H, G))
         rhs = norm_l2(H) * norm_l1(G)
         assert lhs <= rhs * (1.0 + 1e-10)
+
+
+#: grids of the closed-form Gaussian checks: d = 5, 6, 7
+CLOSED_FORM_GRIDS = [(5, 8, 3.0), (6, 6, 2.5), (7, 4, 2.0)]
+
+
+def off_centre_gaussian(d: int) -> GaussianSpec:
+    """An odd width, a negative amplitude and a different centre per axis."""
+    return GaussianSpec(0.77, -1.3, center=[0.31 * j - 0.45 for j in range(d)])
+
+
+@pytest.mark.parametrize("d,n,L", CLOSED_FORM_GRIDS)
+@pytest.mark.parametrize("eps", [0.37, 0.0])
+def test_folded_kernel_transform_is_the_coupling_times_the_transform(d, n, L, eps):
+    """forward_coeffs with a Gaussian's kernel factors is
+    eps kernel_coeffs(H) forward_coeffs(x), to 1e-14 of its largest entry,
+    and exactly 0 for eps = 0 or a zero kernel."""
+    g = Grid(d=d, n=n, L=L)
+    x = random_field(g, seed=d).values
+    for spec in (off_centre_gaussian(d), GaussianSpec(1.3, 0.6, center=0.45),
+                 GaussianSpec(amplitude=0.0)):
+        expected = forward_coeffs(g, x) * eps * kernel_coeffs(spec.sample(g))
+        folded = forward_coeffs(g, x, factors=kernel_factors(g, spec._factors(g), eps))
+        if eps == 0.0 or spec.amplitude == 0.0:
+            assert not np.any(folded)
+        else:
+            top = np.max(np.abs(expected))
+            assert np.max(np.abs(folded - expected)) <= 1e-14 * top
