@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Grid, half_h4_weight, hermitian_weight
+from .lattice import Grid, h4_shells, shell_blocks
 from .model import (
     DEFAULT_C2_BUDGET,
     SUPPORTED_DIMENSIONS,
@@ -117,11 +117,13 @@ def sobolev_embedding_constant(d: int) -> float:
 def lattice_embedding_constant(grid: Grid) -> float:
     """Sharp constant c_h = (2 pi)^(-d/2) dp^(d/2) (sum_k 1 / (1 + |p_k|^8))^(1/2)
     with max |u| <= c_h |u|_H4 on the lattice: Cauchy-Schwarz against the H^4
-    weight, an equality for F_k = 1 / (1 + |p_k|^8).  Summed as w^2 / W per
-    half-axis row (w the Hermitian multiplicity, W = ``half_h4_weight``)."""
-    rows = half_h4_weight(grid).reshape(grid.n // 2 + 1, -1)
-    w = hermitian_weight(grid).reshape(-1)
-    total = sum(wr * wr * np.reciprocal(row).sum() for wr, row in zip(w, rows))
+    weight, an equality for F_k = 1 / (1 + |p_k|^8).  Summed over the half
+    spectrum as w / W per block of ``lattice.shell_blocks`` (w the block's
+    Hermitian multiplicity, W the H^4 weight)."""
+    total = sum(
+        mult * np.reciprocal(w, out=scratch[: len(w)]).sum()
+        for _, _, mult, scratch, w in shell_blocks(grid, h4_shells)
+    )
     return float(_TWO_PI ** (-grid.d / 2.0) * grid.dp ** (grid.d / 2.0) * math.sqrt(total))
 
 

@@ -73,10 +73,11 @@ from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 #: peak resident bytes of a CLI run per grid point per component, above the
 #: interpreter's own: 1.4x the largest traced peak of a subcommand, 91 B
-#: (`continuity` at d = 7, n = 8, with every kernel and forcing held as
-#: samples, as bfx1 inputs are, and 83 B when measured again since; 57 B
-#: when all are gaussian or zero sources, whose coupling is folded into
-#: the transforms)
+#: when first measured.  `continuity` at d = 7, n = 8 on the shipped
+#: instance, traced with tracemalloc, peaks at 83 B with every kernel and
+#: forcing held as samples, as bfx1 inputs are, and at 57 B when all are
+#: gaussian sources, whose coupling is folded into the transforms (65 B
+#: while full-size spectral weights were cached)
 _PEAK_BYTES_PER_POINT = 128
 
 
@@ -385,6 +386,8 @@ def build_problem(
         q, origin, name, adjective = fraction
         if not q > 0.0:
             raise ConfigError(f"{name} must be positive, got {q}")
+        if not math.isfinite(q):
+            raise ConfigError(f"{name} must be finite, got {q}")
         if not 0.0 < eps_max < math.inf:
             raise ConfigError(f"{name} needs a positive finite eps_max, got {eps_max}")
         eps = (float(q) * eps_max,) * g.N

@@ -63,8 +63,20 @@ per-axis ``factors`` too and returns the coefficients of its input times
 their outer product, folded into its axis matrices: a convolution with a
 Gaussian kernel costs one transform and holds no kernel spectrum.
 
-H^4 norms are computed spectrally with the weight 1 + |p|^8, in one blocked
-pass with no full-size temporary, not even for the norm of a difference.
+Every spectral multiplier of the solver (the H^4 weight 1 + |p|^8, the
+operator symbol and its inverse, the probe's envelope) depends on |p|^2
+alone, and on the lattice |p|^2 = dp^2 s with s = k_1^2 + ... + k_d^2 an
+integer shell, at most d (n/2)^2 + 1 of them.  No weight is held at the
+size of the spectrum: ``shell_blocks`` walks the flat half spectrum in
+cache-sized blocks of whole tail rows (the last axis) of one half-axis
+mode, and gathers each block's weights from a small table per grid and
+weight, one tail row per row shell, at most d (n/2)^2 + 1 rows of n
+values.  A block's Hermitian multiplicity is one number.  Callers multiply
+and reduce a block while it is in cache, so a multiply and the norms of
+its result are one pass.  Per grid, this module caches the walk (the row
+shells of one slab, n^(d-2) integers) and the tables; per n, the DFT
+matrices.  H^4 norms are computed spectrally in that blocked pass, with
+no full-size temporary, not even for the norm of a difference.
 """
 
 from __future__ import annotations
@@ -149,15 +161,16 @@ class Grid:
         return tuple(np.meshgrid(*([x] * self.d), indexing="ij", sparse=True))
 
 
-@functools.lru_cache(maxsize=16)
 def h4_weight(grid: Grid) -> np.ndarray:
-    """Spectral H^4 weight 1 + |p|^8 on the full lattice, FFT order."""
+    """Spectral H^4 weight 1 + |p|^8 on the full lattice, FFT order: the
+    full-size formula, for checks (the solver reads :func:`shell_blocks`)."""
     q = grid.axis_wavenumbers() ** 2
     return 1.0 + functools.reduce(np.add.outer, [q] * grid.d) ** 4
 
 
 def half_squared_wavenumber(grid: Grid) -> np.ndarray:
-    """|p|^2 on the half spectrum, shape ``grid.half_shape``."""
+    """|p|^2 on the half spectrum, shape ``grid.half_shape``: the full-size
+    formula, for checks (the solver reads :func:`shell_blocks`)."""
     q = grid.axis_wavenumbers() ** 2
     return functools.reduce(np.add.outer, [q[: grid.n // 2 + 1]] + [q] * (grid.d - 1))
 
@@ -172,12 +185,6 @@ def hermitian_weight(grid: Grid) -> np.ndarray:
     w = np.full((grid.n // 2 + 1,) + (1,) * (grid.d - 1), 2.0)
     w[0] = w[-1] = 1.0
     return w
-
-
-@functools.lru_cache(maxsize=16)
-def half_h4_weight(grid: Grid) -> np.ndarray:
-    """H^4 weight 1 + |p|^8 times the Hermitian multiplicity, half spectrum."""
-    return hermitian_weight(grid) * (1.0 + half_squared_wavenumber(grid) ** 4)
 
 
 @dataclass(frozen=True)
@@ -412,21 +419,127 @@ def forward_stack(grid: Grid, stack) -> np.ndarray:
     return out
 
 
-def inverse_stack(grid: Grid, hats: np.ndarray) -> np.ndarray:
-    """:func:`inverse_values` of each row of ``hats``, shape (N, *grid.shape)."""
-    out = np.empty((len(hats),) + grid.shape)
+def inverse_stack(grid: Grid, hats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`inverse_values` of each row of ``hats``, shape (N, *grid.shape),
+    into ``out`` when given."""
+    if out is None:
+        out = np.empty((len(hats),) + grid.shape)
     for m, hat in enumerate(hats):
         inverse_values(grid, hat, out=out[m])
     return out
 
 
 # ---------------------------------------------------------------------------
-# norms
+# shell tables
 # ---------------------------------------------------------------------------
 
-#: most values or coefficients per block of a norm: block and buffer stay in L2 cache
+#: most coefficients per block of a shell walk or a norm: block and buffers stay in L2 cache
 _NORM_BLOCK = 2**13
 
+
+@dataclass(frozen=True)
+class _Shells:
+    """How :func:`shell_blocks` walks one grid's flat half spectrum.
+
+    The half spectrum is one slab per half-axis mode k_0, each slab
+    ``len(middle)`` tail rows of ``len(tail)`` coefficients (the last axis;
+    at d = 1 a slab is one coefficient).  The integer shell s = |p|^2 / dp^2
+    of a coefficient is ``k_0^2 + middle[row] + tail[col]``.
+    """
+
+    middle: np.ndarray  # sum of k_j^2 over the axes between the half and the last axis, per row
+    tail: np.ndarray  # k^2 along the last axis
+    slabs: tuple[tuple[int, float], ...]  # (k_0^2, Hermitian multiplicity) per slab
+    block_rows: int  # rows per block
+
+
+@functools.lru_cache(maxsize=16)
+def _shells(grid: Grid) -> _Shells:
+    n = grid.n
+    k = np.concatenate([np.arange(n // 2), np.arange(-(n // 2), 0)])
+    q = (k * k).astype(np.intp)
+    middle = functools.reduce(np.add.outer, [q] * (grid.d - 2), np.zeros((), np.intp))
+    middle = np.ravel(middle)
+    tail = q if grid.d > 1 else np.zeros(1, np.intp)
+    mult = hermitian_weight(grid).reshape(-1)
+    slabs = tuple((k0 * k0, float(w)) for k0, w in enumerate(mult))
+    # blocks of whole rows inside one slab, of at most _NORM_BLOCK coefficients
+    # and a sixteenth of the half spectrum (at least one row), split evenly
+    size = math.prod(grid.half_shape)
+    cap = max(1, min(_NORM_BLOCK, size // 16) // len(tail))
+    blocks = -(-len(middle) // cap)
+    return _Shells(middle, tail, slabs, -(-len(middle) // blocks))
+
+
+@functools.lru_cache(maxsize=64)
+def _shell_table(grid: Grid, weight) -> np.ndarray:
+    """``weight`` on every tail row a slab can hold: entry [s, col] is its
+    value at the shell s + tail[col], for each row shell s = k_0^2 + middle."""
+    sh = _shells(grid)
+    rows = np.arange((grid.n // 2) ** 2 + sh.middle.max() + 1)
+    shells = np.arange(rows[-1] + sh.tail.max() + 1)
+    table = np.asarray(weight(grid, shells), dtype=np.float64)[rows[:, None] + sh.tail]
+    table.flags.writeable = False
+    return table
+
+
+def shell_blocks(grid: Grid, *weights):
+    """Walk the flat half spectrum in blocks, giving each block's weights.
+
+    Each weight is a function ``weight(grid, s)`` of the integer shells
+    s = |p|^2 / dp^2 = sum_j k_j^2 (an int array 0 .. d (n/2)^2), since every
+    multiplier here depends on |p|^2 alone.  Per grid and weight a table
+    of one tail row per row shell is cached, at most d (n/2)^2 + 1 rows of
+    n values, and a block's weights are gathered from it.
+
+    Yields ``(lo, hi, mult, scratch, *blocks)`` per block: the block is
+    coefficients lo .. hi of the flat half spectrum, whole tail rows of one
+    half-axis mode, so ``mult``, that mode's Hermitian multiplicity (see
+    :func:`hermitian_weight`), is one number per block; ``scratch`` is a
+    float64 work array of 2 (hi - lo) values, a complex block's float
+    view; ``blocks`` hold each weight at the block's coefficients.  The
+    arrays are reused from block to block.  Blocks hold at most
+    ``_NORM_BLOCK`` coefficients and a sixteenth of the half spectrum, or
+    one row where a row is more.
+    """
+    sh = _shells(grid)
+    tables = [_shell_table(grid, w) for w in weights]
+    rows, width, b = len(sh.middle), len(sh.tail), sh.block_rows
+    bufs = [np.empty((b, width)) for _ in tables]
+    scratch = np.empty(2 * b * width)
+    lo = 0
+    for k0_sq, mult in sh.slabs:
+        for r in range(0, rows, b):
+            keys = sh.middle[r : r + b]
+            hi = lo + len(keys) * width
+            # rows k0_sq + keys of each table; every key is in range, and
+            # mode="raise" would copy through a temporary instead of into buf
+            blocks = [
+                np.take(t[k0_sq:], keys, axis=0, out=buf[: len(keys)], mode="clip").reshape(-1)
+                for t, buf in zip(tables, bufs)
+            ]
+            yield (lo, hi, mult, scratch[: 2 * (hi - lo)], *blocks)
+            lo = hi
+
+
+def h4_shells(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """The H^4 weight 1 + |p|^8 on the shells s = |p|^2 / dp^2."""
+    return 1.0 + (grid.dp**2 * s) ** 4
+
+
+def weighted_sum_sq(weights: np.ndarray, floats: np.ndarray, scratch: np.ndarray) -> float:
+    """sum_k weights_k |F_k|^2 over one block, given as the flat float64 view
+    of its coefficients F and squared into ``scratch``: one BLAS product
+    gives the real and the imaginary parts' sums, added as Python floats
+    (a numpy reduction of two numbers costs as much as the product)."""
+    squares = np.square(floats, out=scratch[: len(floats)])
+    re, im = np.dot(weights, squares.reshape(-1, 2)).tolist()
+    return re + im
+
+
+# ---------------------------------------------------------------------------
+# norms
+# ---------------------------------------------------------------------------
 
 def norm_l1(f: RealField) -> float:
     """Discrete L^1 norm h^d sum |f|, summed in blocks of ``_NORM_BLOCK``
@@ -457,22 +570,18 @@ def h4_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray, minus: np.ndarray | None =
 
     ``coeffs`` are half-spectrum coefficients from :func:`forward_coeffs`;
     the sum over the missing half comes in through the Hermitian weights.
-    With ``minus`` (same shape), F is ``coeffs - minus``.  Each block of
-    ``_NORM_BLOCK`` squares its parts into one buffer, then one BLAS product
-    sums them against the weight: |F|^2 and F itself are never formed in full.
+    With ``minus`` (same shape), F is ``coeffs - minus``.  The sum runs over
+    the blocks of :func:`shell_blocks`, squaring each into its scratch: |F|^2,
+    F itself and the weight are never formed in full.
     """
     x = _floats(grid, coeffs)
     y = None if minus is None else _floats(grid, minus)
-    w = half_h4_weight(grid).reshape(-1)
-    size = min(_NORM_BLOCK, len(w))
-    buf = np.empty(2 * size)
     total = 0.0
-    for s in range(0, len(w), size):
-        block = x[2 * s : 2 * (s + size)]
+    for lo, hi, mult, scratch, w in shell_blocks(grid, h4_shells):
+        block = x[2 * lo : 2 * hi]
         if y is not None:
-            block = np.subtract(block, y[2 * s : 2 * (s + size)], out=buf[: len(block)])
-        squares = np.square(block, out=buf[: len(block)])
-        total += np.dot(w[s : s + size], squares.reshape(-1, 2)).sum()
+            block = np.subtract(block, y[2 * lo : 2 * hi], out=scratch)
+        total += mult * weighted_sum_sq(w, block, scratch)
     return float(grid.dp**grid.d * total)
 
 

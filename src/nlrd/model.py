@@ -13,7 +13,8 @@ g.  It holds each kernel and forcing as a source: a field's samples
 (:class:`GaussianSource`), which gives its coefficients and norms in closed
 form from its 1-D factors and is sampled only where a caller asks for
 ``values``.  It caches the linear background u0 = L^(-1) f, inverted by
-``spectral.invert_coeffs``, the report on its data and, per kernel, what
+``spectral.invert_coeffs``, which takes its H^4 norm in the same pass, the
+report on its data and, per kernel, what
 :meth:`Problem.coupled_coeffs` needs: d 1-D factors for a Gaussian
 (``spectral.kernel_factors``), a half spectrum for a sampled kernel
 (``spectral.kernel_coeffs``).  The
@@ -425,7 +426,7 @@ class Problem:
             )
         for e in eps:
             if e < 0.0 or not np.isfinite(e):
-                raise ValueError(f"coupling amplitudes must be >= 0, got {e}")
+                raise ValueError(f"coupling amplitudes must be finite and >= 0, got {e}")
         for f in (*kernels, *forcings):
             if f.grid != self.grid:
                 raise ValueError("kernels and forcings must live on the problem grid")
@@ -484,10 +485,11 @@ class Problem:
             hats = np.empty((self.n_components,) + grid.half_shape, dtype=np.complex128)
             for m, f in enumerate(self.forcings):
                 f.coeffs(out=hats[m])
-            dropped = tuple(invert_coeffs(grid, hats).tolist())
+            dropped, h4_sq, _ = invert_coeffs(grid, hats)
             u0 = VectorField(grid, lattice.inverse_stack(grid, hats))  # checks finiteness
             u0.values.flags.writeable = False  # shared by every derived problem
-            h4 = lattice.norm_h4_coeffs(grid, hats)
+            h4 = math.sqrt(h4_sq)
+            dropped = tuple(dropped.tolist())
             self._data.update(background=u0, h4=h4, dropped=dropped)
         return self._data
 

@@ -21,18 +21,23 @@ displacement order, F(ifftshift(H_m)), which makes
 exact for even n: two transforms per component per step.  The product
 eps_m (2 pi)^(d/2) H^_m F(.) is ``Problem.coupled_coeffs``, one forward
 transform with a Gaussian kernel's 1-D factors folded into it;
-``spectral.invert_coeffs`` drops the zero mode and records its mass, and
-``lattice.norm_h4_coeffs`` sums H^4 norms.  The background u0 is cached on
-the problem (:class:`nlrd.model.Problem`).  The residual takes each
-forcing component's coefficients from its source in its loop, and the H^4
-norm of a converged solution comes from its transform of u.  Step norms
-and the probe's denominator are norms of coefficient differences never
-formed in full.  g is evaluated on cache-sized blocks of u0 + v
-(:func:`_eval_stack`).  ``picard`` recycles
+``spectral.invert_coeffs`` drops the zero mode, records its mass and, in
+the same blocked pass over the coefficients, takes the step's H^4 norm and
+step norm (:func:`_image`).  The background u0 is cached on the problem
+(:class:`nlrd.model.Problem`).  The residual takes each forcing
+component's coefficients from its source in its loop, and the H^4 norm of
+a converged solution in the pass that applies the operator to its
+transform of u.  Step norms and the probe's denominator are norms of
+coefficient differences never formed in full.  g is evaluated on
+cache-sized blocks of u0 + v (:func:`_eval_stack`).  ``picard`` recycles
 its arrays: v = 0 has no coefficients, the old ones are released before
 each inverse transform writes v's own samples, and the last before the
 residual; ``perturbation_h4`` is the norm the step that made v took, or
-that of a given ``initial``, taken once before the first step.
+that of a given ``initial``, taken once before the first step.  Every
+spectral weight comes block by block from ``lattice.shell_blocks``: this
+module caches nothing, and the probe's envelope is a function of the
+integer shell (:func:`_envelope_shells`).  ``contraction_probe`` allocates
+its stacks once per call and reuses them for every pair.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -46,7 +51,6 @@ a nonlinearity perturbation against its certified bound.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 import warnings
@@ -65,14 +69,16 @@ from .lattice import (
     VectorField,
     forward_coeffs,
     forward_stack,
-    h4_norm_sq_coeffs,
-    half_squared_wavenumber,
+    h4_shells,
     inverse_stack,
     inverse_values,
     l2_norm_sq_coeffs,
     norm_h4_coeffs,
     norm_h4_vector,
+    shell_blocks,
+    weighted_sum_sq,
 )
+from .lattice import h4_norm_sq_coeffs  # noqa: F401  (a binding perfbench/tracing.py wraps)
 from .model import (
     DEFAULT_C2_BUDGET,
     Nonlinearity,
@@ -80,7 +86,7 @@ from .model import (
     c2_gap,
     validate_problem_data,
 )
-from .spectral import half_operator_symbol, invert_coeffs
+from .spectral import invert_coeffs, subtract_operator
 from .spectral import solve_linear  # noqa: F401  (a binding perfbench/tracing.py wraps)
 
 DEFAULT_TOL = 1e-10
@@ -198,20 +204,25 @@ _G_BLOCK_POINTS = 2**13
 
 
 def _eval_stack(
-    g: Nonlinearity, v: np.ndarray, background: np.ndarray | None = None
+    g: Nonlinearity,
+    v: np.ndarray,
+    background: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """g at every lattice point of the stack ``background + v`` (or of v
-    alone); returns a new array, (N, P).
+    alone), into ``out`` (C-contiguous, N x P values; it may be v itself)
+    or a new array; returns it, shape (N, P).
 
     g is pointwise, so it is evaluated on blocks of at most
     ``_G_BLOCK_POINTS`` points, and at most a sixteenth of the lattice,
     which with their temporaries stay in a core's L2 cache.  The sum is
     formed one block at a time and each block's values are copied out
-    before the next, so g may return a view of its argument.
+    before the next, so g may return a view of its argument, and a block
+    of v is read before its values overwrite it.
     """
     flat = v.reshape(len(v), -1)
     bg = None if background is None else background.reshape(flat.shape)
-    out = np.empty(flat.shape)
+    out = np.empty(flat.shape) if out is None else out.reshape(flat.shape)
     size = max(1, min(_G_BLOCK_POINTS, flat.shape[1] // 16))
     for s in range(0, flat.shape[1], size):
         z = flat[:, s : s + size]
@@ -222,17 +233,24 @@ def _eval_stack(
 
 
 def _image(
-    problem: Problem, gz: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, tuple[float, ...]]:
+    problem: Problem,
+    gz: np.ndarray,
+    out: np.ndarray | None = None,
+    minus: np.ndarray | None = None,
+) -> tuple[np.ndarray, tuple[float, ...], float, float]:
     """M F(gz), into ``out`` (a new array by default), for values gz (N, P)
-    of g, and the zero-mode masses dropped: all of T but the evaluation of
-    g, so T(v)'s coefficients are ``_image(problem, _eval_stack(g, v, u0))``."""
+    of g: all of T but the evaluation of g, so T(v)'s coefficients are
+    ``_image(problem, _eval_stack(g, v, u0))[0]``.  Also returns the
+    zero-mode masses dropped and the H^4 norms of the image and of the
+    image minus the coefficients ``minus`` (the image's when None), taken
+    in the pass that inverts the operator."""
     grid = problem.grid
     if out is None:
         out = np.empty((len(gz),) + grid.half_shape, dtype=np.complex128)
     for m, row in enumerate(gz):
         problem.coupled_coeffs(m, row, out=out[m])
-    return out, tuple(invert_coeffs(grid, out).tolist())
+    dropped, norm_sq, diff_sq = invert_coeffs(grid, out, minus)
+    return out, tuple(dropped.tolist()), math.sqrt(norm_sq), math.sqrt(diff_sq)
 
 
 def apply_fixed_point_map(
@@ -254,7 +272,7 @@ def apply_fixed_point_map(
             stacklevel=2,
         )
     _require_match(problem, background, "background")
-    hats, _ = _image(problem, _eval_stack(problem.nonlinearity, v.values, background.values))
+    hats = _image(problem, _eval_stack(problem.nonlinearity, v.values, background.values))[0]
     return VectorField(problem.grid, inverse_stack(problem.grid, hats))
 
 
@@ -272,12 +290,12 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     forcing vanishes.  u and g(u) are transformed from their samples, one
     component at a time, and the forcing's coefficients come from its
     source (``coeffs``), so the check does not depend on the solve; the H^4
-    norm of u comes from the same transform of u.  The forcing's
-    coefficients are written into the spent coefficients of u: no new field.
+    norm of u is taken in the pass that applies the operator to the same
+    transform of u.  The forcing's coefficients are written into the spent
+    coefficients of u: no new field.
     """
     _require_match(problem, u, "candidate solution")
     grid = problem.grid
-    sym = half_operator_symbol(grid)
     values = u.values
     gz = _eval_stack(problem.nonlinearity, values)
     zero = (0,) * grid.d
@@ -286,9 +304,7 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     for m in range(problem.n_components):
         r_hat = problem.coupled_coeffs(m, gz[m])
         u_hat = forward_coeffs(grid, values[m])
-        h4_sq += h4_norm_sq_coeffs(grid, u_hat)
-        u_hat *= sym
-        r_hat -= u_hat
+        h4_sq += subtract_operator(grid, r_hat, u_hat)
         r_hat += problem.forcings[m].coeffs(out=u_hat)  # into the spent u_hat
         del u_hat
         r_hat[zero] = 0.0
@@ -363,9 +379,9 @@ def _iterate(
     for k in range(1, max_iter + 1):
         # a step that overflows is reported by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            new_hats, dropped = _image(problem, _eval_stack(g, v_values, background))
-            norm_h4 = norm_h4_coeffs(grid, new_hats)
-            step_h4 = norm_h4 if v_hats is None else norm_h4_coeffs(grid, new_hats, v_hats)
+            new_hats, dropped, norm_h4, step_h4 = _image(
+                problem, _eval_stack(g, v_values, background), minus=v_hats
+            )
         ratio = None
         if steps and steps[-1].step_h4 > 0.0 and np.isfinite(step_h4):
             ratio = step_h4 / steps[-1].step_h4
@@ -424,20 +440,15 @@ def _iterate(
 # random ball fields and probes
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _ball_envelope(grid: Grid) -> np.ndarray:
-    """(1 + |p|^8)^(-1) (-1)^(k_1 + ... + k_d) on the half spectrum.
+def _envelope_shells(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """(1 + |p|^8)^(-1) (-1)^(k_1 + ... + k_d) on the shells s = sum_j k_j^2.
 
-    The sign shifts the inverse transform by n/2 on every axis, so the half
-    spectrum of natural-layout noise gives the same draw as the centred
-    full transform did.
+    The sign is (-1)^s, since k and k^2 have one parity.  It shifts the
+    inverse transform by n/2 on every axis, so the half spectrum of
+    natural-layout noise gives the same draw as the centred full transform
+    did.
     """
-    sign = np.ones(grid.half_shape)
-    for axis, size in enumerate(grid.half_shape):
-        shape = [1] * grid.d
-        shape[axis] = size
-        sign = sign * (1.0 - 2.0 * (np.arange(size) % 2)).reshape(shape)
-    return sign / (1.0 + half_squared_wavenumber(grid) ** 4)
+    return (1.0 - 2.0 * (s % 2)) / h4_shells(grid, s)
 
 
 def random_ball_field(
@@ -457,44 +468,75 @@ def random_ball_field(
 
 
 def _ball_hats(
-    grid: Grid, n_components: int, rng: np.random.Generator, target_norm: float
+    grid: Grid,
+    n_components: int,
+    rng: np.random.Generator,
+    target_norm: float,
+    out: np.ndarray | None = None,
+    noise: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Coefficients of the draw :func:`random_ball_field` makes."""
+    """Coefficients of the draw :func:`random_ball_field` makes, into ``out``
+    (N x ``grid.half_shape`` complex values) or a new array, the noise
+    drawn into ``noise`` (``grid.shape`` values) or a new array.  Each
+    block of ``lattice.shell_blocks`` is shaped by the envelope and
+    reduced to the draw's H^4 norm in one pass."""
     if n_components < 1:
         raise ValueError(f"need at least one component, got {n_components}")
     if not 0.0 <= target_norm < math.inf:
         raise ValueError(f"target norm {target_norm} is not finite and nonnegative")
-    hats = np.zeros((n_components,) + grid.half_shape, dtype=np.complex128)
+    if out is None:
+        out = np.empty((n_components,) + grid.half_shape, dtype=np.complex128)
     if target_norm == 0.0:
-        return hats
+        out[...] = 0.0
+        return out
     for m in range(n_components):
-        forward_coeffs(grid, rng.standard_normal(grid.shape), out=hats[m])
-        hats[m] *= _ball_envelope(grid)
-    hats *= target_norm / norm_h4_coeffs(grid, hats)
-    return hats
+        noise = rng.standard_normal(grid.shape, out=noise)
+        forward_coeffs(grid, noise, out=out[m])
+    flat = out.reshape(n_components, -1)
+    floats = flat.view(np.float64)
+    norm_sq = 0.0
+    for lo, hi, mult, scratch, envelope, w in shell_blocks(grid, _envelope_shells, h4_shells):
+        for m, row in enumerate(flat):
+            row[lo:hi] *= envelope
+            norm_sq += mult * weighted_sum_sq(w, floats[m, 2 * lo : 2 * hi], scratch)
+    out *= target_norm / math.sqrt(grid.dp**grid.d * norm_sq)
+    return out
 
 
 def _probe_ratio(
-    problem: Problem, background: np.ndarray, rng: np.random.Generator
+    problem: Problem,
+    background: np.ndarray,
+    rng: np.random.Generator,
+    v1: np.ndarray,
+    work: np.ndarray,
+    samples: np.ndarray,
 ) -> float | None:
     """|T(v1) - T(v2)| / |v1 - v2| for one drawn pair; None when v1 = v2.
 
-    M and F are linear, so T(v1) - T(v2) is the image of g(u0 + v1) -
-    g(u0 + v2), a new array (g's values are not written into): one forward
-    transform per component, over the coefficients of v1, spent once the
-    denominator is taken from the coefficients of v1 - v2.
+    The caller's arrays are reused from pair to pair: ``v1`` holds the
+    coefficients of v1, ``work`` (float64) those of v2 and then, once v2
+    is sampled, the values of g at u0 + v2; ``samples`` (N x
+    ``grid.shape``) holds the noise of each draw and then the samples of
+    v2 and of v1, which the values of g at u0 + v1 overwrite.  M and F are
+    linear, so T(v1) - T(v2) is the image of g(u0 + v1) - g(u0 + v2), taken
+    into the coefficients of v1, spent once the denominator is taken from
+    the coefficients of v1 - v2.
     """
-    grid = problem.grid
+    grid, n = problem.grid, problem.n_components
+    v2 = work.view(np.complex128).reshape(v1.shape)
     r1, r2 = problem.rho * rng.random(), problem.rho * rng.random()
-    v1, v2 = (_ball_hats(grid, problem.n_components, rng, r) for r in (r1, r2))
+    for hats, r in ((v1, r1), (v2, r2)):
+        _ball_hats(grid, n, rng, r, out=hats, noise=samples[0])
     denom = norm_h4_coeffs(grid, v1, v2)
     if denom == 0.0:
         return None
     g = problem.nonlinearity
-    g2 = _eval_stack(g, inverse_stack(grid, v2), background)
-    del v2  # released before the samples of v1 are made
-    image, _ = _image(problem, _eval_stack(g, inverse_stack(grid, v1), background) - g2, out=v1)
-    return norm_h4_coeffs(grid, image) / denom
+    inverse_stack(grid, v2, out=samples)
+    g2 = _eval_stack(g, samples, background, out=work[: samples.size])  # over the spent v2
+    inverse_stack(grid, v1, out=samples)
+    gz = _eval_stack(g, samples, background, out=samples)
+    gz -= g2
+    return _image(problem, gz, out=v1)[2] / denom
 
 
 @dataclass(frozen=True)
@@ -518,8 +560,9 @@ def contraction_probe(
 
     Each pair is drawn as :func:`random_ball_field` draws it, from the same
     random stream; a pair costs 2N forward and 2N inverse transforms for
-    its draws and N forward for its image (see :func:`_probe_ratio`).  A
-    given ``background`` replaces the samples of the problem's own.
+    its draws and N forward for its image (see :func:`_probe_ratio`).  Its
+    stacks are allocated once per call and reused by every pair.  A given
+    ``background`` replaces the samples of the problem's own.
     """
     if pairs < 1:
         raise ValueError("need at least one pair")
@@ -527,9 +570,13 @@ def contraction_probe(
         background = problem.background
     _require_match(problem, background, "background")
     rng = np.random.default_rng(seed)
+    grid, n = problem.grid, problem.n_components
+    v1 = np.empty((n,) + grid.half_shape, dtype=np.complex128)
+    work = np.empty(2 * v1.size)  # v2's coefficients, then g at u0 + v2
+    samples = np.empty((n,) + grid.shape)
     ratios = []
     for _ in range(pairs):
-        ratio = _probe_ratio(problem, background.values, rng)
+        ratio = _probe_ratio(problem, background.values, rng, v1, work, samples)
         if ratio is not None:
             ratios.append(ratio)
     return ProbeReport(

@@ -8,7 +8,13 @@ the zero mode is projected out, records its mass for every inversion.
 Every routine here runs on the half-spectrum path of :mod:`nlrd.lattice`
 (``forward_coeffs`` / ``inverse_values``), where the operator is a
 multiplication by the symbol on ``grid.half_shape``, in the coefficient
-layout of that module.  Periodic convolution is evaluated spectrally:
+layout of that module.  The symbol and its inverse are functions of the
+integer shell (``symbol_shells``, ``inverse_shells``), applied block by
+block through ``lattice.shell_blocks``; this module caches no array.
+``invert_coeffs`` takes the H^4 norms of the quotient in the same pass,
+and ``subtract_operator`` that of its operand, so a caller that inverts
+or applies the operator and then measures reads the coefficients once.
+Periodic convolution is evaluated spectrally:
 
     (H * G)^(p) = (2 pi)^(d/2) H^(p) G^(p)
 
@@ -28,12 +34,12 @@ cross-check on tiny grids only.
 
 from __future__ import annotations
 
-import functools
+import math
 
 import numpy as np
 
 from . import lattice
-from .lattice import Grid, RealField, half_squared_wavenumber
+from .lattice import Grid, RealField, h4_shells, shell_blocks, weighted_sum_sq
 
 _TWO_PI = 2.0 * np.pi
 
@@ -45,18 +51,24 @@ class GridTooLarge(ValueError):
     """Raised when the O(P^2) direct convolution would be too expensive."""
 
 
-@functools.lru_cache(maxsize=16)
-def half_operator_symbol(grid: Grid) -> np.ndarray:
-    """Symbol |p|^2 + |p|^4 on the half spectrum, shape ``grid.half_shape``."""
-    q2 = half_squared_wavenumber(grid)
-    return q2 + q2**2
+def symbol_shells(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """Symbol |p|^2 + |p|^4 on the shells s = |p|^2 / dp^2 (see
+    ``lattice.shell_blocks``)."""
+    p2 = grid.dp**2 * s
+    return p2 + p2**2
 
 
-@functools.lru_cache(maxsize=16)
-def inverse_symbol(grid: Grid) -> np.ndarray:
-    """1 / (|p|^2 + |p|^4) with the zero mode set to 0, half spectrum."""
-    sym = half_operator_symbol(grid)
+def inverse_shells(grid: Grid, s: np.ndarray) -> np.ndarray:
+    """1 / (|p|^2 + |p|^4) on the shells s, 0 on the zero mode."""
+    sym = symbol_shells(grid, s)
     return np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0.0)
+
+
+def _stack(grid: Grid, hats: np.ndarray) -> np.ndarray:
+    """Coefficients of shape (..., *grid.half_shape) as a (fields, coefficients) view."""
+    if not (hats.dtype == np.complex128 and hats.flags.c_contiguous):
+        raise ValueError("coefficients must be a C-contiguous complex128 array")
+    return hats.reshape(-1, math.prod(grid.half_shape))
 
 
 def apply_operator(u: RealField) -> RealField:
@@ -68,16 +80,57 @@ def apply_operator(u: RealField) -> RealField:
     """
     g = u.grid
     coeffs = lattice.forward_coeffs(g, u.values - np.mean(u.values))
-    coeffs *= half_operator_symbol(g)
+    flat = _stack(g, coeffs)[0]
+    for lo, hi, _, _, sym in shell_blocks(g, symbol_shells):
+        flat[lo:hi] *= sym
     return RealField(g, lattice.inverse_values(g, coeffs))
 
 
-def invert_coeffs(grid: Grid, hats: np.ndarray) -> np.ndarray:
-    """Divide coefficients of shape (..., *grid.half_shape) by the symbol in
-    place, zero mode projected out; returns each field's dropped |F(0)|."""
+@np.errstate(over="ignore")  # callers check the norms for finiteness
+def invert_coeffs(
+    grid: Grid, hats: np.ndarray, minus: np.ndarray | None = None
+) -> tuple[np.ndarray, float, float]:
+    """Divide C-contiguous coefficients of shape (..., *grid.half_shape) by
+    the symbol in place, zero mode projected out.
+
+    Returns each field's dropped |F(0)|, and the squared H^4 norms, summed
+    over the fields, of the quotient and of the quotient minus ``minus``
+    (same shape; the quotient itself when None).  Each block of
+    ``lattice.shell_blocks`` is divided and then reduced while it is in
+    cache: no pass over the coefficients but this one.
+    """
     dropped = np.abs(hats[(Ellipsis,) + (0,) * grid.d])
-    hats *= inverse_symbol(grid)
-    return dropped
+    flat = _stack(grid, hats)
+    floats = flat.view(np.float64)
+    if minus is not None:
+        minus = np.ascontiguousarray(minus).reshape(flat.shape).view(np.float64)
+    norm_sq = diff_sq = 0.0
+    for lo, hi, mult, scratch, inv, w in shell_blocks(grid, inverse_shells, h4_shells):
+        for m, row in enumerate(flat):
+            row[lo:hi] *= inv
+            block = floats[m, 2 * lo : 2 * hi]
+            norm_sq += mult * weighted_sum_sq(w, block, scratch)
+            if minus is not None:
+                diff = np.subtract(block, minus[m, 2 * lo : 2 * hi], out=scratch)
+                diff_sq += mult * weighted_sum_sq(w, diff, scratch)
+    scale = grid.dp**grid.d
+    norm_sq *= scale
+    return dropped, norm_sq, norm_sq if minus is None else diff_sq * scale
+
+
+@np.errstate(over="ignore")  # callers check the norm for finiteness
+def subtract_operator(grid: Grid, out: np.ndarray, hats: np.ndarray) -> float:
+    """``out -= (|p|^2 + |p|^4) hats`` in place, both of shape
+    ``grid.half_shape``, ``hats`` left as it is; returns the squared H^4 norm
+    of ``hats``, each block of ``lattice.shell_blocks`` reduced as it is
+    multiplied."""
+    dest, src = _stack(grid, out)[0], _stack(grid, hats)[0]
+    floats = src.view(np.float64)
+    total = 0.0
+    for lo, hi, mult, scratch, sym, w in shell_blocks(grid, symbol_shells, h4_shells):
+        total += mult * weighted_sum_sq(w, floats[2 * lo : 2 * hi], scratch)
+        dest[lo:hi] -= np.multiply(src[lo:hi], sym, out=scratch.view(np.complex128))
+    return float(grid.dp**grid.d * total)
 
 
 def kernel_coeffs(H: RealField) -> np.ndarray:
@@ -104,7 +157,7 @@ def solve_linear(f: RealField) -> tuple[RealField, float]:
     mode of f projected out; returns u and the dropped mass |f^(0)|."""
     g = f.grid
     coeffs = lattice.forward_coeffs(g, f.values)
-    dropped = float(invert_coeffs(g, coeffs))
+    dropped = float(invert_coeffs(g, coeffs)[0])
     return RealField(g, lattice.inverse_values(g, coeffs)), dropped
 
 

@@ -12,9 +12,11 @@ import json
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nlrd.config import build_problem
+from nlrd.lattice import shell_blocks
 from nlrd.solver import picard
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +35,16 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def blocked_weight(grid, weight, hermitian: bool = False) -> np.ndarray:
+    """The blocks ``shell_blocks(grid, weight)`` gives, put together into one
+    array of shape ``grid.half_shape``, times each block's Hermitian
+    multiplicity when ``hermitian``."""
+    out = np.full(int(np.prod(grid.half_shape)), np.nan)
+    for lo, hi, mult, _, w in shell_blocks(grid, weight):
+        out[lo:hi] = mult * w if hermitian else w
+    return out.reshape(grid.half_shape)
 
 
 def load_reference_config() -> dict:

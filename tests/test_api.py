@@ -83,4 +83,4 @@ def test_one_spectral_step_implementation():
     for path in sorted((REPO / "src" / "nlrd").glob("*.py")):
         if path.name != "spectral.py":
             text = path.read_text()
-            assert not re.search(r"inverse_symbol\(|np\.fft\.ifftshift\(", text), path.name
+            assert not re.search(r"inverse_shells|np\.fft\.ifftshift\(", text), path.name

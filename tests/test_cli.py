@@ -138,6 +138,15 @@ def test_nonpositive_eps_fraction_is_a_config_error(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("fraction", ["1e400", "inf"])
+def test_infinite_eps_fraction_is_a_config_error(tmp_path, capsys, fraction):
+    """Both spellings of an infinite fraction exit 2 and say it is not finite."""
+    cfg = write_cfg(tmp_path, small_config())
+    code, out, err = run(capsys, "solve", cfg, "--eps-fraction", fraction)
+    assert code == 2
+    assert err.strip() == "config error: eps fraction must be finite, got inf"
+
+
 @pytest.mark.parametrize(
     "command,solver,extra",
     [

@@ -183,6 +183,24 @@ def test_config_default_zero_coupling():
     assert built.resolved["eps_source"] == "default_zero"
 
 
+def test_infinite_cli_fraction_is_named_as_not_finite():
+    """An infinite fraction is a config error that says so, not a coupling
+    that the problem rejects as negative."""
+    with pytest.raises(ConfigError, match="^eps fraction must be finite, got inf$"):
+        build_problem(small_config(), eps_fraction=math.inf)
+
+
+@pytest.mark.parametrize("literal", ["1e400", "Infinity"])
+def test_infinite_config_fraction_is_named_as_not_finite(tmp_path, literal):
+    """Both JSON spellings of an infinite ``eps_fraction`` (an overflowing
+    literal, which parses to inf, and Infinity) give one message."""
+    text = json.dumps(small_config(problem={"eps_fraction": 0.125}))
+    path = tmp_path / "cfg.json"
+    path.write_text(text.replace('"eps_fraction": 0.125', f'"eps_fraction": {literal}'))
+    with pytest.raises(ConfigError, match="^eps_fraction must be finite, got inf$"):
+        build_problem(load_config(path))
+
+
 def test_config_fraction_validation():
     cfg = small_config(problem={"eps_fraction": -0.5})
     with pytest.raises(ConfigError, match="^eps_fraction must be positive, got -0.5$"):

@@ -1,5 +1,6 @@
 """Lattice geometry, unitary transforms, and spectral norms."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from conftest import traced_peak
+from conftest import blocked_weight, traced_peak
 from scipy import integrate
 
 from nlrd.lattice import (
@@ -17,8 +18,9 @@ from nlrd.lattice import (
     forward_coeffs,
     forward_stack,
     h4_norm_sq_coeffs,
+    h4_shells,
     h4_weight,
-    half_h4_weight,
+    half_squared_wavenumber,
     hermitian_weight,
     inverse_stack,
     inverse_values,
@@ -27,9 +29,12 @@ from nlrd.lattice import (
     norm_h4_vector,
     norm_l1,
     norm_l2,
+    shell_blocks,
 )
 from nlrd.model import GaussianSpec
 from nlrd.bounds import sphere_measure
+from nlrd.solver import _envelope_shells
+from nlrd.spectral import inverse_shells, symbol_shells
 
 TWO_PI = 2.0 * np.pi
 
@@ -438,14 +443,60 @@ def test_blocked_norms_match_plain_sums(d, n):
     def plain(weight, c):
         return g.dp**d * np.sum(np.broadcast_to(weight, c.shape) * np.abs(c) ** 2)
 
-    h4_diff = plain(half_h4_weight(g), a - b)
-    assert h4_norm_sq_coeffs(g, a) == pytest.approx(plain(half_h4_weight(g), a), rel=1e-13)
+    h4 = hermitian_weight(g) * (1.0 + half_squared_wavenumber(g) ** 4)
+    h4_diff = plain(h4, a - b)
+    assert h4_norm_sq_coeffs(g, a) == pytest.approx(plain(h4, a), rel=1e-13)
     assert l2_norm_sq_coeffs(g, a) == pytest.approx(plain(hermitian_weight(g), a), rel=1e-13)
     assert h4_norm_sq_coeffs(g, a, b) == pytest.approx(h4_diff, rel=1e-13)
     assert norm_h4_coeffs(g, [a, b], [b, a]) == pytest.approx(math.sqrt(2 * h4_diff), rel=1e-13)
     # an infinite coefficient gives an infinite norm, not inf * 0 = nan
     a[(0,) * d] = complex(np.inf, 1.0)
     assert h4_norm_sq_coeffs(g, a) == l2_norm_sq_coeffs(g, a) == math.inf
+
+
+def direct_weights(grid: Grid) -> dict:
+    """Each shell weight as a full-size formula on the half spectrum, with
+    |p|^2 = dp^2 sum_j k_j^2 from full-size integer wavenumbers and the
+    probe's sign as a product of per-axis signs (-1)^k_j."""
+    k = np.rint(grid.axis_wavenumbers() / grid.dp).astype(int)
+    axes = [k[: grid.n // 2 + 1]] + [k] * (grid.d - 1)
+    p2 = grid.dp**2 * functools.reduce(np.add.outer, [a * a for a in axes])
+    sign = functools.reduce(np.multiply.outer, [1 - 2 * (a % 2) for a in axes])
+    sym = p2 + p2**2
+    inverse = np.zeros_like(sym)
+    inverse[sym > 0.0] = 1.0 / sym[sym > 0.0]
+    return {
+        h4_shells: hermitian_weight(grid) * (1.0 + p2**4),
+        symbol_shells: sym,
+        inverse_shells: inverse,
+        _envelope_shells: sign / (1.0 + p2**4),
+    }
+
+
+@pytest.mark.parametrize("d,n", [(1, 2), (2, 6), (5, 10), (5, 12), (6, 10), (7, 8)])
+def test_shell_blocks_give_the_full_size_weights(d, n):
+    """The blocks of ``shell_blocks`` put together are each weight's
+    full-size formula to 1e-15 relative, the H^4 weight with each block's
+    Hermitian multiplicity: the H^4 norm weight, the operator symbol, its
+    inverse (0 on the zero mode) and the probe's signed envelope.  Blocks
+    are whole tail rows of one half-axis mode, in order, with a scratch of
+    two floats per coefficient; at d5 n10 a slab (10^4 coefficients) is
+    not a whole number of blocks."""
+    g = Grid(d=d, n=n, L=2.5)
+    for weight, direct in direct_weights(g).items():
+        got = blocked_weight(g, weight, hermitian=weight is h4_shells)
+        assert_allclose(got, direct, rtol=1e-15, atol=0.0)
+    slab = n ** (d - 1)
+    spans, last = [], 0
+    for lo, hi, mult, scratch, w in shell_blocks(g, h4_shells):
+        assert lo == last and len(w) == hi - lo and len(scratch) == 2 * (hi - lo)
+        assert lo // slab == (hi - 1) // slab and (hi - lo) % (n if d > 1 else 1) == 0
+        assert mult == hermitian_weight(g).reshape(-1)[lo // slab]
+        spans.append(hi - lo)
+        last = hi
+    assert last == math.prod(g.half_shape)
+    if (d, n) == (5, 10):
+        assert slab % max(spans) != 0
 
 
 @pytest.mark.parametrize("d,n", [(5, 16), (6, 10), (7, 8)])

@@ -410,6 +410,12 @@ def test_problem_validates_parameters():
         small_problem(kernels=(GaussianSpec().sample(other), GaussianSpec().sample(other)))
 
 
+@pytest.mark.parametrize("eps", [-0.1, np.inf, np.nan])
+def test_problem_rejects_couplings_that_are_negative_or_not_finite(eps):
+    with pytest.raises(ValueError, match=r"^coupling amplitudes must be finite and >= 0, got "):
+        small_problem().with_eps(eps)
+
+
 def test_problem_helpers():
     p = small_problem()
     assert p.d == 5

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -382,8 +384,9 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
     """``perturbation_h4`` is the norm picard already took for the iterate
     it returns: the last accepted step's ``norm_h4``, or that of a given
     ``initial`` when the first step diverges.  No final pass of N norms:
-    a run of k steps from v = 0 takes N (2k - 1) of them, one from
-    ``initial`` N (2k + 1), and a report that did not converge N more for
+    each of k steps takes its norms in the pass that inverts its image (k
+    inversions), so a run from v = 0 takes no separate norm, one from
+    ``initial`` N, and a report that did not converge N more for
     ``solution_h4``."""
     p, kwargs, initial = small_built.problem, dict(tol=small_built.tol), None
     if exit == "max_iter":
@@ -395,13 +398,18 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
     if exit == "converged_from_initial":
         initial = random_ball_field(p.grid, 2, np.random.default_rng(3), 0.5 * p.rho)
     p.background_h4  # fills the problem's caches
-    calls = []
+    calls, inversions = [], []
 
     def counted(*args, _original=nlrd.lattice.h4_norm_sq_coeffs):
         calls.append(args)
         return _original(*args)
 
+    def inverted(*args, _original=nlrd.solver.invert_coeffs):
+        inversions.append(args)
+        return _original(*args)
+
     monkeypatch.setattr(nlrd.lattice, "h4_norm_sq_coeffs", counted)
+    monkeypatch.setattr(nlrd.solver, "invert_coeffs", inverted)
     raised = {"converged": None, "converged_from_initial": None, "max_iter": MaxIterExceeded}.get(
         exit, DivergenceDetected
     )
@@ -412,15 +420,16 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
         assert type(err) is raised
         rep = err.report
     steps, N = rep.trace.steps, p.n_components
+    assert len(inversions) == len(steps)
     if exit == "diverged_from_initial":
         assert len(steps) == 1 and not np.isfinite(steps[0].norm_h4)
         assert rep.perturbation_h4 == norm_h4_vector(initial)
         return
     if exit == "converged_from_initial":
-        assert rep.converged and len(calls) == N * (2 * len(steps) + 1)
+        assert rep.converged and len(calls) == N
         assert rep.perturbation_h4 == steps[-1].norm_h4
         return
-    assert len(calls) == N * (2 * len(steps) - 1) + (0 if rep.converged else N)
+    assert len(calls) == (0 if rep.converged else N)
     accepted = steps[-2] if exit == "diverged" else steps[-1]
     assert rep.perturbation_h4 == accepted.norm_h4 > 0.0
     assert rep.perturbation_h4 == pytest.approx(norm_h4_vector(rep.perturbation), rel=1e-12)
@@ -508,6 +517,41 @@ def test_residual_holds_few_half_spectra(n):
     finally:
         tracemalloc.stop()
     assert peak < 5.5 * half_spectrum
+
+
+def test_caches_hold_no_full_size_array():
+    """A picard, a probe, compute_bounds and a residual on d5 n8, run warm
+    (with the problem's own caches and every lazy import filled) after
+    nlrd's memo caches are emptied, leave those caches (shell tables,
+    transform matrices) holding under a quarter of one real half spectrum:
+    no cache holds a weight of the size of the spectrum.  The problem's
+    background is made before the count starts."""
+    n = 8
+    built = build_problem(small_config(n=n))
+    p = built.problem
+    kwargs = dict(budget=built.budget, seed=built.seed)
+
+    def run():
+        solution = picard(p, tol=built.tol, max_iter=built.max_iter, **kwargs).solution
+        contraction_probe(p, pairs=2)
+        compute_bounds(p, p.background_h4, **kwargs)
+        residual(p, solution)
+
+    run()
+    for name, module in list(sys.modules.items()):
+        if name == "nlrd" or name.startswith("nlrd."):
+            for value in vars(module).values():
+                getattr(value, "cache_clear", lambda: None)()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    real_half_spectrum = 8 * (n // 2 + 1) * n ** (p.grid.d - 1)
+    assert held < 0.25 * real_half_spectrum
 
 
 def test_residual_rejects_mismatched_candidates():
