@@ -210,8 +210,10 @@ def _cmd_probe(built: BuiltProblem, args) -> Outcome:
     kappa = certified["bounds"].contraction_constant
     margin = built.margins["contraction"]
     passed = probe.max_ratio <= kappa * (1.0 + margin)
+    if passed and kappa >= 1.0:  # within a bound that shows no contraction: no verdict
+        passed = None
     payload = {**asdict(probe), "contraction_constant": kappa, "margin": margin}
-    return {**payload, "passed": passed}, None if passed else (
+    return {**payload, "passed": passed}, None if passed is not False else (
         f"empirical ratio {probe.max_ratio:.6g} exceeds certified "
         f"{kappa:.6g} (+{margin:.0%} margin)"
     )

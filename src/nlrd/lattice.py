@@ -51,9 +51,11 @@ self-conjugate modes exactly as ``irfftn`` does.  Both transforms take an
 ``out`` that their last product writes into, C-contiguous, of the exact
 shape and dtype and apart from the input (else ``ValueError``), so a
 stack fills its own rows with no temporary and no copy.  The forward
-products alternate between ``out`` and one scratch array, the last landing
-in ``out``; the inverse's complex products alternate between two scratch
-arrays, the spent one released before a new ``out`` is made.
+products alternate between ``out`` and one scratch half spectrum, the last
+landing in ``out``; the inverse's complex products alternate between two,
+the spent one released before a new ``out`` is made.  A caller with spent
+half spectra passes them as ``scratch``, checked as ``out`` is, and the
+transform allocates nothing.
 
 A rank-one field f_1 (x) ... (x) f_d (a Gaussian) needs no d-dimensional
 transform: the DFT of a product is the product of the 1-D DFTs, so
@@ -304,19 +306,21 @@ def _dft_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return r2c, c2c, c2c.conj(), c2r
 
 
-def _out(out, shape: tuple[int, ...], dtype, source) -> np.ndarray:
-    """``out`` checked as a transform's destination, or a new array when None."""
+def _out(out, shape: tuple[int, ...], dtype, *sources, what: str = "out") -> np.ndarray:
+    """``out`` checked as a transform's destination (or, named ``what``,
+    its scratch) apart from each of ``sources``, or a new array when None."""
     if out is None:
         return np.empty(shape, dtype)
     if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype
-            and out.flags.c_contiguous) or np.may_share_memory(out, source):
-        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape "
-                         f"{shape} that does not overlap the input")
+            and out.flags.c_contiguous) or any(np.may_share_memory(out, s) for s in sources):
+        raise ValueError(f"{what} must be a C-contiguous {np.dtype(dtype)} array of shape "
+                         f"{shape} that does not overlap the input or another buffer")
     return out
 
 
 def forward_coeffs(
-    grid: Grid, values: np.ndarray, out: np.ndarray | None = None, factors=None
+    grid: Grid, values: np.ndarray, out: np.ndarray | None = None, factors=None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unitary half-spectrum coefficients of one component's samples.
 
@@ -334,6 +338,10 @@ def forward_coeffs(
     the half-axis factor is mixed into the cos / -sin columns of the real
     product's matrix, and each other axis's factor scales the columns of
     its complex product's matrix, O(d n^2) work on top of the transform.
+
+    ``scratch``, when given, is the half spectrum the products alternate
+    with (checked as ``out`` is, apart from the input and ``out``); its
+    contents are overwritten.  Otherwise one is allocated.
     """
     n = grid.n
     r2c, c2c, _, _ = _dft_matrices(n)
@@ -347,7 +355,8 @@ def forward_coeffs(
         c2cs = [c2c * f for f in factors[1:]]
     # the d products alternate between out and one scratch array, so that
     # the last lands in out
-    scratch = np.empty_like(out) if grid.d > 1 else None
+    if grid.d > 1:
+        scratch = _out(scratch, grid.half_shape, np.complex128, values, out, what="scratch")
     bufs = (out, scratch) if grid.d % 2 else (scratch, out)
     first = bufs[0].view(np.float64).reshape(rows.shape[0], -1)
     np.matmul(rows, r2c, out=first)
@@ -379,7 +388,7 @@ def outer_coeffs(grid: Grid, factors, out: np.ndarray | None = None) -> np.ndarr
     broadcast multiply, takes no iterator buffers (up to 8192 elements per
     operand)."""
     *head, last = axis_coeffs(grid, factors)
-    out = _out(out, grid.half_shape, np.complex128, ())
+    out = _out(out, grid.half_shape, np.complex128)
     outer = np.ones(1)
     for f in head:
         outer = np.matmul(outer.reshape(-1, 1), f.reshape(1, -1))
@@ -387,35 +396,41 @@ def outer_coeffs(grid: Grid, factors, out: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def inverse_values(grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def inverse_values(
+    grid: Grid, coeffs: np.ndarray, out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Samples, shape ``grid.shape``, of half-spectrum coefficients.
 
     The mirror image of :func:`forward_coeffs`, leaving ``coeffs`` as it
     is and writing into ``out`` when given: d - 1 complex products each
     transform the trailing axis and rotate it to the front, and one real
     product against ``c2r`` sums the half axis with its Hermitian weights.
+    The complex products alternate between two scratch half spectra:
+    ``scratch``, when given, is that pair (each checked as ``out`` is,
+    apart from the input, ``out`` and each other), overwritten; otherwise
+    they are allocated and the spent one is released before a new ``out``
+    is made.
     """
     n = grid.n
     _, _, c2c_inv, c2r = _dft_matrices(n)
     # contiguous for the float64 view below, which at d = 1 sees the input
     hats = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(grid.half_shape)
-    spare = None  # the d - 1 complex products alternate between two scratch arrays
+    bufs = [None, None]
+    if scratch is not None:
+        out = _out(out, grid.shape, np.float64, coeffs)
+        for i, buf in enumerate(scratch):
+            bufs[i] = _out(buf, grid.half_shape, np.complex128, coeffs, out, *bufs[:i],
+                           what="scratch")
     for k in range(grid.d - 1):
-        dest = np.empty(grid.half_shape, np.complex128) if spare is None else spare
-        np.matmul(c2c_inv, hats.reshape(-1, n).T, out=dest.reshape(n, -1))
-        spare, hats = (hats if k else None), dest
-    del spare  # spent: released before out is made
+        if bufs[k % 2] is None:
+            bufs[k % 2] = np.empty(grid.half_shape, np.complex128)
+        np.matmul(c2c_inv, hats.reshape(-1, n).T, out=bufs[k % 2].reshape(n, -1))
+        hats = bufs[k % 2]
+    bufs[(grid.d - 1) % 2] = None  # spent: released before out is made
     rows = hats.view(np.float64).reshape(-1, c2r.shape[0])
     out = _out(out, grid.shape, np.float64, coeffs)
     np.matmul(rows, _inverse_scale(grid) * c2r, out=out.reshape(-1, n))
-    return out
-
-
-def forward_stack(grid: Grid, stack) -> np.ndarray:
-    """:func:`forward_coeffs` of each of N sample arrays, shape (N, *grid.half_shape)."""
-    out = np.empty((len(stack),) + grid.half_shape, dtype=np.complex128)
-    for m, values in enumerate(stack):
-        forward_coeffs(grid, values, out=out[m])
     return out
 
 

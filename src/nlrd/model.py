@@ -78,9 +78,13 @@ class GaussianSpec:
         center = center if isinstance(center, (list, tuple)) else (center,)
         center = tuple(real_number(c, "gaussian center") for c in center)
         object.__setattr__(self, "center", center)
-        if not (real_number(self.width, "gaussian width") > 0.0 and np.isfinite(self.width)):
+        for name in ("width", "amplitude"):
+            object.__setattr__(self, name, real_number(getattr(self, name), f"gaussian {name}"))
+        if not (self.width > 0.0 and np.isfinite(self.width)):
             raise ValueError(f"gaussian width must be positive, got {self.width}")
-        if not np.isfinite(real_number(self.amplitude, "gaussian amplitude")):
+        if self.width * self.width == math.inf:  # a profile needs 2 w^2
+            raise ValueError(f"gaussian width {self.width} is too large: its square overflows")
+        if not np.isfinite(self.amplitude):
             raise ValueError("gaussian amplitude must be finite")
 
     def _center_for(self, d: int) -> np.ndarray:
@@ -494,11 +498,13 @@ class Problem:
         return self._data
 
     def coupled_coeffs(
-        self, m: int, values: np.ndarray, out: np.ndarray | None = None
+        self, m: int, values: np.ndarray, out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
         """eps_m (2 pi)^(d/2) H^_m F(values), H_m in displacement order (see
         :mod:`nlrd.spectral`): the coefficients of eps_m H_m * values, into
-        ``out`` (a new array by default), in one forward transform.
+        ``out`` (a new array by default), in one forward transform, which
+        takes ``scratch`` as :func:`nlrd.lattice.forward_coeffs` does.
 
         A Gaussian kernel's per-axis factors are folded into the transform;
         a sampled kernel's half spectrum multiplies it.  Either is made on
@@ -515,7 +521,9 @@ class Problem:
                 row.flags.writeable = False
                 self._coupling[m] = (None, row)
         factors, row = self._coupling[m]
-        out = lattice.forward_coeffs(self.grid, values, out=out, factors=factors)
+        out = lattice.forward_coeffs(
+            self.grid, values, out=out, factors=factors, scratch=scratch
+        )
         if row is not None:
             out *= row
         return out

@@ -29,11 +29,19 @@ component's coefficients from its source in its loop, and the H^4 norm of
 a converged solution in the pass that applies the operator to its
 transform of u.  Step norms and the probe's denominator are norms of
 coefficient differences never formed in full.  g is evaluated on
-cache-sized blocks of u0 + v (:func:`_eval_stack`).  ``picard`` recycles
-its arrays: v = 0 has no coefficients, the old ones are released before
-each inverse transform writes v's own samples, and the last before the
-residual; ``perturbation_h4`` is the norm the step that made v took, or
-that of a given ``initial``, taken once before the first step.  Every
+cache-sized blocks of u0 + v (:func:`_eval_stack`).  ``picard`` runs in
+one work area per call, 2N + 1 half spectra (N + 3 at N = 1), beside v's
+samples, and no step allocates a full-size array: g is evaluated over
+v's samples in place, so that v lives on as its coefficients; the new
+coefficients go into the other of two stacks, the forward transforms
+take the last row as their scratch, and the inverse transforms, which
+write v's new samples, take two spent rows of the old stack.  A step
+that diverges reports the iterate before it, rebuilt as the inverse of
+its coefficients (which it was, bit for bit) or, at the first step, as
+zero or ``initial``.  The residual of a converged solve runs in the same
+area (:func:`_residual`), and the solution stack is formed after it;
+``perturbation_h4`` is the norm the step that made v took, or that of a
+given ``initial``, taken once before the first step.  Every
 spectral weight comes block by block from ``lattice.shell_blocks``: this
 module caches nothing, and the probe's envelope is a function of the
 integer shell (:func:`_envelope_shells`).  ``contraction_probe`` allocates
@@ -68,7 +76,6 @@ from .lattice import (
     Grid,
     VectorField,
     forward_coeffs,
-    forward_stack,
     h4_shells,
     inverse_stack,
     inverse_values,
@@ -237,18 +244,20 @@ def _image(
     gz: np.ndarray,
     out: np.ndarray | None = None,
     minus: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[float, ...], float, float]:
     """M F(gz), into ``out`` (a new array by default), for values gz (N, P)
     of g: all of T but the evaluation of g, so T(v)'s coefficients are
     ``_image(problem, _eval_stack(g, v, u0))[0]``.  Also returns the
     zero-mode masses dropped and the H^4 norms of the image and of the
     image minus the coefficients ``minus`` (the image's when None), taken
-    in the pass that inverts the operator."""
+    in the pass that inverts the operator.  The forward transforms take
+    ``scratch`` (see :meth:`Problem.coupled_coeffs`)."""
     grid = problem.grid
     if out is None:
         out = np.empty((len(gz),) + grid.half_shape, dtype=np.complex128)
     for m, row in enumerate(gz):
-        problem.coupled_coeffs(m, row, out=out[m])
+        problem.coupled_coeffs(m, row, out=out[m], scratch=scratch)
     dropped, norm_sq, diff_sq = invert_coeffs(grid, out, minus)
     return out, tuple(dropped.tolist()), math.sqrt(norm_sq), math.sqrt(diff_sq)
 
@@ -287,26 +296,52 @@ def residual(problem: Problem, u: VectorField) -> ResidualReport:
     evaluated spectrally with the p = 0 mode removed (the solve is defined
     modulo that mode).  The relative value is against the L^2 norm of the
     forcing vector (from the problem's data report), or absolute when the
-    forcing vanishes.  u and g(u) are transformed from their samples, one
-    component at a time, and the forcing's coefficients come from its
-    source (``coeffs``), so the check does not depend on the solve; the H^4
-    norm of u is taken in the pass that applies the operator to the same
-    transform of u.  The forcing's coefficients are written into the spent
-    coefficients of u: no new field.
+    forcing vanishes.  u and g(u) are transformed from their samples, and
+    the forcing's coefficients come from its source (``coeffs``), so the
+    check does not depend on the solve; the H^4 norm of u is taken in the
+    pass that applies the operator to the same transform of u.  It runs in
+    one work area of 2N + 1 half spectra (see :func:`_residual`).
     """
     _require_match(problem, u, "candidate solution")
-    grid = problem.grid
-    values = u.values
-    gz = _eval_stack(problem.nonlinearity, values)
+    work = np.empty(
+        (2 * problem.n_components + 1,) + problem.grid.half_shape, dtype=np.complex128
+    )
+    return _residual(problem, work, u.values)
+
+
+def _residual(
+    problem: Problem,
+    work: np.ndarray,
+    values: np.ndarray,
+    background: np.ndarray | None = None,
+) -> ResidualReport:
+    """:func:`residual` at u = ``background + values`` (``values`` alone
+    when ``background`` is None), in the work area ``work``: at least
+    2N + 1 half spectra, and N + 3 with a background, its last row the
+    forward transforms' scratch.  The values of g(u) are written over the
+    float view of rows N .. 2N - 1 and the N coupled images made from them
+    into rows 0 .. N - 1; then, per component, u's samples are formed in
+    row N + 1 (or read from ``values``), transformed into row N, and that
+    row, spent once the operator is applied, takes the forcing's
+    coefficients."""
+    grid, n = problem.grid, problem.n_components
+    scratch = work[-1]
+    gz = work[n : 2 * n].reshape(-1).view(np.float64)[: n * grid.npoints].reshape(n, -1)
+    _eval_stack(problem.nonlinearity, values, background, out=gz)
+    for m in range(n):
+        problem.coupled_coeffs(m, gz[m], out=work[m], scratch=scratch)
+    u_hat = work[n]
     zero = (0,) * grid.d
     total_sq = 0.0
     h4_sq = 0.0
-    for m in range(problem.n_components):
-        r_hat = problem.coupled_coeffs(m, gz[m])
-        u_hat = forward_coeffs(grid, values[m])
+    for m, r_hat in enumerate(work[:n]):
+        u = values[m]
+        if background is not None:
+            row = work[n + 1].reshape(-1).view(np.float64)[: grid.npoints]
+            u = np.add(background[m], u, out=row.reshape(grid.shape))
+        forward_coeffs(grid, u, out=u_hat, scratch=scratch)
         h4_sq += subtract_operator(grid, r_hat, u_hat)
         r_hat += problem.forcings[m].coeffs(out=u_hat)  # into the spent u_hat
-        del u_hat
         r_hat[zero] = 0.0
         total_sq += l2_norm_sq_coeffs(grid, r_hat)
     absolute = float(np.sqrt(total_sq))
@@ -360,17 +395,22 @@ def _iterate(
             f"coupling {bounds_report.eps_used:.6g} exceeds the certified threshold "
             f"{bounds_report.eps_max:.6g}; contraction is not guaranteed"
         )
-    grid, g = problem.grid, problem.nonlinearity
+    grid, g, n = problem.grid, problem.nonlinearity, problem.n_components
     background = problem.background.values
-
+    # the work area: two coefficient stacks, the old and the new in turn,
+    # and the forward transforms' scratch (the last row); N = 1 takes one
+    # row more for the residual (see _residual)
+    work = np.empty((max(2 * n + 1, n + 3),) + grid.half_shape, dtype=np.complex128)
+    old, new = work[:n], work[n : 2 * n]
     if initial is None:
-        v_values = np.zeros((problem.n_components,) + grid.shape)
-        v_hats, v_norm = None, 0.0
+        v_values = np.zeros((n,) + grid.shape)
+        minus, v_norm = None, 0.0
     else:
         _require_match(problem, initial, "initial perturbation")
         v_values = initial.values.copy()
-        v_hats = forward_stack(grid, v_values)
-        v_norm = norm_h4_coeffs(grid, v_hats)
+        for m in range(n):
+            forward_coeffs(grid, v_values[m], out=old[m], scratch=work[-1])
+        minus, v_norm = old, norm_h4_coeffs(grid, old)
 
     steps: list[IterationStep] = []
     converged = diverged = False
@@ -379,9 +419,11 @@ def _iterate(
     for k in range(1, max_iter + 1):
         # a step that overflows is reported by the finiteness check below
         with np.errstate(over="ignore", invalid="ignore"):
-            new_hats, dropped, norm_h4, step_h4 = _image(
-                problem, _eval_stack(g, v_values, background), minus=v_hats
-            )
+            # g over v's samples, in place: v lives on as its coefficients
+            gz = _eval_stack(g, v_values, background, out=v_values)
+            dropped, norm_h4, step_h4 = _image(
+                problem, gz, out=new, minus=minus, scratch=work[-1]
+            )[1:]
         ratio = None
         if steps and steps[-1].step_h4 > 0.0 and np.isfinite(step_h4):
             ratio = step_h4 / steps[-1].step_h4
@@ -399,20 +441,28 @@ def _iterate(
         # at k = 1 the step is compared with itself, which never blows up
         blown_up = step_h4 > DIVERGENCE_FACTOR * max(steps[0].step_h4, np.finfo(float).tiny)
         if not finite or blown_up:
-            # report the last finite iterate, not the runaway one
+            # report the last finite iterate, not the runaway one: the start
+            # at the first step, else the inverse of its coefficients, which
+            # it was, bit for bit
             diverged = True
+            if k == 1:
+                v_values[...] = 0.0 if initial is None else initial.values
+            else:
+                for m in range(n):
+                    inverse_values(grid, old[m], out=v_values[m], scratch=(*new, work[-1])[:2])
             break
-        v_hats = None  # released before the inverse transform
-        for m in range(len(new_hats)):
-            inverse_values(grid, new_hats[m], out=v_values[m])
-        v_hats, v_norm = new_hats, norm_h4
+        # the old coefficients are spent: two of their rows (or, at N = 1,
+        # their row and the scratch row) are the inverse transform's scratch
+        for m in range(n):
+            inverse_values(grid, new[m], out=v_values[m], scratch=(*old, work[-1])[:2])
+        old, new, minus, v_norm = new, old, new, norm_h4
         if step_h4 <= tol * max(1.0, norm_h4):
             converged = True
             break
 
-    del v_hats, new_hats  # released before the residual
+    res = _residual(problem, work, v_values, background) if converged else None
+    del work, old, new, minus  # released before the solution stack is formed
     solution = VectorField(grid, background + v_values)
-    res = residual(problem, solution) if converged else None
     report = SolveReport(
         background=problem.background,
         perturbation=VectorField(grid, v_values),

@@ -291,6 +291,22 @@ def test_non_finite_data_is_a_config_error(tmp_path, capsys, command, path, valu
     assert out == ""
 
 
+@pytest.mark.parametrize("section", ["kernels", "forcings"])
+@pytest.mark.parametrize("width", [1e200, 1e300, 10**300], ids=["1e200", "1e300", "int"])
+def test_an_overflowing_gaussian_width_is_named(tmp_path, capsys, section, width):
+    """A width whose square overflows is a config error that names the
+    width, not an errno tuple."""
+    cfg = small_config(n=4)
+    cfg[section][0]["params"]["width"] = width
+    code, out, err = run(capsys, "bounds", write_cfg(tmp_path, cfg))
+    assert code == 2
+    assert err == (
+        "config error: cannot build 'gaussian' field: gaussian width "
+        f"{float(width)} is too large: its square overflows\n"
+    )
+    assert out == ""
+
+
 @pytest.mark.parametrize(
     "option,target",
     [("--dump-fields", "a_file/fields"), ("--trace-csv", "missing_dir/trace.csv")],
@@ -567,6 +583,21 @@ def test_bounds_reports_certified_constants(tmp_path, capsys):
     assert payload["config"]["eps_source"] == "config_fraction=0.5"
 
 
+@pytest.mark.parametrize("fraction,constant", [("1.5", 1.08), ("2.5", 1.80)])
+def test_bounds_above_eps_max_are_not_contractive(capsys, fraction, constant):
+    """On the shipped instance eps_fraction 1 gives a contraction constant
+    of 0.72, so fractions 1.5 and 2.5 give 1.08 and 1.80: above 1, not
+    contractive, and still exit 0 (Q > 1 is flagged, not failed)."""
+    code, payload, err = run_json(
+        capsys, "bounds", str(REFERENCE_CONFIG), "--eps-fraction", fraction
+    )
+    assert code == 0
+    b = payload["bounds"]
+    assert b["contraction_constant"] == pytest.approx(constant, abs=0.005)
+    assert b["contractive"] is False
+    assert "outside the certified regime" in err
+
+
 def test_bounds_requirements_failure(tmp_path, capsys):
     cfg = write_cfg(tmp_path, small_config(forcings=ZERO_FORCINGS))
     code, payload, err = run_json(capsys, "bounds", cfg)
@@ -722,6 +753,25 @@ def test_probe_contraction_within_certified_ratio(tmp_path, capsys):
     assert payload["pairs"] == 5
     assert payload["max_ratio"] <= payload["contraction_constant"] * 1.05
     assert payload["margin"] == 0.05
+
+
+@pytest.mark.parametrize("fraction", ["4", "1e6"])
+def test_probe_of_an_uncertified_map_passes_nothing(tmp_path, capsys, fraction):
+    """Where eps kappa >= 1 (here from a fraction of about 3.1) the ratios
+    have no certified bound to meet: the probe reports ``passed: null`` and
+    exits 0.  At a fraction of 1e6 the largest ratio is above 1, and far
+    below eps kappa."""
+    cfg = write_cfg(tmp_path, small_config(n=4))
+    code, payload, err = run_json(
+        capsys, "probe-contraction", cfg, "--pairs", "3", "--eps-fraction", fraction
+    )
+    assert code == 0
+    assert payload["contraction_constant"] >= 1.0
+    assert payload["passed"] is None
+    assert len(payload["ratios"]) == 3
+    if fraction == "1e6":
+        assert 1.0 < payload["max_ratio"] < 1e-3 * payload["contraction_constant"]
+    assert "exceeds certified" not in err
 
 
 @pytest.mark.parametrize("pairs", ["0", "-3"])

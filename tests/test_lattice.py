@@ -16,7 +16,6 @@ from nlrd.lattice import (
     RealField,
     VectorField,
     forward_coeffs,
-    forward_stack,
     h4_norm_sq_coeffs,
     h4_shells,
     h4_weight,
@@ -308,7 +307,6 @@ def test_transforms_write_into_out(d, n):
         out = np.full(shape, np.nan, dtype=dtype)
         assert transform(g, source, out=out) is out
         assert np.array_equal(out, transform(g, source))
-    assert np.array_equal(forward_stack(g, x), np.stack([forward_coeffs(g, r) for r in x]))
     assert np.array_equal(inverse_stack(g, hat), np.stack([inverse_values(g, r) for r in hat]))
     assert np.array_equal(x, inputs[0]) and np.array_equal(hat, inputs[1])
 
@@ -363,6 +361,34 @@ def test_transforms_reject_unusable_out(d, n):
         with pytest.raises(ValueError, match="overlap"):
             transform(g, source, out=real if transform is inverse_values else hat)
         assert np.array_equal(hat, before)
+
+
+@pytest.mark.parametrize("d,n", [(5, 6), (6, 4), (7, 4)])
+def test_transforms_take_their_scratch_from_the_caller(d, n):
+    """Given ``scratch``, the forward transform takes its one scratch half
+    spectrum and the inverse its two from the caller: the same bits as
+    without, and no half spectrum allocated.  A scratch that overlaps the
+    input, ``out`` or the other scratch is refused."""
+    g = Grid(d=d, n=n, L=2.5)
+    x = np.random.default_rng(d).standard_normal(g.shape)
+    hat = forward_coeffs(g, x)
+    back = inverse_values(g, hat)
+    spare = np.empty((2,) + g.half_shape, dtype=complex)
+    hat_out, back_out = np.empty_like(hat), np.empty_like(back)
+
+    def both():
+        forward_coeffs(g, x, out=hat_out, scratch=spare[0])
+        inverse_values(g, hat, out=back_out, scratch=spare)
+
+    both()  # fills the caches
+    assert traced_peak(both) < 0.1 * hat.nbytes
+    assert np.array_equal(hat_out, hat) and np.array_equal(back_out, back)
+    for bad in (hat_out, np.empty(g.half_shape), spare[0].T):
+        with pytest.raises(ValueError, match="scratch"):
+            forward_coeffs(g, x, out=hat_out, scratch=bad)
+    for bad in ((spare[0], spare[0]), (hat, spare[1]), (spare[0], spare[1][..., ::2])):
+        with pytest.raises(ValueError, match="scratch"):
+            inverse_values(g, hat, out=back_out, scratch=bad)
 
 
 @pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4), (5, 6)])

@@ -377,6 +377,79 @@ def test_picard_detects_divergence():
     assert rep.solution_h4 == pytest.approx(norm_h4_vector(rep.solution), rel=1e-13)
 
 
+@pytest.mark.parametrize("problem", ["tiny", "small"])
+def test_a_diverged_report_holds_the_iterate_before_the_runaway_step(problem):
+    """A run that diverges at step k >= 2 reports v_(k-1), rebuilt from its
+    coefficients over the values of g: bit for bit the iterate, and the
+    norm, that a budget of k - 1 steps returns."""
+    if problem == "tiny":
+        p, kwargs = tiny_problem(eps=1e6), dict(tol=1e-10, budget=500)
+    else:
+        built = build_problem(small_config(n=4, problem={"eps_fraction": 1000}))
+        p, kwargs = built.problem, dict(tol=built.tol, budget=built.budget)
+    with pytest.raises(DivergenceDetected) as diverged:
+        picard(p, max_iter=100, **kwargs)
+    k = diverged.value.report.iterations
+    assert k >= 2
+    with pytest.raises(MaxIterExceeded) as budget:
+        picard(p, max_iter=k - 1, **kwargs)
+    a, b = diverged.value.report, budget.value.report
+    assert np.array_equal(a.perturbation.values, b.perturbation.values)
+    assert np.array_equal(a.solution.values, b.solution.values)
+    assert a.perturbation_h4 == b.perturbation_h4 == a.trace.steps[-2].norm_h4
+
+
+@pytest.mark.parametrize("start", ["zero", "initial"])
+def test_a_first_step_divergence_returns_the_start(start):
+    """A first step that is not finite reports the iterate it started from:
+    zero, or the given ``initial``'s values, bit for bit."""
+    p = tiny_problem(eps=1e300 if start == "zero" else 1e6)
+    initial = None
+    if start == "initial":  # g of samples ~1e100 makes a step of norm inf
+        initial = random_ball_field(p.grid, 2, np.random.default_rng(3), 1e100)
+    with pytest.raises(DivergenceDetected) as err:
+        picard(p, tol=1e-10, max_iter=100, budget=500, initial=initial)
+    rep = err.value.report
+    assert rep.iterations == 1 and not np.isfinite(rep.trace.steps[0].step_h4)
+    expected = np.zeros_like(rep.perturbation.values) if initial is None else initial.values
+    assert np.array_equal(rep.perturbation.values, expected)
+    assert rep.perturbation.values is not expected
+
+
+def test_picard_ratios_are_quotients_of_consecutive_steps(small_solution):
+    steps = small_solution.trace.steps
+    assert len(steps) >= 3 and steps[0].ratio is None
+    for prev, step in zip(steps, steps[1:]):
+        assert step.ratio == step.step_h4 / prev.step_h4
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.5])
+@pytest.mark.parametrize("large", [False, True])
+def test_picard_stops_at_the_first_step_within_tolerance(large, scale):
+    """The loop stops at the first step with step_h4 <= tol max(1, |v|_H4),
+    |v|_H4 that step's norm.  The tolerance is put just above step 2's own
+    quotient (scale 1), where the run stops at step 2, or 1.5 times below
+    it, where it stops at step 3.  A perturbation of norm about 1.4 (a
+    large forcing, a small fixed eps) tells max(1, |v|) from 1 and from
+    1 / |v|, and one of norm 2.5e-3 tells it from max(2, |v|)."""
+    if large:
+        g = Grid(d=5, n=4, L=4.0)
+        big = (GaussianSpec(1.2, 15.0).sample(g), GaussianSpec(1.1, -9.0).sample(g))
+        p = tiny_problem(eps=6e-4, forcings=big)
+    else:
+        p = tiny_problem(eps=0.1)
+    with pytest.raises(MaxIterExceeded) as err:
+        picard(p, tol=1e-300, max_iter=3, budget=500)
+    second = err.value.report.trace.steps[1]
+    tol = second.step_h4 / max(1.0, second.norm_h4) * (1.0 + 1e-9) / scale
+    rep = picard(p, tol=tol, max_iter=10, budget=500)
+    *_, before, last = rep.trace.steps
+    assert rep.iterations == (2 if scale == 1.0 else 3)
+    assert last.step_h4 <= tol * max(1.0, last.norm_h4)
+    assert before.step_h4 > tol * max(1.0, before.norm_h4)
+    assert (rep.perturbation_h4 > 1.0) == large
+
+
 @pytest.mark.parametrize(
     "exit", ["converged", "max_iter", "diverged", "diverged_from_initial", "converged_from_initial"]
 )
@@ -481,10 +554,11 @@ def test_residual_vanishes_at_linear_solution():
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_warm_picard_holds_few_half_spectra(n):
-    """A step holds v's samples and coefficients, the values of g, the new
-    coefficients and one transform's scratch; the old coefficients are
-    released before the inverse transform writes v's own samples, and the
-    solve's before the residual: fewer than 8.5 one-component half spectra."""
+    """A solve holds v's samples (over which g is evaluated) and one work
+    area of 2N + 1 half spectra: the old and the new coefficients and one
+    transform's scratch, the old rows the inverse transform's scratch.
+    The residual runs in the same area, and the solution stack is formed
+    after it is released: fewer than 8.5 one-component half spectra."""
     built = build_problem(small_config(n=n))
     p = built.problem
     kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=built.budget)
@@ -498,6 +572,21 @@ def test_warm_picard_holds_few_half_spectra(n):
     finally:
         tracemalloc.stop()
     assert peak < 8.5 * half_spectrum
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_warm_picard_peaks_below_its_work_area_and_samples(n):
+    """No step allocates a full-size array of its own, and the residual
+    forms u's samples in the work area: a warm solve on d5 peaks at its
+    work area (5 half spectra at N = 2) and v's samples (1.5), below 7.5
+    one-component half spectra.  A separate stack for the values of g, or
+    new coefficients per step, would add 1.5 or 2."""
+    built = build_problem(small_config(n=n))
+    p = built.problem
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+    picard(p, **kwargs)  # fills the caches
+    half_spectrum = 16 * (n // 2 + 1) * n ** (p.grid.d - 1)
+    assert traced_peak(lambda: picard(p, **kwargs)) < 7.5 * half_spectrum
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -552,6 +641,21 @@ def test_caches_hold_no_full_size_array():
         tracemalloc.stop()
     real_half_spectrum = 8 * (n // 2 + 1) * n ** (p.grid.d - 1)
     assert held < 0.25 * real_half_spectrum
+
+
+@pytest.mark.filterwarnings("ignore:the system is intended for N >= 2")
+@pytest.mark.parametrize("n_components", [1, 2])
+def test_a_solve_takes_the_residual_of_its_solution(n_components):
+    """A converged solve takes its residual in its own work area, from u0
+    and v, before it forms the solution: bit for bit the report that
+    ``residual`` gives at that solution.  N = 1 takes a row more."""
+    p = tiny_problem(n=6, eps=0.05)
+    if n_components == 1:
+        p = Problem(grid=p.grid, eps=p.eps[:1], kernels=p.kernels[:1], forcings=p.forcings[:1],
+                    nonlinearity=quadratic_nonlinearity([np.array([[1.0]])]))
+    rep = picard(p, tol=1e-12, max_iter=20, budget=500)
+    assert rep.iterations >= 3 and rep.residual.relative <= 1e-12
+    assert rep.residual == residual(p, rep.solution)
 
 
 def test_residual_rejects_mismatched_candidates():
