@@ -39,7 +39,6 @@ from .model import (
     Nonlinearity,
     NonlinearityReport,
     Problem,
-    ball_samples,
     c2_gap,
     c2_norm,
     image_ball_radius,
@@ -95,7 +94,7 @@ __all__ = [
     "apply_operator", "convolve", "convolve_direct", "solve_linear",
     # model
     "C2Norm", "DataReport", "GaussianSource", "GaussianSpec", "Nonlinearity",
-    "NonlinearityReport", "Problem", "ball_samples", "c2_gap", "c2_norm",
+    "NonlinearityReport", "Problem", "c2_gap", "c2_norm",
     "image_ball_radius", "quadratic_nonlinearity", "scale_nonlinearity",
     "validate_nonlinearity", "validate_problem_data",
     # bounds

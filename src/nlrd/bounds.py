@@ -42,7 +42,6 @@ import numpy as np
 
 from .lattice import Grid, h4_shells, shell_blocks
 from .model import (
-    DEFAULT_C2_BUDGET,
     SUPPORTED_DIMENSIONS,
     DataReport,
     NonlinearityReport,
@@ -240,7 +239,10 @@ def continuity_bound_raw(
 @dataclass(frozen=True)
 class BoundsReport:
     """Every constant for one problem instance, certified only when ``failures``
-    is empty, and the C^2 norm of g over the state ball with its method."""
+    is empty, and the C^2 norm of g over the state ball with its method:
+    ``"analytic"``, g's closed form, for every certified report; a g without
+    one reports an inf norm, ``"unavailable"``, and the ``c2_analytic``
+    failure."""
 
     failures: tuple[str, ...]
     d: int
@@ -253,7 +255,7 @@ class BoundsReport:
     lattice_sobolev_constant: float
     state_ball_radius: float
     c2_norm: float
-    c2_method: str  # "analytic" (exact) or "sampled" (a lower bound)
+    c2_method: str  # "analytic" (exact) or "unavailable" (no closed form)
     eps: tuple[float, ...]
     eps_used: float
     eps_max: float
@@ -264,26 +266,21 @@ class BoundsReport:
 
 
 def validate_problem(
-    problem: Problem,
-    background_h4: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
+    problem: Problem, background_h4: float
 ) -> tuple[DataReport, NonlinearityReport]:
     """Run both validators for a problem around a given background norm."""
     data = validate_problem_data(problem)
     embedding = max(sobolev_embedding_constant(problem.d), lattice_embedding_constant(problem.grid))
     radius = image_ball_radius(background_h4, embedding)
-    nl = validate_nonlinearity(
-        problem.nonlinearity, radius, problem.c2_bound, budget=budget, seed=seed
-    )
+    nl = validate_nonlinearity(problem.nonlinearity, radius, problem.c2_bound)
     return data, nl
 
 
 def compute_bounds(
     problem: Problem,
     background_h4: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
+    budget: int | None = None,
+    seed: int | None = None,
 ) -> BoundsReport:
     """Assemble the full certified-bounds report for a problem.
 
@@ -292,8 +289,11 @@ def compute_bounds(
     measured, at eps_used = max_m eps_m, the coupling the contraction
     argument sees.  It always returns the report: when a requirement
     fails, ``failures`` names it and the constants certify nothing.
+    ``budget`` and ``seed`` are accepted and ignored, so callers that pass
+    them keep working: the C^2 norm comes from g's closed form, which draws
+    no sample.
     """
-    data, nl = validate_problem(problem, background_h4, budget=budget, seed=seed)
+    data, nl = validate_problem(problem, background_h4)
     l1_rss, l2_rss = data.kernel_l1_rss, data.kernel_l2_rss
     d = problem.d
     c2 = problem.c2_bound

@@ -124,16 +124,14 @@ def _uncertified(failures: tuple[str, ...]) -> str | None:
 
 
 def _cmd_validate(built: BuiltProblem, args) -> Outcome:
-    data, nl = validate_problem(
-        built.problem, built.background_h4, budget=built.budget, seed=built.seed
-    )
+    data, nl = validate_problem(built.problem, built.background_h4)
     failures = data.failures + nl.failures
     payload = {"data": data, "nonlinearity": nl, "passed": not failures}
     return payload, "validation failed: " + ", ".join(failures) if failures else None
 
 
 def _cmd_bounds(built: BuiltProblem, args) -> Outcome:
-    rep = compute_bounds(built.problem, built.background_h4, budget=built.budget, seed=built.seed)
+    rep = compute_bounds(built.problem, built.background_h4)
     return {"bounds": rep}, _uncertified(rep.failures)
 
 
@@ -175,10 +173,7 @@ def _cmd_solve(built: BuiltProblem, args) -> Outcome:
         t0 = time.perf_counter()
         error = None
         try:
-            rep = picard(
-                built.problem, tol=tol, max_iter=max_iter,
-                budget=built.budget, seed=built.seed,
-            )
+            rep = picard(built.problem, tol=tol, max_iter=max_iter)
         except (MaxIterExceeded, DivergenceDetected) as err:
             error, rep = err, err.report
         payload = {
@@ -225,7 +220,6 @@ def _cmd_continuity(built: BuiltProblem, args) -> Outcome:
     rep = continuity_experiment(
         built.problem, g1, g2,
         tol=built.tol, max_iter=built.max_iter, margin=built.margins["continuity"],
-        budget=built.budget, seed=built.seed,
     )
     return {"delta": args.delta, **asdict(rep)}, None if rep.passed else (
         f"measured shift {rep.measured:.6g} exceeds bound {rep.bound:.6g} "

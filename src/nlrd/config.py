@@ -24,7 +24,11 @@ a pass reads it; a ``bfx1`` field is read once, at build time.
 
 A key not shown is an error in any object, and so is a boolean or a
 string where a number belongs.  A key with a default may be left out,
-and a null section is an absent one.
+and a null section is an absent one.  ``solver.seed`` is the contraction
+probe's default seed.  ``solver.budget`` (an integer >= 1) is read and
+checked, so configs that give it still load, and has no effect: a C^2
+norm is certified only in closed form, which the only family,
+``quadratic``, has.
 
 Coupling resolution: at most one of ``eps`` and ``eps_fraction`` is given,
 and with neither every coupling is 0.  ``eps`` gives the amplitudes
@@ -60,7 +64,6 @@ from .bounds import compute_bounds
 from .fieldio import read_field
 from .lattice import Grid, RealField, VectorField, real_number
 from .model import (
-    DEFAULT_C2_BUDGET,
     GaussianSource,
     GaussianSpec,
     Nonlinearity,
@@ -94,7 +97,7 @@ class BuiltProblem:
     tol: float
     max_iter: int
     seed: int
-    budget: int
+    budget: int  # solver.budget, read and ignored (see the module docstring)
     margins: dict
     warnings: tuple[str, ...]
 
@@ -257,7 +260,7 @@ _CONFIG = {
         "tol": (read_tol, DEFAULT_TOL),
         "max_iter": (read_max_iter, DEFAULT_MAX_ITER),
         "seed": (read_seed, 0),
-        "budget": (_checked(_integer, lambda n: n >= 1, ">= 1"), DEFAULT_C2_BUDGET),
+        "budget": (_checked(_integer, lambda n: n >= 1, ">= 1"), 100_000),
     }), {}),
     "margins": (partial(_read, keys={
         "contraction": (_MARGIN, 0.05), "continuity": (_MARGIN, 0.05),
@@ -355,7 +358,7 @@ def build_problem(
     except ValueError as err:
         raise ConfigError(f"the forcings give no finite background: {err}") from err
     # the build certifies nothing: a failed requirement is the commands' to report
-    report = compute_bounds(base, background_h4, budget=solver["budget"], seed=solver["seed"])
+    report = compute_bounds(base, background_h4)
     eps_max = report.eps_max
 
     scale_applied = None

@@ -28,8 +28,11 @@ validators defined here:
   C^2 norm of g over the relevant ball of state values stays within the
   declared bound.
 
-C^2 ball norms come either from a closed form (the quadratic family ships
-one) or from a seeded boundary-biased Monte Carlo estimate.
+A C^2 ball norm is certified only in closed form: the quadratic family
+ships one, and a custom g supplies its own ``c2_ball_norm``.  A g without
+one has no C^2 bound (an inf norm, method ``"unavailable"``), and its
+validation fails the ``c2_analytic`` clause: a sampled supremum is a lower
+bound, which certifies nothing.
 """
 
 from __future__ import annotations
@@ -51,9 +54,6 @@ SUPPORTED_DIMENSIONS = (5, 6, 7)
 
 #: absolute tolerance for "vanishes at the origin" checks
 ZERO_POINT_TOL = 1e-12
-
-#: default sample budget for Monte Carlo C^2 estimates
-DEFAULT_C2_BUDGET = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +164,8 @@ class Nonlinearity:
     ``eval`` maps (P, N) -> (P, N); ``grad`` maps (P, N) -> (P, N, N) with
     grad[p, m, i] = d g_m / d z_i; ``hess`` maps (P, N) -> (P, N, N, N).
     ``c2_ball_norm``, when present, returns the exact C^2 norm over the
-    closed ball |z| <= r.  ``matrices`` is set for the quadratic family and
+    closed ball |z| <= r, or a rigorous upper bound on it; a g without one
+    certifies nothing.  ``matrices`` is set for the quadratic family and
     enables exact difference/scaling arithmetic.
     """
 
@@ -280,67 +281,28 @@ class C2Norm:
 
     value: float
     radius: float
-    method: str  # "analytic" or "sampled"
-    samples: int = 0
+    method: str  # "analytic", "triangle" (an upper bound) or "unavailable" (inf)
 
 
-def ball_samples(
-    n_components: int, radius: float, budget: int, seed: int
-) -> np.ndarray:
-    """Seeded points in the closed ball |z| <= radius, biased to the boundary.
+def c2_norm(g: Nonlinearity, radius: float) -> C2Norm:
+    """C^2 norm of g over the ball |z| <= radius, from g's closed form.
 
-    Directions are isotropic; radii are radius * U^(1/N) so the sup estimates
-    concentrate where quadratic-like quantities attain their maxima.
-    """
-    rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((budget, n_components))
-    norms = np.linalg.norm(dirs, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = radius * rng.random(budget) ** (1.0 / n_components)
-    return dirs / norms[:, None] * radii[:, None]
-
-
-def _sampled_c2(
-    g: Nonlinearity, radius: float, budget: int, seed: int
-) -> float:
-    z = ball_samples(g.N, radius, budget, seed)
-    vals = np.max(np.abs(g.eval(z)), axis=0)
-    grads = np.max(np.abs(g.grad(z)), axis=0)
-    hesses = np.max(np.abs(g.hess(z)), axis=0)
-    return float(np.sum(vals) + np.sum(grads) + np.sum(hesses))
-
-
-def c2_norm(
-    g: Nonlinearity,
-    radius: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
-) -> C2Norm:
-    """C^2 norm of g over the ball |z| <= radius.
-
-    Uses the closed form when the nonlinearity carries one; otherwise sums
-    per-term sampled suprema of |g_m|, |d g_m / d z_i| and the second
-    derivatives over a seeded ball sample.  The sampled estimate is a lower
-    bound that converges from below as the budget grows.
+    A g without ``c2_ball_norm`` has no rigorous bound: its norm is inf,
+    method ``"unavailable"``.
     """
     if radius < 0.0 or not np.isfinite(radius):
         raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
-    if g.c2_ball_norm is not None:
-        return C2Norm(float(g.c2_ball_norm(radius)), float(radius), "analytic")
-    if budget < 1:
-        raise ValueError("sample budget must be positive")
-    value = _sampled_c2(g, radius, budget, seed)
-    return C2Norm(value, float(radius), "sampled", samples=budget)
+    if g.c2_ball_norm is None:
+        return C2Norm(math.inf, float(radius), "unavailable")
+    return C2Norm(float(g.c2_ball_norm(radius)), float(radius), "analytic")
 
 
-def c2_gap(
-    g1: Nonlinearity,
-    g2: Nonlinearity,
-    radius: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
-) -> C2Norm:
-    """C^2 norm of the difference g1 - g2 over the ball |z| <= radius."""
+def c2_gap(g1: Nonlinearity, g2: Nonlinearity, radius: float) -> C2Norm:
+    """C^2 norm of the difference g1 - g2 over the ball |z| <= radius.
+
+    Exact for two quadratics; for any other pair, the triangle bound
+    |g1|_C2 + |g2|_C2 (inf when either has no closed form).
+    """
     if g1.N != g2.N:
         raise ValueError("nonlinearities act on different numbers of components")
     if g1.matrices is not None and g2.matrices is not None:
@@ -349,14 +311,8 @@ def c2_gap(
             label=f"{g1.label}-{g2.label}",
         )
         return c2_norm(diff, radius)
-    diff = Nonlinearity(
-        N=g1.N,
-        eval=lambda z: g1.eval(z) - g2.eval(z),
-        grad=lambda z: g1.grad(z) - g2.grad(z),
-        hess=lambda z: g1.hess(z) - g2.hess(z),
-        label=f"{g1.label}-{g2.label}",
-    )
-    return c2_norm(diff, radius, budget=budget, seed=seed)
+    value = c2_norm(g1, radius).value + c2_norm(g2, radius).value
+    return C2Norm(value, float(radius), "triangle")
 
 
 def image_ball_radius(background_h4: float, embedding_constant: float) -> float:
@@ -605,40 +561,37 @@ class NonlinearityReport:
     value_at_zero: float
     gradient_at_zero: float
     c2_norm: float
-    c2_method: str  # "analytic" or "sampled"
-    c2_samples: int
+    c2_method: str  # "analytic", or "unavailable" for a g with no closed form
     ball_radius: float
     c2_bound: float
-    sampled_sup: float
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the clauses check the values
 def validate_nonlinearity(
-    g: Nonlinearity,
-    radius: float,
-    c2_bound: float,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
+    g: Nonlinearity, radius: float, c2_bound: float
 ) -> NonlinearityReport:
     """Check g(0) = 0, grad g(0) = 0, nontriviality, and the C^2 bound.
 
     ``radius`` is the state-ball radius (see :func:`image_ball_radius`) and
-    ``c2_bound`` the declared bound the C^2 norm must not exceed.
+    ``c2_bound`` the declared bound the C^2 norm must not exceed.  The C^2
+    norm must come in closed form (``c2_analytic``).  g is trivial on the
+    ball exactly when that norm is 0: the state ball's radius is at least
+    the embedding constant, so it is never a point.
     """
     zero = np.zeros((1, g.N))
     v0 = float(np.max(np.abs(g.eval(zero))))
     g0 = float(np.max(np.abs(g.grad(zero))))
-    c2 = c2_norm(g, radius, budget=budget, seed=seed)
-    probe = ball_samples(g.N, radius, min(budget, 4096), seed + 1)
-    sup = float(np.max(np.abs(g.eval(probe)))) if radius > 0 else 0.0
+    c2 = c2_norm(g, radius)
 
     failures: list[str] = []
     if v0 > ZERO_POINT_TOL:
         failures.append("vanishes_at_origin")
     if g0 > ZERO_POINT_TOL:
         failures.append("gradient_vanishes_at_origin")
-    if sup == 0.0:
+    if c2.value == 0.0:
         failures.append("nontrivial_on_ball")
+    if c2.method != "analytic":
+        failures.append("c2_analytic")
     if not (c2.value <= c2_bound):
         failures.append("c2_within_bound")
     return NonlinearityReport(
@@ -647,8 +600,6 @@ def validate_nonlinearity(
         gradient_at_zero=g0,
         c2_norm=c2.value,
         c2_method=c2.method,
-        c2_samples=c2.samples,
         ball_radius=c2.radius,
         c2_bound=float(c2_bound),
-        sampled_sup=sup,
     )

@@ -87,7 +87,6 @@ from .lattice import (
 )
 from .lattice import h4_norm_sq_coeffs  # noqa: F401  (a binding perfbench/tracing.py wraps)
 from .model import (
-    DEFAULT_C2_BUDGET,
     Nonlinearity,
     Problem,
     c2_gap,
@@ -362,8 +361,8 @@ def picard(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     initial: VectorField | None = None,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
+    budget: int | None = None,
+    seed: int | None = None,
 ) -> SolveReport:
     """Iterate T from v = 0 (or ``initial``) to the fixed point.
 
@@ -372,8 +371,10 @@ def picard(
     the partial report) otherwise.  Failed requirements (``bounds.failures``)
     do not stop the solve, and a coupling above the certified threshold is a
     warning -- the guard that stops runaway iterations is the divergence check.
+    ``budget`` and ``seed`` are accepted and ignored, as by
+    :func:`~nlrd.bounds.compute_bounds`.
     """
-    bounds_report = compute_bounds(problem, problem.background_h4, budget=budget, seed=seed)
+    bounds_report = compute_bounds(problem, problem.background_h4)
     return _iterate(problem, bounds_report, tol, max_iter, initial)
 
 
@@ -665,8 +666,8 @@ def continuity_experiment(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     margin: float = 0.05,
-    budget: int = DEFAULT_C2_BUDGET,
-    seed: int = 0,
+    budget: int | None = None,
+    seed: int | None = None,
 ) -> ContinuityReport:
     """Solve with g1 and g2 and compare |u1 - u2|_H4 to the certified bound.
 
@@ -680,11 +681,14 @@ def continuity_experiment(
     only the first one's perturbation, bounds, iteration count and
     residual are held.  The pass rule allows the stated relative margin
     plus an absolute slack of 10 * tol (two converged solves cannot be
-    distinguished below that).
+    distinguished below that).  The C^2 gap of g1 and g2 is exact for two
+    quadratics and the triangle bound otherwise (:func:`nlrd.model.c2_gap`).
+    ``budget`` and ``seed`` are accepted and ignored, as by
+    :func:`~nlrd.bounds.compute_bounds`.
     """
     problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
     h4 = problem.background_h4
-    reports = [compute_bounds(p, h4, budget=budget, seed=seed) for p in problems]
+    reports = [compute_bounds(p, h4) for p in problems]
     for report in reports:
         if report.failures:
             raise AssumptionsNotValidated(report.failures)
@@ -695,7 +699,7 @@ def continuity_experiment(
     second = _iterate(problems[1], reports[1], tol, max_iter)
     shift -= second.perturbation.values
     measured = norm_h4_vector(VectorField(problem.grid, shift))
-    gap = c2_gap(g1, g2, bounds.state_ball_radius, budget=budget, seed=seed)
+    gap = c2_gap(g1, g2, bounds.state_ball_radius)
     bound = continuity_bound_raw(
         bounds.eps_used, bounds.lipschitz_coeff, problem.c2_bound, bounds.background_h4, gap.value
     )

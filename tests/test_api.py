@@ -18,7 +18,7 @@ DELETED = (
     "SYMMETRY_RTOL", "operator_symbol", "TOL_ZERO_MODE", "ZeroModePolicy",
     "ZeroModeRejected", "coupling_threshold", "lipschitz_coefficient",
     "apriori_bound", "continuity_bound", "solve_background", "kernel_aggregates",
-    "norm_linf", "norm_l2_vector", "norm_h4", "gaussian_field",
+    "norm_linf", "norm_l2_vector", "norm_h4", "gaussian_field", "ball_samples",
 )
 
 #: methods deleted for the same reason, as (class, attribute)

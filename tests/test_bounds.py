@@ -1,5 +1,6 @@
 """Certified constants: geometry, split optimum, contraction thresholds."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -26,7 +27,7 @@ from nlrd.bounds import (
 from nlrd.cli import _jsonable
 from nlrd.config import build_field
 from nlrd.lattice import Grid, h4_norm_sq_coeffs, half_squared_wavenumber, inverse_values
-from nlrd.model import GaussianSpec, Problem, quadratic_nonlinearity
+from nlrd.model import GaussianSpec, Nonlinearity, Problem, quadratic_nonlinearity
 from nlrd.solver import picard
 
 TWO_PI = 2.0 * np.pi
@@ -365,6 +366,61 @@ def test_each_norm_is_taken_once_per_certification(monkeypatch):
     assert "kernel_nontrivial" in rep.bounds.failures
     assert calls == {"norm_l1": N, "norm_l2": N}
     assert rep.bounds.kernel_l1_rss == rep.bounds.kernel_l2_rss == 0.0
+
+
+def bumped(g: Nonlinearity, center: np.ndarray, delta: float = 1e-5) -> Nonlinearity:
+    """g plus the bump b(z) = 2 delta^2 exp(-|z - center|^2 / delta^2) in its
+    first component, with no closed-form C^2 norm.  b and grad b vanish at 0
+    for |center| >> delta, and hess b(center) = -4 I, so the C^2 norm of
+    g + b on a ball around ``center`` exceeds 4 however small delta is."""
+
+    def parts(z):
+        w = np.asarray(z, dtype=float) - center
+        return w, 2.0 * delta**2 * np.exp(-np.sum(w * w, axis=-1) / delta**2)
+
+    def _eval(z):
+        out = np.array(g.eval(z), dtype=float)
+        out[..., 0] += parts(z)[1]
+        return out
+
+    def _grad(z):
+        w, b = parts(z)
+        out = np.array(g.grad(z), dtype=float)
+        out[..., 0, :] -= (2.0 / delta**2) * b[..., None] * w
+        return out
+
+    def _hess(z):
+        w, b = parts(z)
+        out = np.array(g.hess(z), dtype=float)
+        outer = w[..., :, None] * w[..., None, :] * (4.0 / delta**2) - 2.0 * np.eye(g.N)
+        out[..., 0, :, :] += (b / delta**2)[..., None, None] * outer
+        return out
+
+    return Nonlinearity(N=g.N, eval=_eval, grad=_grad, hess=_hess, label="bumped")
+
+
+def test_a_nonlinearity_without_closed_form_certifies_nothing(ref_built):
+    """A bump too narrow for any sample to see lifts the shipped g's C^2
+    norm from 0.5 to above 4; with no closed form, the report says so."""
+    p = ref_built.problem
+    radius = compute_bounds(p, p.background_h4).state_ball_radius
+    N = p.n_components
+    center = np.array([0.5 * radius] + [0.0] * (N - 1))
+    g = bumped(p.nonlinearity, center)
+    assert g.eval(np.zeros((1, N))).tolist() == [[0.0] * N]
+    assert g.hess(center)[0] == pytest.approx(p.nonlinearity.hess(center)[0] - 4.0 * np.eye(N))
+    rep = compute_bounds(p.with_nonlinearity(g), p.background_h4)
+    assert rep.failures == ("c2_analytic", "c2_within_bound")
+    assert rep.c2_norm == math.inf and rep.c2_method == "unavailable"
+
+
+def test_a_custom_nonlinearity_with_closed_form_certifies(ref_built):
+    """A g with ``c2_ball_norm`` but no matrices certifies as the quadratic."""
+    p = ref_built.problem
+    custom = dataclasses.replace(p.nonlinearity, matrices=None)
+    rep = compute_bounds(p.with_nonlinearity(custom), p.background_h4)
+    assert rep == compute_bounds(p, p.background_h4)
+    assert rep.failures == () and rep.c2_method == "analytic"
 
 
 def test_validated_wrappers_agree_with_report():

@@ -158,7 +158,7 @@ def test_infinite_eps_fraction_is_a_config_error(tmp_path, capsys, fraction):
         ("solve", {}, ("--max-iter", "0")),
         ("probe-contraction", {}, ("--seed", "-1")),
         ("probe-contraction", {"seed": -1}, ()),
-        # validate_nonlinearity draws with seed + 1
+        # every command checks the seed, not only the probe
         ("bounds", {"seed": -2}, ()),
         # an infinite tolerance would stop any run after one step
         ("solve", {}, ("--tol", "inf")),

@@ -90,6 +90,16 @@ def test_build_resolves_reference_instance(small_built):
     assert built.warnings == ()
 
 
+def test_solver_budget_is_read_and_has_no_effect(small_built):
+    """solver.budget is kept and checked, and changes no constant or build."""
+    built = build_problem(small_config(solver={"budget": 7}))
+    assert built.budget == 7 and built.resolved["solver"]["budget"] == 7
+    assert built.resolved["eps"] == small_built.resolved["eps"]
+    assert compute_bounds(built.problem, built.background_h4, budget=7, seed=3) == (
+        compute_bounds(small_built.problem, small_built.background_h4)
+    )
+
+
 def test_build_reads_its_constants_from_the_bounds_report(monkeypatch):
     """With the state-ball rule and the threshold changed in ``nlrd.bounds``
     alone, the build still normalises g on the ball the validators check and
@@ -99,11 +109,11 @@ def test_build_reads_its_constants_from_the_bounds_report(monkeypatch):
     monkeypatch.setattr(nlrd.bounds, "coupling_threshold_raw", lambda *a: 0.75 * threshold(*a))
     cfg = small_config()
     built = build_problem(cfg)
-    p, options = built.problem, dict(budget=built.budget, seed=built.seed)
-    c2 = validate_problem(p, built.background_h4, **options)[1].c2_norm
+    p = built.problem
+    c2 = validate_problem(p, built.background_h4)[1].c2_norm
     fraction = cfg["nonlinearity"]["scale_c2_to_fraction"]
     assert c2 == pytest.approx(fraction * p.c2_bound, rel=1e-12)
-    eps_max = compute_bounds(p, built.background_h4, **options).eps_max
+    eps_max = compute_bounds(p, built.background_h4).eps_max
     assert built.resolved["eps"] == [cfg["problem"]["eps_fraction"] * eps_max] * 2
 
 
@@ -122,7 +132,7 @@ def test_build_takes_the_c2_norm_of_g_once(monkeypatch):
     assert len(calls) == 1
     g, radius = calls[0][:2]
     scale = cfg["nonlinearity"]["scale_c2_to_fraction"] * built.problem.c2_bound / c2_norm(
-        g, radius, budget=built.budget, seed=built.seed).value
+        g, radius).value
     assert built.resolved["nonlinearity"]["scale_applied"] == scale
 
 

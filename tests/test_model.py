@@ -13,11 +13,11 @@ from nlrd.cli import _jsonable
 from nlrd.config import build_field
 from nlrd.lattice import Grid, RealField, forward_coeffs, norm_h4_vector, norm_l1, norm_l2
 from nlrd.model import (
+    C2Norm,
     GaussianSource,
     GaussianSpec,
     Nonlinearity,
     Problem,
-    ball_samples,
     c2_gap,
     c2_norm,
     image_ball_radius,
@@ -293,14 +293,6 @@ def test_scale_nonlinearity_generic_path():
 # C^2 ball norms
 # ---------------------------------------------------------------------------
 
-def test_ball_samples_stay_inside_and_are_seeded():
-    z = ball_samples(3, 0.75, 500, seed=11)
-    assert z.shape == (500, 3)
-    assert np.max(np.linalg.norm(z, axis=1)) <= 0.75 + 1e-12
-    assert_allclose(z, ball_samples(3, 0.75, 500, seed=11))
-    assert not np.allclose(z, ball_samples(3, 0.75, 500, seed=12))
-
-
 def test_c2_norm_analytic_for_quadratic_and_monotone_in_radius():
     g = quadratic_nonlinearity([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
     values = [c2_norm(g, r) for r in (0.1, 0.5, 1.0, 2.0)]
@@ -313,21 +305,7 @@ def test_c2_norm_rejects_bad_arguments():
     with pytest.raises(ValueError, match="radius"):
         c2_norm(g, -0.1)
     stripped = dataclasses.replace(g, c2_ball_norm=None)
-    with pytest.raises(ValueError, match="budget"):
-        c2_norm(stripped, 0.5, budget=0)
-
-
-def test_sampled_c2_approaches_analytic_from_below():
-    g = quadratic_nonlinearity(
-        [np.array([[1.0, 0.3], [0.3, 0.5]]), np.array([[0.2, -0.4], [-0.4, 1.0]])]
-    )
-    exact = c2_norm(g, 0.8).value
-    stripped = dataclasses.replace(g, c2_ball_norm=None)
-    est = c2_norm(stripped, 0.8, budget=100_000, seed=0)
-    assert est.method == "sampled"
-    assert est.samples == 100_000
-    assert est.value <= exact * (1.0 + 1e-12)
-    assert est.value >= exact * 0.95
+    assert c2_norm(stripped, 0.5) == C2Norm(np.inf, 0.5, "unavailable")
 
 
 def test_c2_gap_exact_for_quadratic_families():
@@ -339,6 +317,16 @@ def test_c2_gap_exact_for_quadratic_families():
         assert gap.method == "analytic"
         assert gap.value == pytest.approx(delta * c2_norm(g1, 0.8).value, rel=1e-12)
     assert c2_gap(g1, g1, 0.8).value == 0.0
+
+
+def test_c2_gap_of_other_pairs_is_the_triangle_bound():
+    g = quadratic_nonlinearity([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])])
+    custom = dataclasses.replace(g, matrices=None)
+    gap = c2_gap(custom, scale_nonlinearity(custom, 1.1), 0.8)
+    assert gap.method == "triangle"
+    assert gap.value == pytest.approx(2.1 * c2_norm(g, 0.8).value, rel=1e-14)
+    stripped = dataclasses.replace(custom, c2_ball_norm=None)
+    assert c2_gap(custom, stripped, 0.8) == C2Norm(np.inf, 0.8, "triangle")
 
 
 def test_c2_gap_rejects_mismatched_component_counts():
@@ -561,12 +549,16 @@ def test_validate_problem_data_passes_on_reference_style_instance():
 
 
 def test_validate_problem_data_flags_trivial_data():
+    """All forcings (kernels) zero is trivial; one zero beside a Gaussian is not."""
     g = Grid(d=5, n=4, L=4.0)
     zero = build_field(g, {"constructor": "zero"})
     rep = validate_problem_data(small_problem(forcings=(zero, zero)))
     assert rep.failures == ("forcing_nontrivial",)
     rep = validate_problem_data(small_problem(kernels=(zero, zero)))
     assert rep.failures == ("kernel_nontrivial",)
+    p = small_problem()
+    for fields in (dict(forcings=(zero, p.forcings[1])), dict(kernels=(p.kernels[0], zero))):
+        assert validate_problem_data(small_problem(**fields)).failures == ()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -584,11 +576,10 @@ def test_validate_problem_data_flags_overflowing_norms(amplitude):
 
 def test_validate_nonlinearity_passes_with_ample_bound():
     g = quadratic_nonlinearity([np.eye(2), np.eye(2)])
-    rep = validate_nonlinearity(g, radius=0.5, c2_bound=100.0, budget=2000)
+    rep = validate_nonlinearity(g, radius=0.5, c2_bound=100.0)
     assert rep.failures == ()
     assert rep.value_at_zero == 0.0
     assert rep.gradient_at_zero == 0.0
-    assert rep.sampled_sup > 0.0
     assert _jsonable(rep)["c2_method"] == "analytic"
 
 
@@ -605,7 +596,7 @@ def test_validate_nonlinearity_failure_clauses():
         N=N, eval=lambda z: np.ones_like(np.asarray(z, dtype=float)),
         grad=zeros_grad, hess=zeros_hess,
     )
-    rep = validate_nonlinearity(constant, 0.5, 100.0, budget=500)
+    rep = validate_nonlinearity(constant, 0.5, 100.0)
     assert "vanishes_at_origin" in rep.failures
 
     def identity_grad(z):
@@ -617,16 +608,15 @@ def test_validate_nonlinearity_failure_clauses():
         N=N, eval=lambda z: np.asarray(z, dtype=float),
         grad=identity_grad, hess=zeros_hess,
     )
-    rep = validate_nonlinearity(identity, 0.5, 100.0, budget=500)
-    assert rep.failures == ("gradient_vanishes_at_origin",)
+    rep = validate_nonlinearity(identity, 0.5, 100.0)
+    # no closed-form C^2 norm: inf, and no certificate
+    assert rep.failures == ("gradient_vanishes_at_origin", "c2_analytic", "c2_within_bound")
+    assert rep.c2_norm == np.inf and rep.c2_method == "unavailable"
 
-    zero = Nonlinearity(
-        N=N, eval=lambda z: np.zeros_like(np.asarray(z, dtype=float)),
-        grad=zeros_grad, hess=zeros_hess,
-    )
-    rep = validate_nonlinearity(zero, 0.5, 100.0, budget=500)
-    assert "nontrivial_on_ball" in rep.failures
+    zero = quadratic_nonlinearity([np.zeros((N, N))] * N)
+    rep = validate_nonlinearity(zero, 0.5, 100.0)
+    assert rep.failures == ("nontrivial_on_ball",)
 
     big = quadratic_nonlinearity([100.0 * np.eye(2), 100.0 * np.eye(2)])
-    rep = validate_nonlinearity(big, 0.5, c2_bound=1.0, budget=500)
+    rep = validate_nonlinearity(big, 0.5, c2_bound=1.0)
     assert rep.failures == ("c2_within_bound",)

@@ -29,6 +29,7 @@ from nlrd.model import (
     GaussianSpec,
     Nonlinearity,
     Problem,
+    c2_gap,
     quadratic_nonlinearity,
     scale_nonlinearity,
     validate_problem_data,
@@ -989,3 +990,38 @@ def test_continuity_experiment_requires_both_nonlinearities_valid(small_built):
         with pytest.raises(AssumptionsNotValidated) as err:
             continuity_experiment(small_built.problem, *pair, tol=1e-10, max_iter=50)
         assert err.value.failures == ("c2_within_bound",)
+
+
+@pytest.mark.parametrize("side,passed", [(-1.0, False), (1.0, True)])
+def test_continuity_verdict_compares_the_shift_with_bound_margin_and_slack(
+    monkeypatch, small_built, side, passed
+):
+    """With the bound set so that bound (1 + margin) + slack sits tol below
+    (above) the measured shift, the experiment fails (passes): the verdict
+    is that comparison, with the slack 10 tol and the factor 1 + margin."""
+    p, tol, margin = small_built.problem, 1e-10, 0.05
+    g1, g2 = p.nonlinearity, scale_nonlinearity(p.nonlinearity, 1.01)
+    measured = continuity_experiment(p, g1, g2, tol=tol, margin=margin).measured
+    assert measured > 1e3 * tol  # a doubled slack moves the verdict
+    target = measured + side * tol
+    bound = (target - 10.0 * tol) / (1.0 + margin)
+    monkeypatch.setattr(nlrd.solver, "continuity_bound_raw", lambda *args: bound)
+    rep = continuity_experiment(p, g1, g2, tol=tol, margin=margin)
+    assert rep.measured == measured and rep.bound == bound and rep.slack == 10.0 * tol
+    assert rep.passed is passed
+
+
+def test_continuity_of_custom_nonlinearities_uses_the_triangle_gap(small_built):
+    """Two g's with closed-form C^2 norms but no matrices: the gap is the
+    triangle bound |g1|_C2 + |g2|_C2, no smaller than the exact quadratic
+    gap, and the experiment still certifies and passes."""
+    p = small_built.problem
+    quadratic = p.nonlinearity
+    g1 = dataclasses.replace(quadratic, matrices=None)
+    g2 = scale_nonlinearity(g1, 1.01)
+    rep = continuity_experiment(p, g1, g2, tol=1e-10, max_iter=50)
+    assert rep.gap_method == "triangle"
+    radius = compute_bounds(p, p.background_h4).state_ball_radius
+    exact = c2_gap(quadratic, scale_nonlinearity(quadratic, 1.01), radius).value
+    assert rep.nonlinearity_gap >= exact
+    assert rep.passed
