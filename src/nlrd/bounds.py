@@ -268,7 +268,16 @@ class BoundsReport:
 def validate_problem(
     problem: Problem, background_h4: float
 ) -> tuple[DataReport, NonlinearityReport]:
-    """Run both validators for a problem around a given background norm."""
+    """Run both validators for a problem around its background norm.
+
+    ``background_h4`` must be ``problem.background_h4``, else
+    ``ValueError``: the state ball, and every constant certified on it,
+    grows with that norm, so a smaller one would certify a ball the
+    solution does not stay in.
+    """
+    if background_h4 != problem.background_h4:
+        raise ValueError(f"background H^4 norm {background_h4!r} is not the problem's "
+                         f"{problem.background_h4!r}")
     data = validate_problem_data(problem)
     embedding = max(sobolev_embedding_constant(problem.d), lattice_embedding_constant(problem.grid))
     radius = image_ball_radius(background_h4, embedding)
@@ -289,9 +298,10 @@ def compute_bounds(
     measured, at eps_used = max_m eps_m, the coupling the contraction
     argument sees.  It always returns the report: when a requirement
     fails, ``failures`` names it and the constants certify nothing.
-    ``budget`` and ``seed`` are accepted and ignored, so callers that pass
-    them keep working: the C^2 norm comes from g's closed form, which draws
-    no sample.
+    ``background_h4`` must be ``problem.background_h4`` (see
+    :func:`validate_problem`).  ``budget`` and ``seed`` are accepted and
+    ignored, so callers that pass them keep working: the C^2 norm comes
+    from g's closed form, which draws no sample.
     """
     data, nl = validate_problem(problem, background_h4)
     l1_rss, l2_rss = data.kernel_l1_rss, data.kernel_l2_rss

@@ -73,18 +73,20 @@ size of the spectrum: ``shell_blocks`` walks the flat half spectrum in
 cache-sized blocks of whole tail rows (the last axis) of one half-axis
 mode, and gathers each block's weights from a small table per grid and
 weight, one tail row per row shell, at most d (n/2)^2 + 1 rows of n
-values.  A block's Hermitian multiplicity is one number.  Callers multiply
-and reduce a block while it is in cache, so a multiply and the norms of
-its result are one pass.  Per grid, this module caches the walk (the row
-shells of one slab, n^(d-2) integers) and the tables; per n, the DFT
-matrices.  H^4 norms are computed spectrally in that blocked pass, with
-no full-size temporary, not even for the norm of a difference.
+values.  A block's Hermitian multiplicity is one number.  One routine,
+``scale_coeffs``, multiplies a stack of coefficients by a weight and
+reduces the H^4 norms of the product, and of the product minus another
+stack, block by block while each block is in cache: the operator's
+inverse, its symbol, the probe's envelope and every H^4 norm of
+coefficients (``h4_norm_sq_coeffs``, no weight) are that one pass, with
+no full-size temporary, not even for the norm of a difference.  Per
+grid, this module caches the walk (the row shells of one slab, n^(d-2)
+integers) and the tables; per n, the DFT matrices.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -573,49 +575,83 @@ def norm_l2(f: RealField) -> float:
     return float(np.sqrt(f.grid.h**f.grid.d * np.dot(f.values, f.values)))
 
 
-def _floats(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Half-spectrum coefficients as one flat float64 view (a copy if not contiguous)."""
-    hats = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(grid.half_shape)
-    return hats.view(np.float64).reshape(-1)
+def coeff_rows(grid: Grid, hats: np.ndarray) -> np.ndarray:
+    """C-contiguous complex128 coefficients of shape (..., *grid.half_shape)
+    as one (fields, coefficients) view; ``ValueError`` for any other array."""
+    if not (hats.dtype == np.complex128 and hats.flags.c_contiguous):
+        raise ValueError("coefficients must be a C-contiguous complex128 array")
+    return hats.reshape(-1, math.prod(grid.half_shape))
 
 
-@np.errstate(over="ignore")  # callers check the result for finiteness
-def h4_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray, minus: np.ndarray | None = None) -> float:
-    """Squared H^4 norm dp^d sum_k (1 + |p_k|^8) |F_k|^2 over the full lattice.
+@np.errstate(over="ignore")  # callers check the norms for finiteness
+def scale_coeffs(
+    grid: Grid, hats: np.ndarray, weight=None, minus=None, norm: bool = True
+) -> tuple[float, float]:
+    """Multiply a stack of coefficients in place by a shell weight, and
+    return H^4 norms of the product, in one pass.
 
-    ``coeffs`` are half-spectrum coefficients from :func:`forward_coeffs`;
-    the sum over the missing half comes in through the Hermitian weights.
-    With ``minus`` (same shape), F is ``coeffs - minus``.  The sum runs over
-    the blocks of :func:`shell_blocks`, squaring each into its scratch: |F|^2,
-    F itself and the weight are never formed in full.
+    ``hats`` is C-contiguous complex128 of shape (..., *grid.half_shape)
+    (see :func:`coeff_rows`); ``weight``, when given, is a function
+    ``weight(grid, s)`` of the integer shells (see :func:`shell_blocks`).
+    Returns the squared H^4 norms dp^d sum_k (1 + |p_k|^8) |F_k|^2, summed
+    over the stack, of the product F and of the product minus ``minus``
+    (checked as ``hats`` is, of its size; the product's own norm when
+    None).  With ``norm`` False the product's norm is not reduced and is
+    returned as nan, so a multiply alone, or the norm of a difference
+    alone, takes no extra reduction.  Each block of :func:`shell_blocks`
+    is multiplied and then reduced, row by row, while it is in cache,
+    squared into the walk's scratch: no full-size temporary.
     """
-    x = _floats(grid, coeffs)
-    y = None if minus is None else _floats(grid, minus)
-    total = 0.0
-    for lo, hi, mult, scratch, w in shell_blocks(grid, h4_shells):
-        block = x[2 * lo : 2 * hi]
-        if y is not None:
-            block = np.subtract(block, y[2 * lo : 2 * hi], out=scratch)
-        total += mult * weighted_sum_sq(w, block, scratch)
-    return float(grid.dp**grid.d * total)
+    rows = coeff_rows(grid, hats)
+    floats = rows.view(np.float64)
+    if minus is not None:
+        minus = coeff_rows(grid, minus).reshape(rows.shape).view(np.float64)
+    norm_sq, diff_sq = (0.0 if norm else math.nan), 0.0
+    weights = (h4_shells,) if weight is None else (weight, h4_shells)
+    for lo, hi, mult, scratch, *factor, w in shell_blocks(grid, *weights):
+        for m, row in enumerate(rows):
+            if factor:
+                row[lo:hi] *= factor[0]
+            block = floats[m, 2 * lo : 2 * hi]
+            if norm:
+                norm_sq += mult * weighted_sum_sq(w, block, scratch)
+            if minus is not None:
+                diff = np.subtract(block, minus[m, 2 * lo : 2 * hi], out=scratch)
+                diff_sq += mult * weighted_sum_sq(w, diff, scratch)
+    scale = grid.dp**grid.d
+    return norm_sq * scale, (norm_sq if minus is None else diff_sq) * scale
+
+
+def h4_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray, minus: np.ndarray | None = None) -> float:
+    """Squared H^4 norm dp^d sum_k (1 + |p_k|^8) |F_k|^2 over the full lattice,
+    summed over a stack: :func:`scale_coeffs` with no weight.
+
+    ``coeffs`` are half-spectrum coefficients from :func:`forward_coeffs`,
+    one field or a stack (..., *grid.half_shape), copied only to make them
+    C-contiguous complex128; the sum over the missing half comes in
+    through the Hermitian weights.  With ``minus`` (of the same size), F
+    is ``coeffs - minus``, never formed in full, and the norm of
+    ``coeffs`` alone is not taken.
+    """
+    hats = np.ascontiguousarray(coeffs, dtype=np.complex128)
+    minus = None if minus is None else np.ascontiguousarray(minus, dtype=np.complex128)
+    return scale_coeffs(grid, hats, minus=minus, norm=minus is None)[1]
 
 
 @np.errstate(over="ignore")  # callers check the result for finiteness
 def l2_norm_sq_coeffs(grid: Grid, coeffs: np.ndarray) -> float:
     """Squared L^2 norm dp^d sum_k |F_k|^2 from half-spectrum coefficients: one
     BLAS dot per half-axis row, on which the Hermitian weight is constant."""
-    rows = _floats(grid, coeffs).reshape(grid.n // 2 + 1, -1)
+    hats = np.ascontiguousarray(coeffs, dtype=np.complex128).reshape(grid.half_shape)
+    rows = hats.view(np.float64).reshape(grid.n // 2 + 1, -1)
     w = hermitian_weight(grid).reshape(-1)
     return float(grid.dp**grid.d * sum(wr * np.dot(x, x) for wr, x in zip(w, rows)))
 
 
-def norm_h4_coeffs(grid: Grid, hats, minus=None) -> float:
-    """Root-sum-square H^4 norm of an iterable of half-spectrum coefficients,
-    or with ``minus``, a matching iterable, of their differences."""
-    pairs = zip(hats, itertools.repeat(None) if minus is None else minus)
-    return math.sqrt(sum(h4_norm_sq_coeffs(grid, a, b) for a, b in pairs))
-
-
 def norm_h4_vector(u: VectorField) -> float:
-    """Root-sum-square of component H^4 norms."""
-    return norm_h4_coeffs(u.grid, (forward_coeffs(u.grid, row) for row in u.values))
+    """Root-sum-square of component H^4 norms: :func:`h4_norm_sq_coeffs` of
+    the stack of their coefficients."""
+    hats = np.empty((u.n_components,) + u.grid.half_shape, dtype=np.complex128)
+    for m, row in enumerate(u.values):
+        forward_coeffs(u.grid, row, out=hats[m])
+    return math.sqrt(h4_norm_sq_coeffs(u.grid, hats))

@@ -28,7 +28,12 @@ step norm (:func:`_image`).  The background u0 is cached on the problem
 component's coefficients from its source in its loop, and the H^4 norm of
 a converged solution in the pass that applies the operator to its
 transform of u.  Step norms and the probe's denominator are norms of
-coefficient differences never formed in full.  g is evaluated on
+coefficient differences never formed in full.  Every multiply by a
+spectral weight and every H^4 norm of coefficients here is one pass of
+``lattice.scale_coeffs`` over the whole stack: the inversion of a step,
+the shaping of a probe draw (by :func:`_envelope_shells`, a function of
+the integer shell) and, with no weight, the norm of ``initial`` and the
+probe's denominator (``lattice.h4_norm_sq_coeffs``).  g is evaluated on
 cache-sized blocks of u0 + v (:func:`_eval_stack`).  ``picard`` runs in
 one work area per call, 2N + 1 half spectra (N + 3 at N = 1), beside v's
 samples, and no step allocates a full-size array: g is evaluated over
@@ -41,11 +46,9 @@ its coefficients (which it was, bit for bit) or, at the first step, as
 zero or ``initial``.  The residual of a converged solve runs in the same
 area (:func:`_residual`), and the solution stack is formed after it;
 ``perturbation_h4`` is the norm the step that made v took, or that of a
-given ``initial``, taken once before the first step.  Every
-spectral weight comes block by block from ``lattice.shell_blocks``: this
-module caches nothing, and the probe's envelope is a function of the
-integer shell (:func:`_envelope_shells`).  ``contraction_probe`` allocates
-its stacks once per call and reuses them for every pair.
+given ``initial``, taken once before the first step.  This module
+caches nothing.  ``contraction_probe`` allocates its stacks once per call
+and reuses them for every pair.
 
 The iteration stops when the H^4 step norm falls below
 tol * max(1, |v|_H4); it aborts with :class:`DivergenceDetected` when a
@@ -76,16 +79,14 @@ from .lattice import (
     Grid,
     VectorField,
     forward_coeffs,
+    h4_norm_sq_coeffs,
     h4_shells,
     inverse_stack,
     inverse_values,
     l2_norm_sq_coeffs,
-    norm_h4_coeffs,
     norm_h4_vector,
-    shell_blocks,
-    weighted_sum_sq,
+    scale_coeffs,
 )
-from .lattice import h4_norm_sq_coeffs  # noqa: F401  (a binding perfbench/tracing.py wraps)
 from .model import (
     Nonlinearity,
     Problem,
@@ -411,7 +412,7 @@ def _iterate(
         v_values = initial.values.copy()
         for m in range(n):
             forward_coeffs(grid, v_values[m], out=old[m], scratch=work[-1])
-        minus, v_norm = old, norm_h4_coeffs(grid, old)
+        minus, v_norm = old, math.sqrt(h4_norm_sq_coeffs(grid, old))
 
     steps: list[IterationStep] = []
     converged = diverged = False
@@ -528,9 +529,9 @@ def _ball_hats(
 ) -> np.ndarray:
     """Coefficients of the draw :func:`random_ball_field` makes, into ``out``
     (N x ``grid.half_shape`` complex values) or a new array, the noise
-    drawn into ``noise`` (``grid.shape`` values) or a new array.  Each
-    block of ``lattice.shell_blocks`` is shaped by the envelope and
-    reduced to the draw's H^4 norm in one pass."""
+    drawn into ``noise`` (``grid.shape`` values) or a new array.  The
+    draw is shaped by the envelope and reduced to its H^4 norm in one pass
+    of ``lattice.scale_coeffs``."""
     if n_components < 1:
         raise ValueError(f"need at least one component, got {n_components}")
     if not 0.0 <= target_norm < math.inf:
@@ -543,14 +544,7 @@ def _ball_hats(
     for m in range(n_components):
         noise = rng.standard_normal(grid.shape, out=noise)
         forward_coeffs(grid, noise, out=out[m])
-    flat = out.reshape(n_components, -1)
-    floats = flat.view(np.float64)
-    norm_sq = 0.0
-    for lo, hi, mult, scratch, envelope, w in shell_blocks(grid, _envelope_shells, h4_shells):
-        for m, row in enumerate(flat):
-            row[lo:hi] *= envelope
-            norm_sq += mult * weighted_sum_sq(w, floats[m, 2 * lo : 2 * hi], scratch)
-    out *= target_norm / math.sqrt(grid.dp**grid.d * norm_sq)
+    out *= target_norm / math.sqrt(scale_coeffs(grid, out, _envelope_shells)[0])
     return out
 
 
@@ -578,7 +572,7 @@ def _probe_ratio(
     r1, r2 = problem.rho * rng.random(), problem.rho * rng.random()
     for hats, r in ((v1, r1), (v2, r2)):
         _ball_hats(grid, n, rng, r, out=hats, noise=samples[0])
-    denom = norm_h4_coeffs(grid, v1, v2)
+    denom = math.sqrt(h4_norm_sq_coeffs(grid, v1, v2))
     if denom == 0.0:
         return None
     g = problem.nonlinearity

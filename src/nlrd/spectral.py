@@ -10,10 +10,13 @@ Every routine here runs on the half-spectrum path of :mod:`nlrd.lattice`
 multiplication by the symbol on ``grid.half_shape``, in the coefficient
 layout of that module.  The symbol and its inverse are functions of the
 integer shell (``symbol_shells``, ``inverse_shells``), applied block by
-block through ``lattice.shell_blocks``; this module caches no array.
-``invert_coeffs`` takes the H^4 norms of the quotient in the same pass,
-and ``subtract_operator`` that of its operand, so a caller that inverts
-or applies the operator and then measures reads the coefficients once.
+block; this module caches no array.  ``apply_operator`` and
+``invert_coeffs`` are ``lattice.scale_coeffs`` with the symbol and with
+its inverse, which takes the H^4 norms of the quotient in the same pass;
+``subtract_operator``, which reduces its operand while it subtracts the
+product from another array, walks ``lattice.shell_blocks`` itself.  A
+caller that inverts or applies the operator and then measures reads the
+coefficients once.
 Periodic convolution is evaluated spectrally:
 
     (H * G)^(p) = (2 pi)^(d/2) H^(p) G^(p)
@@ -34,12 +37,18 @@ cross-check on tiny grids only.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import lattice
-from .lattice import Grid, RealField, h4_shells, shell_blocks, weighted_sum_sq
+from .lattice import (
+    Grid,
+    RealField,
+    coeff_rows,
+    h4_shells,
+    scale_coeffs,
+    shell_blocks,
+    weighted_sum_sq,
+)
 
 _TWO_PI = 2.0 * np.pi
 
@@ -64,13 +73,6 @@ def inverse_shells(grid: Grid, s: np.ndarray) -> np.ndarray:
     return np.divide(1.0, sym, out=np.zeros_like(sym), where=sym > 0.0)
 
 
-def _stack(grid: Grid, hats: np.ndarray) -> np.ndarray:
-    """Coefficients of shape (..., *grid.half_shape) as a (fields, coefficients) view."""
-    if not (hats.dtype == np.complex128 and hats.flags.c_contiguous):
-        raise ValueError("coefficients must be a C-contiguous complex128 array")
-    return hats.reshape(-1, math.prod(grid.half_shape))
-
-
 def apply_operator(u: RealField) -> RealField:
     """Apply -Laplacian + Laplacian^2 spectrally.
 
@@ -80,13 +82,10 @@ def apply_operator(u: RealField) -> RealField:
     """
     g = u.grid
     coeffs = lattice.forward_coeffs(g, u.values - np.mean(u.values))
-    flat = _stack(g, coeffs)[0]
-    for lo, hi, _, _, sym in shell_blocks(g, symbol_shells):
-        flat[lo:hi] *= sym
+    scale_coeffs(g, coeffs, symbol_shells, norm=False)
     return RealField(g, lattice.inverse_values(g, coeffs))
 
 
-@np.errstate(over="ignore")  # callers check the norms for finiteness
 def invert_coeffs(
     grid: Grid, hats: np.ndarray, minus: np.ndarray | None = None
 ) -> tuple[np.ndarray, float, float]:
@@ -95,27 +94,12 @@ def invert_coeffs(
 
     Returns each field's dropped |F(0)|, and the squared H^4 norms, summed
     over the fields, of the quotient and of the quotient minus ``minus``
-    (same shape; the quotient itself when None).  Each block of
-    ``lattice.shell_blocks`` is divided and then reduced while it is in
-    cache: no pass over the coefficients but this one.
+    (C-contiguous, same shape; the quotient itself when None), taken in
+    the pass that divides: ``lattice.scale_coeffs`` with
+    :func:`inverse_shells`.
     """
     dropped = np.abs(hats[(Ellipsis,) + (0,) * grid.d])
-    flat = _stack(grid, hats)
-    floats = flat.view(np.float64)
-    if minus is not None:
-        minus = np.ascontiguousarray(minus).reshape(flat.shape).view(np.float64)
-    norm_sq = diff_sq = 0.0
-    for lo, hi, mult, scratch, inv, w in shell_blocks(grid, inverse_shells, h4_shells):
-        for m, row in enumerate(flat):
-            row[lo:hi] *= inv
-            block = floats[m, 2 * lo : 2 * hi]
-            norm_sq += mult * weighted_sum_sq(w, block, scratch)
-            if minus is not None:
-                diff = np.subtract(block, minus[m, 2 * lo : 2 * hi], out=scratch)
-                diff_sq += mult * weighted_sum_sq(w, diff, scratch)
-    scale = grid.dp**grid.d
-    norm_sq *= scale
-    return dropped, norm_sq, norm_sq if minus is None else diff_sq * scale
+    return (dropped, *scale_coeffs(grid, hats, inverse_shells, minus))
 
 
 @np.errstate(over="ignore")  # callers check the norm for finiteness
@@ -124,7 +108,7 @@ def subtract_operator(grid: Grid, out: np.ndarray, hats: np.ndarray) -> float:
     ``grid.half_shape``, ``hats`` left as it is; returns the squared H^4 norm
     of ``hats``, each block of ``lattice.shell_blocks`` reduced as it is
     multiplied."""
-    dest, src = _stack(grid, out)[0], _stack(grid, hats)[0]
+    dest, src = coeff_rows(grid, out)[0], coeff_rows(grid, hats)[0]
     floats = src.view(np.float64)
     total = 0.0
     for lo, hi, mult, scratch, sym, w in shell_blocks(grid, symbol_shells, h4_shells):

@@ -21,6 +21,7 @@ from nlrd.bounds import (
     lattice_embedding_constant,
     lipschitz_coefficient_raw,
     radial_weight_integral,
+    validate_problem,
     sobolev_embedding_constant,
     sphere_measure,
 )
@@ -299,7 +300,7 @@ def test_raw_formulas_against_high_precision_arithmetic():
 def test_compute_bounds_report_consistency():
     # c2_bound must dominate the C^2 norm of the raw matrices on the state ball
     p = tiny_problem(eps=(0.01, 0.02), c2_bound=100.0)
-    rep = compute_bounds(p, background_h4=0.3, budget=2000)
+    rep = compute_bounds(p, background_h4=p.background_h4, budget=2000)
     assert rep.d == 5
     assert rep.eps == (0.01, 0.02)
     assert rep.eps_used == 0.02
@@ -399,6 +400,21 @@ def bumped(g: Nonlinearity, center: np.ndarray, delta: float = 1e-5) -> Nonlinea
     return Nonlinearity(N=g.N, eval=_eval, grad=_grad, hess=_hess, label="bumped")
 
 
+def test_bounds_are_certified_only_around_the_problems_own_background(ref_built):
+    """The state ball grows with |u0|_H4, so a smaller norm would certify a
+    ball the solution leaves: on the shipped problem, 0.0 gave eps_max
+    0.0709 against the true 0.0388 and ``failures: ()``.  Any norm but the
+    problem's own is refused."""
+    p = ref_built.problem
+    for wrong in (0.0, 0.5 * p.background_h4, math.nextafter(p.background_h4, 1.0), math.nan):
+        with pytest.raises(ValueError, match="background H\\^4 norm"):
+            compute_bounds(p, wrong)
+        with pytest.raises(ValueError, match="background H\\^4 norm"):
+            validate_problem(p, wrong)
+    rep = compute_bounds(p, p.background_h4)
+    assert rep.failures == () and rep.eps_max == pytest.approx(0.03881, rel=1e-3)
+
+
 def test_a_nonlinearity_without_closed_form_certifies_nothing(ref_built):
     """A bump too narrow for any sample to see lifts the shipped g's C^2
     norm from 0.5 to above 4; with no closed form, the report says so."""
@@ -426,8 +442,8 @@ def test_a_custom_nonlinearity_with_closed_form_certifies(ref_built):
 def test_validated_wrappers_agree_with_report():
     """compute_bounds evaluates the same formulas as the raw layer."""
     p = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0)
-    rep = compute_bounds(p, background_h4=0.2, budget=2000)
-    raw = (p.d, p.c2_bound, rep.kernel_l1_rss, rep.kernel_l2_rss, 0.2)
+    rep = compute_bounds(p, background_h4=p.background_h4, budget=2000)
+    raw = (p.d, p.c2_bound, rep.kernel_l1_rss, rep.kernel_l2_rss, p.background_h4)
     kappa = lipschitz_coefficient_raw(*raw)
     assert kappa == pytest.approx(rep.lipschitz_coeff, rel=1e-14)
     eps_max = coupling_threshold_raw(p.d, p.rho, *raw[1:])

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from conftest import blocked_weight, traced_peak
 from scipy import integrate
 
+import nlrd.lattice
 from nlrd.lattice import (
     Grid,
     RealField,
@@ -24,16 +25,16 @@ from nlrd.lattice import (
     inverse_stack,
     inverse_values,
     l2_norm_sq_coeffs,
-    norm_h4_coeffs,
     norm_h4_vector,
     norm_l1,
     norm_l2,
+    scale_coeffs,
     shell_blocks,
 )
 from nlrd.model import GaussianSpec
 from nlrd.bounds import sphere_measure
 from nlrd.solver import _envelope_shells
-from nlrd.spectral import inverse_shells, symbol_shells
+from nlrd.spectral import apply_operator, inverse_shells, symbol_shells
 
 TWO_PI = 2.0 * np.pi
 
@@ -474,7 +475,9 @@ def test_blocked_norms_match_plain_sums(d, n):
     assert h4_norm_sq_coeffs(g, a) == pytest.approx(plain(h4, a), rel=1e-13)
     assert l2_norm_sq_coeffs(g, a) == pytest.approx(plain(hermitian_weight(g), a), rel=1e-13)
     assert h4_norm_sq_coeffs(g, a, b) == pytest.approx(h4_diff, rel=1e-13)
-    assert norm_h4_coeffs(g, [a, b], [b, a]) == pytest.approx(math.sqrt(2 * h4_diff), rel=1e-13)
+    assert h4_norm_sq_coeffs(g, np.stack([a, b]), np.stack([b, a])) == pytest.approx(
+        2 * h4_diff, rel=1e-13
+    )
     # an infinite coefficient gives an infinite norm, not inf * 0 = nan
     a[(0,) * d] = complex(np.inf, 1.0)
     assert h4_norm_sq_coeffs(g, a) == l2_norm_sq_coeffs(g, a) == math.inf
@@ -523,6 +526,112 @@ def test_shell_blocks_give_the_full_size_weights(d, n):
     assert last == math.prod(g.half_shape)
     if (d, n) == (5, 10):
         assert slab % max(spans) != 0
+
+
+SCALE_GRIDS = [(1, 8), (2, 6), (3, 6), (4, 4), (5, 4), (5, 6), (6, 4), (7, 2), (7, 4)]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+@pytest.mark.parametrize("d,n", SCALE_GRIDS)
+def test_scale_coeffs_matches_the_full_size_formulas(d, n, N):
+    """One pass of ``scale_coeffs`` multiplies a stack of N fields in place
+    by each weight (none, the symbol, its inverse, the probe's envelope) and
+    returns dp^d sum w_H |c|^2 of the product and of the product minus a
+    second stack, w_H = hermitian_weight (1 + half_squared_wavenumber^4),
+    to 1e-13; with no weight, the norm is also the full-lattice sum with
+    ``h4_weight`` over numpy's FFT of the samples.  Without ``minus`` both
+    norms are the product's, and with ``norm`` False only the difference's
+    is taken (the product's is nan).  ``h4_norm_sq_coeffs`` copies
+    non-contiguous inputs."""
+    g = Grid(d=d, n=n, L=2.5)
+    rng = np.random.default_rng(100 * d + 10 * n + N)
+    samples = rng.standard_normal((N,) + g.shape)
+    stack = np.stack([forward_coeffs(g, row) for row in samples])
+    other = rng.standard_normal(stack.shape) + 1j * rng.standard_normal(stack.shape)
+    h4 = hermitian_weight(g) * (1.0 + half_squared_wavenumber(g) ** 4)
+
+    def plain(c):
+        return g.dp**d * np.sum(np.broadcast_to(h4, c.shape) * np.abs(c) ** 2)
+
+    full = TWO_PI ** (-d / 2.0) * g.h**d * np.fft.fftn(samples, axes=range(1, d + 1))
+    assert plain(stack) == pytest.approx(
+        g.dp**d * np.sum(h4_weight(g) * np.abs(full) ** 2), rel=1e-13
+    )
+    for weight, direct in [(None, 1.0)] + list(direct_weights(g).items())[1:]:
+        product = stack * direct
+        hats = stack.copy()
+        norm_sq, same = scale_coeffs(g, hats, weight)
+        assert_allclose(hats, product, rtol=1e-13, atol=0.0)
+        assert norm_sq == same == pytest.approx(plain(product), rel=1e-13)
+        hats = stack.copy()
+        norm_sq, diff_sq = scale_coeffs(g, hats, weight, other)
+        assert norm_sq == pytest.approx(plain(product), rel=1e-13)
+        assert diff_sq == pytest.approx(plain(product - other), rel=1e-13)
+        hats = stack.copy()
+        skipped, diff_sq = scale_coeffs(g, hats, weight, other, norm=False)
+        assert math.isnan(skipped) and diff_sq == pytest.approx(plain(product - other), rel=1e-13)
+        assert_allclose(hats, product, rtol=1e-13, atol=0.0)
+    assert h4_norm_sq_coeffs(g, stack) == pytest.approx(plain(stack), rel=1e-13)
+    assert h4_norm_sq_coeffs(g, stack, other) == pytest.approx(plain(stack - other), rel=1e-13)
+    # non-contiguous inputs are copied, not refused
+    assert h4_norm_sq_coeffs(g, strided_copy(stack), strided_copy(other)) == h4_norm_sq_coeffs(
+        g, stack, other
+    )
+
+
+def test_scale_coeffs_keeps_an_infinite_coefficient_infinite():
+    """An infinite coefficient gives an infinite norm, of the stack and of
+    its difference, not inf * 0 = nan; a weight multiplies it as a complex
+    number, which the callers' finiteness checks catch."""
+    g = Grid(d=5, n=4, L=2.5)
+    rng = np.random.default_rng(7)
+    stack = rng.standard_normal((2,) + g.half_shape) + 1j * rng.standard_normal(
+        (2,) + g.half_shape
+    )
+    other = np.zeros_like(stack)
+    stack[(1,) + (0,) * (g.d - 1) + (1,)] = complex(np.inf, 1.0)
+    assert scale_coeffs(g, stack.copy()) == (math.inf, math.inf)
+    assert scale_coeffs(g, stack.copy(), minus=other) == (math.inf, math.inf)
+    assert h4_norm_sq_coeffs(g, stack, other) == math.inf
+    with np.errstate(invalid="ignore"):
+        assert not any(map(math.isfinite, scale_coeffs(g, stack.copy(), symbol_shells, other)))
+
+
+def test_scale_coeffs_reduces_only_the_norms_it_returns(monkeypatch):
+    """Per block and field, one reduction for each norm asked for: both for
+    a Picard step (a weight and ``minus``), one for a norm or the norm of a
+    difference alone, none for a multiply alone (``apply_operator``)."""
+    g = Grid(d=5, n=6, L=2.5)
+    stack = np.stack([random_coeffs(g, s) for s in range(3)])
+    blocks = sum(1 for _ in shell_blocks(g, h4_shells))
+    calls = []
+
+    def counted(*args, _original=nlrd.lattice.weighted_sum_sq):
+        calls.append(None)
+        return _original(*args)
+
+    monkeypatch.setattr(nlrd.lattice, "weighted_sum_sq", counted)
+    for run, reductions in [
+        (lambda: scale_coeffs(g, stack.copy(), symbol_shells, stack), 2),
+        (lambda: scale_coeffs(g, stack.copy(), symbol_shells), 1),
+        (lambda: scale_coeffs(g, stack.copy(), symbol_shells, norm=False), 0),
+        (lambda: apply_operator(random_field(g, 3)), 0),
+        (lambda: h4_norm_sq_coeffs(g, stack), 1),
+        (lambda: h4_norm_sq_coeffs(g, stack, stack), 1),
+    ]:
+        calls.clear()
+        run()
+        assert len(calls) == reductions * len(stack) * blocks
+
+
+@pytest.mark.parametrize(
+    "bad", [np.zeros((3, 4, 4, 4, 4)), np.zeros((3, 4, 4, 4, 8), complex)[..., ::2]]
+)
+def test_scale_coeffs_rejects_arrays_it_cannot_view(bad):
+    """A real or non-contiguous stack is refused, not copied and scaled."""
+    g = Grid(d=5, n=4, L=2.5)
+    with pytest.raises(ValueError, match="C-contiguous complex128"):
+        scale_coeffs(g, bad, symbol_shells)
 
 
 @pytest.mark.parametrize("d,n", [(5, 16), (6, 10), (7, 8)])

@@ -460,8 +460,10 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
     ``initial`` when the first step diverges.  No final pass of N norms:
     each of k steps takes its norms in the pass that inverts its image (k
     inversions), so a run from v = 0 takes no separate norm, one from
-    ``initial`` N, and a report that did not converge N more for
-    ``solution_h4``."""
+    ``initial`` one norm of its N-field stack, and a report that did not
+    converge one more, of its solution's stack, for ``solution_h4``.  The
+    norms are counted through both bindings of ``h4_norm_sq_coeffs``: the
+    solver's, and the one ``norm_h4_vector`` calls."""
     p, kwargs, initial = small_built.problem, dict(tol=small_built.tol), None
     if exit == "max_iter":
         kwargs = dict(tol=1e-14, max_iter=2)
@@ -475,7 +477,7 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
     calls, inversions = [], []
 
     def counted(*args, _original=nlrd.lattice.h4_norm_sq_coeffs):
-        calls.append(args)
+        calls.append((len(inversions), args))  # with the steps inverted before it
         return _original(*args)
 
     def inverted(*args, _original=nlrd.solver.invert_coeffs):
@@ -483,6 +485,7 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
         return _original(*args)
 
     monkeypatch.setattr(nlrd.lattice, "h4_norm_sq_coeffs", counted)
+    monkeypatch.setattr(nlrd.solver, "h4_norm_sq_coeffs", counted)
     monkeypatch.setattr(nlrd.solver, "invert_coeffs", inverted)
     raised = {"converged": None, "converged_from_initial": None, "max_iter": MaxIterExceeded}.get(
         exit, DivergenceDetected
@@ -499,11 +502,12 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
         assert len(steps) == 1 and not np.isfinite(steps[0].norm_h4)
         assert rep.perturbation_h4 == norm_h4_vector(initial)
         return
+    assert all(len(args[1]) == N for _, args in calls)
     if exit == "converged_from_initial":
-        assert rep.converged and len(calls) == N
+        assert rep.converged and [k for k, _ in calls] == [0]
         assert rep.perturbation_h4 == steps[-1].norm_h4
         return
-    assert len(calls) == (0 if rep.converged else N)
+    assert len(calls) == (0 if rep.converged else 1)
     accepted = steps[-2] if exit == "diverged" else steps[-1]
     assert rep.perturbation_h4 == accepted.norm_h4 > 0.0
     assert rep.perturbation_h4 == pytest.approx(norm_h4_vector(rep.perturbation), rel=1e-12)
