@@ -27,9 +27,11 @@ the convolution estimate (:func:`frequency_split_minimum`); a d-independent
 preconditions (useful for algebraic checks); :func:`compute_bounds`
 validates the data and nonlinearity requirements and reports every
 constant for one problem, certified only when its ``failures`` are empty.
-It is the one place a certified constant is derived: ``config.build_problem``
-reads eps_max and the C^2 norm of g over the state ball from the report on
-its uncoupled problem, and :func:`validate_problem` holds the one state-ball rule.
+Both take the problem alone: its data, g, rho, c2_bound and its own
+background norm are all a certificate reads.  It is the one place a
+certified constant is derived: ``config.build_problem`` reads eps_max and
+the C^2 norm of g over the state ball from the report on its uncoupled
+problem, and :func:`validate_problem` holds the one state-ball rule.
 """
 
 from __future__ import annotations
@@ -265,29 +267,20 @@ class BoundsReport:
     apriori_bound: float
 
 
-def validate_problem(
-    problem: Problem, background_h4: float
-) -> tuple[DataReport, NonlinearityReport]:
-    """Run both validators for a problem around its background norm.
-
-    ``background_h4`` must be ``problem.background_h4``, else
-    ``ValueError``: the state ball, and every constant certified on it,
-    grows with that norm, so a smaller one would certify a ball the
-    solution does not stay in.
-    """
-    if background_h4 != problem.background_h4:
-        raise ValueError(f"background H^4 norm {background_h4!r} is not the problem's "
-                         f"{problem.background_h4!r}")
+def validate_problem(problem: Problem) -> tuple[DataReport, NonlinearityReport]:
+    """Run both validators for a problem around its own background norm,
+    ``problem.background_h4``: the state ball, and every constant certified
+    on it, grows with that norm."""
     data = validate_problem_data(problem)
     embedding = max(sobolev_embedding_constant(problem.d), lattice_embedding_constant(problem.grid))
-    radius = image_ball_radius(background_h4, embedding)
+    radius = image_ball_radius(problem.background_h4, embedding)
     nl = validate_nonlinearity(problem.nonlinearity, radius, problem.c2_bound)
     return data, nl
 
 
 def compute_bounds(
     problem: Problem,
-    background_h4: float,
+    background_h4: float | None = None,
     budget: int | None = None,
     seed: int | None = None,
 ) -> BoundsReport:
@@ -298,12 +291,19 @@ def compute_bounds(
     measured, at eps_used = max_m eps_m, the coupling the contraction
     argument sees.  It always returns the report: when a requirement
     fails, ``failures`` names it and the constants certify nothing.
-    ``background_h4`` must be ``problem.background_h4`` (see
-    :func:`validate_problem`).  ``budget`` and ``seed`` are accepted and
-    ignored, so callers that pass them keep working: the C^2 norm comes
-    from g's closed form, which draws no sample.
+    The state ball is the problem's own (see :func:`validate_problem`): a
+    given ``background_h4`` other than ``problem.background_h4`` is a
+    ``ValueError``, since a smaller one would certify a ball the solution
+    does not stay in.  ``background_h4``, ``budget`` and ``seed`` are
+    accepted, so callers that pass them keep working; the last two are
+    ignored, as the C^2 norm comes from g's closed form, which draws no
+    sample.
     """
-    data, nl = validate_problem(problem, background_h4)
+    if background_h4 is not None and background_h4 != problem.background_h4:
+        raise ValueError(f"background H^4 norm {background_h4!r} is not the problem's "
+                         f"{problem.background_h4!r}")
+    background_h4 = problem.background_h4
+    data, nl = validate_problem(problem)
     l1_rss, l2_rss = data.kernel_l1_rss, data.kernel_l2_rss
     d = problem.d
     c2 = problem.c2_bound

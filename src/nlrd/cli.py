@@ -124,14 +124,14 @@ def _uncertified(failures: tuple[str, ...]) -> str | None:
 
 
 def _cmd_validate(built: BuiltProblem, args) -> Outcome:
-    data, nl = validate_problem(built.problem, built.background_h4)
+    data, nl = validate_problem(built.problem)
     failures = data.failures + nl.failures
     payload = {"data": data, "nonlinearity": nl, "passed": not failures}
     return payload, "validation failed: " + ", ".join(failures) if failures else None
 
 
 def _cmd_bounds(built: BuiltProblem, args) -> Outcome:
-    rep = compute_bounds(built.problem, built.background_h4)
+    rep = compute_bounds(built.problem)
     return {"bounds": rep}, _uncertified(rep.failures)
 
 

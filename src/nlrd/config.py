@@ -358,7 +358,7 @@ def build_problem(
     except ValueError as err:
         raise ConfigError(f"the forcings give no finite background: {err}") from err
     # the build certifies nothing: a failed requirement is the commands' to report
-    report = compute_bounds(base, background_h4)
+    report = compute_bounds(base)
     eps_max = report.eps_max
 
     scale_applied = None

@@ -208,10 +208,6 @@ class RealField:
             raise ValueError("field values must be finite")
         object.__setattr__(self, "values", vals)
 
-    def sample(self) -> "RealField":
-        """This field, never copied: a field is its own source."""
-        return self
-
     def coeffs(self, out: np.ndarray | None = None) -> np.ndarray:
         """:func:`forward_coeffs` of the samples, into ``out`` when given."""
         return forward_coeffs(self.grid, self.values, out=out)

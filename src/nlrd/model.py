@@ -12,12 +12,12 @@ g.  It holds each kernel and forcing as a source: a field's samples
 (:class:`~nlrd.lattice.RealField`), or a Gaussian from a config
 (:class:`GaussianSource`), which gives its coefficients and norms in closed
 form from its 1-D factors and is sampled only where a caller asks for
-``values``.  It caches the linear background u0 = L^(-1) f, inverted by
-``spectral.invert_coeffs``, which takes its H^4 norm in the same pass, the
-report on its data and, per kernel, what
-:meth:`Problem.coupled_coeffs` needs: d 1-D factors for a Gaussian
-(``spectral.kernel_factors``), a half spectrum for a sampled kernel
-(``spectral.kernel_coeffs``).  The
+``values``.  One cache holds the linear background u0 = L^(-1) f, inverted
+by ``spectral.invert_coeffs``, which takes its H^4 norm in the same pass,
+the report on its data and, per sampled kernel, its unscaled half spectrum
+(``spectral.kernel_coeffs``); a Gaussian kernel's d 1-D factors
+(``spectral.kernel_factors``) are made afresh by each
+:meth:`Problem.coupled_coeffs` call.  The
 certified-bounds layer (:mod:`nlrd.bounds`) consumes these through the
 validators defined here:
 
@@ -32,7 +32,9 @@ A C^2 ball norm is certified only in closed form: the quadratic family
 ships one, and a custom g supplies its own ``c2_ball_norm``.  A g without
 one has no C^2 bound (an inf norm, method ``"unavailable"``), and its
 validation fails the ``c2_analytic`` clause: a sampled supremum is a lower
-bound, which certifies nothing.
+bound, which certifies nothing.  So a g is its values and first
+derivatives (``eval``, ``grad``) and that closed form; no code evaluates
+its second derivatives.
 """
 
 from __future__ import annotations
@@ -119,15 +121,14 @@ class GaussianSpec:
 
 @dataclass(frozen=True)
 class GaussianSource:
-    """A field source: ``grid``, ``values`` and ``sample()``, the samples as
-    a :class:`RealField`; ``coeffs(out=None)``, their half spectrum, made
-    in ``out`` when given; and ``norms()``, their lattice L^1 and L^2
-    norms.  A RealField is its own source, and transforms and sums its
-    samples.  A Gaussian is the rank-one tensor of its 1-D factors, so its
-    coefficients are the outer product of their 1-D transforms and its
-    norms products of 1-D sums: neither samples it.  Each read of
-    ``values`` samples the spec afresh, to the same bits; finite factors
-    (each e_j in [0, 1]) give finite ones."""
+    """A field source: ``grid``; ``values``, the flat samples;
+    ``coeffs(out=None)``, their half spectrum, made in ``out`` when given;
+    and ``norms()``, their lattice L^1 and L^2 norms.  A RealField is its
+    own source, and transforms and sums its samples.  A Gaussian is the
+    rank-one tensor of its 1-D factors, so its coefficients are the outer
+    product of their 1-D transforms and its norms products of 1-D sums:
+    neither samples it.  Each read of ``values`` samples the spec afresh,
+    to the same bits; finite factors (each e_j in [0, 1]) give finite ones."""
 
     grid: Grid
     spec: GaussianSpec
@@ -136,10 +137,7 @@ class GaussianSource:
         if not all(np.all(np.isfinite(f)) for f in self.spec._factors(self.grid)):
             raise ValueError("gaussian samples must be finite")
 
-    values = property(lambda self: self.sample().values)
-
-    def sample(self) -> RealField:
-        return self.spec.sample(self.grid)
+    values = property(lambda self: self.spec.sample(self.grid).values)
 
     def coeffs(self, out: np.ndarray | None = None) -> np.ndarray:
         return lattice.outer_coeffs(self.grid, self.spec._factors(self.grid), out=out)
@@ -162,17 +160,15 @@ class Nonlinearity:
     """Vector nonlinearity g: R^N -> R^N with batched derivatives.
 
     ``eval`` maps (P, N) -> (P, N); ``grad`` maps (P, N) -> (P, N, N) with
-    grad[p, m, i] = d g_m / d z_i; ``hess`` maps (P, N) -> (P, N, N, N).
-    ``c2_ball_norm``, when present, returns the exact C^2 norm over the
-    closed ball |z| <= r, or a rigorous upper bound on it; a g without one
-    certifies nothing.  ``matrices`` is set for the quadratic family and
+    grad[p, m, i] = d g_m / d z_i.  ``c2_ball_norm``, when present, returns
+    the exact C^2 norm over the closed ball |z| <= r, or a rigorous upper
+    bound on it; a g without one certifies nothing.  ``matrices`` is set for the quadratic family and
     enables exact difference/scaling arithmetic.
     """
 
     N: int
     eval: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     grad: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    hess: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     c2_ball_norm: Callable[[float], float] | None = field(default=None, repr=False)
     matrices: tuple[np.ndarray, ...] | None = field(default=None, repr=False)
     label: str = "custom"
@@ -203,9 +199,9 @@ def quadratic_nonlinearity(
     """Quadratic family g_m(z) = z^T A_m z with symmetric A_m.
 
     Asymmetric input matrices are replaced by their symmetric part, which
-    leaves the quadratic forms unchanged and makes the derivative formulas
-    (grad = 2 A z, hess = 2 A) exact.  ``eval``, ``grad`` and ``hess``
-    accept points of any leading shape (..., N).
+    leaves the quadratic forms unchanged and makes the gradient formula
+    grad = 2 A z exact.  ``eval`` and ``grad`` accept points of any leading
+    shape (..., N).
     """
     mats = np.stack([np.asarray(A, dtype=np.float64) for A in matrices])
     if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
@@ -234,14 +230,10 @@ def quadratic_nonlinearity(
     def _grad(z: np.ndarray) -> np.ndarray:
         return (z @ twice.reshape(N * N, N).T).reshape(np.shape(z)[:-1] + (N, N))
 
-    def _hess(z: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(twice, np.shape(z)[:-1] + (N, N, N))
-
     return Nonlinearity(
         N=N,
         eval=_eval,
         grad=_grad,
-        hess=_hess,
         c2_ball_norm=lambda r: _quadratic_c2_ball_norm(mats, r),
         matrices=tuple(mats[m] for m in range(N)),
         label=label,
@@ -265,7 +257,6 @@ def scale_nonlinearity(g: Nonlinearity, factor: float) -> Nonlinearity:
         N=g.N,
         eval=lambda z: s * g.eval(z),
         grad=lambda z: s * g.grad(z),
-        hess=lambda z: s * g.hess(z),
         c2_ball_norm=c2,
         label=f"{g.label}*{s:g}",
     )
@@ -280,7 +271,6 @@ class C2Norm:
     """A C^2 ball norm together with how it was obtained."""
 
     value: float
-    radius: float
     method: str  # "analytic", "triangle" (an upper bound) or "unavailable" (inf)
 
 
@@ -293,8 +283,8 @@ def c2_norm(g: Nonlinearity, radius: float) -> C2Norm:
     if radius < 0.0 or not np.isfinite(radius):
         raise ValueError(f"ball radius must be finite and nonnegative, got {radius}")
     if g.c2_ball_norm is None:
-        return C2Norm(math.inf, float(radius), "unavailable")
-    return C2Norm(float(g.c2_ball_norm(radius)), float(radius), "analytic")
+        return C2Norm(math.inf, "unavailable")
+    return C2Norm(float(g.c2_ball_norm(radius)), "analytic")
 
 
 def c2_gap(g1: Nonlinearity, g2: Nonlinearity, radius: float) -> C2Norm:
@@ -312,7 +302,7 @@ def c2_gap(g1: Nonlinearity, g2: Nonlinearity, radius: float) -> C2Norm:
         )
         return c2_norm(diff, radius)
     value = c2_norm(g1, radius).value + c2_norm(g2, radius).value
-    return C2Norm(value, float(radius), "triangle")
+    return C2Norm(value, "triangle")
 
 
 def image_ball_radius(background_h4: float, embedding_constant: float) -> float:
@@ -340,13 +330,14 @@ class Problem:
     :class:`GaussianSource`), read by each pass that needs their norms or
     coefficients: the data report of :func:`validate_problem_data` and the
     background u0, computed on first use and cached, and each residual.
-    The coupling eps_m (2 pi)^(d/2) H^_m is not held as an array for a
-    Gaussian kernel: :meth:`coupled_coeffs` folds its d 1-D factors,
-    cached, into the transform.  A sampled kernel's coupling is one cached
-    half spectrum.  Derived problems share the caches by reference, so each
-    array exists once: :meth:`with_nonlinearity` shares all three,
-    :meth:`with_eps` u0 and the data report, as the coupling scales with
-    eps.  ``dataclasses.replace`` starts with empty caches.
+    The coupling eps_m (2 pi)^(d/2) H^_m is not held as an array:
+    :meth:`coupled_coeffs` folds a Gaussian kernel's d 1-D factors into the
+    transform, and multiplies by a sampled kernel's half spectrum, cached
+    unscaled, and then by eps_m.  One cache holds u0, the data report and
+    those spectra, none of which depends on eps or g, so
+    :meth:`with_eps` and :meth:`with_nonlinearity` share it by reference
+    and each array exists once.  ``dataclasses.replace`` starts with an
+    empty cache.
     """
 
     grid: Grid
@@ -357,7 +348,6 @@ class Problem:
     rho: float = 1.0
     c2_bound: float = 1.0
     _data: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _coupling: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.grid.d not in SUPPORTED_DIMENSIONS:
@@ -412,18 +402,18 @@ class Problem:
     def n_components(self) -> int:
         return self.nonlinearity.N
 
-    def with_eps(self, eps: Sequence[float] | float) -> "Problem":
-        if np.isscalar(eps):
-            eps = (float(eps),) * self.n_components
-        derived = replace(self, eps=tuple(float(e) for e in eps))
+    def _derived(self, **changes) -> "Problem":
+        derived = replace(self, **changes)
         object.__setattr__(derived, "_data", self._data)
         return derived
 
+    def with_eps(self, eps: Sequence[float] | float) -> "Problem":
+        if np.isscalar(eps):
+            eps = (float(eps),) * self.n_components
+        return self._derived(eps=tuple(float(e) for e in eps))
+
     def with_nonlinearity(self, g: Nonlinearity) -> "Problem":
-        derived = replace(self, nonlinearity=g)
-        object.__setattr__(derived, "_data", self._data)
-        object.__setattr__(derived, "_coupling", self._coupling)
-        return derived
+        return self._derived(nonlinearity=g)
 
     @property
     def background(self) -> VectorField:
@@ -462,26 +452,22 @@ class Problem:
         ``out`` (a new array by default), in one forward transform, which
         takes ``scratch`` as :func:`nlrd.lattice.forward_coeffs` does.
 
-        A Gaussian kernel's per-axis factors are folded into the transform;
-        a sampled kernel's half spectrum multiplies it.  Either is made on
-        first use and cached: d 1-D arrays, or one read-only half spectrum.
+        A Gaussian kernel's per-axis factors, eps_m included, are made on
+        each call and folded into the transform.  A sampled kernel's half
+        spectrum, made on first use and cached read-only without eps_m,
+        multiplies the transform, and eps_m the product.
         """
-        if m not in self._coupling:
-            H = self.kernels[m]
-            if isinstance(H, GaussianSource):
-                factors = kernel_factors(self.grid, H.spec._factors(self.grid), self.eps[m])
-                self._coupling[m] = (factors, None)
-            else:
-                row = kernel_coeffs(H)
-                row *= self.eps[m]
-                row.flags.writeable = False
-                self._coupling[m] = (None, row)
-        factors, row = self._coupling[m]
-        out = lattice.forward_coeffs(
-            self.grid, values, out=out, factors=factors, scratch=scratch
-        )
-        if row is not None:
-            out *= row
+        H = self.kernels[m]
+        if isinstance(H, GaussianSource):
+            factors = kernel_factors(self.grid, H.spec._factors(self.grid), self.eps[m])
+            return lattice.forward_coeffs(self.grid, values, out, factors, scratch)
+        key = ("kernel", m)
+        if key not in self._data:
+            self._data[key] = kernel_coeffs(H)
+            self._data[key].flags.writeable = False
+        out = lattice.forward_coeffs(self.grid, values, out=out, scratch=scratch)
+        out *= self._data[key]
+        out *= self.eps[m]
         return out
 
 
@@ -600,6 +586,6 @@ def validate_nonlinearity(
         gradient_at_zero=g0,
         c2_norm=c2.value,
         c2_method=c2.method,
-        ball_radius=c2.radius,
+        ball_radius=float(radius),
         c2_bound=float(c2_bound),
     )

@@ -24,7 +24,8 @@ transform with a Gaussian kernel's 1-D factors folded into it;
 ``spectral.invert_coeffs`` drops the zero mode, records its mass and, in
 the same blocked pass over the coefficients, takes the step's H^4 norm and
 step norm (:func:`_image`).  The background u0 is cached on the problem
-(:class:`nlrd.model.Problem`).  The residual takes each forcing
+(:class:`nlrd.model.Problem`), which is all ``bounds.compute_bounds``
+reads to certify a solve.  The residual takes each forcing
 component's coefficients from its source in its loop, and the H^4 norm of
 a converged solution in the pass that applies the operator to its
 transform of u.  Step norms and the probe's denominator are norms of
@@ -375,7 +376,7 @@ def picard(
     ``budget`` and ``seed`` are accepted and ignored, as by
     :func:`~nlrd.bounds.compute_bounds`.
     """
-    bounds_report = compute_bounds(problem, problem.background_h4)
+    bounds_report = compute_bounds(problem)
     return _iterate(problem, bounds_report, tol, max_iter, initial)
 
 
@@ -669,7 +670,8 @@ def continuity_experiment(
     with each nonlinearity, once, before either solve; failed requirements,
     g1's before g2's, raise :class:`AssumptionsNotValidated`.  Each solve is
     the loop of :func:`picard` on the report already taken.  Both solves
-    share the problem's background, data report and coupling coefficients.
+    share the problem's one cache: its background, data report and any
+    sampled kernel's half spectrum.
     The shared background cancels in u1 - u2, so the shift is measured as
     |v1 - v2|_H4 of the perturbations, and while the second solve runs
     only the first one's perturbation, bounds, iteration count and
@@ -681,8 +683,7 @@ def continuity_experiment(
     :func:`~nlrd.bounds.compute_bounds`.
     """
     problems = [problem.with_nonlinearity(g) for g in (g1, g2)]
-    h4 = problem.background_h4
-    reports = [compute_bounds(p, h4) for p in problems]
+    reports = [compute_bounds(p) for p in problems]
     for report in reports:
         if report.failures:
             raise AssumptionsNotValidated(report.failures)

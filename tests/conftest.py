@@ -78,13 +78,7 @@ def ref_built(ref_cfg):
 
 @pytest.fixture(scope="session")
 def ref_report(ref_built):
-    return picard(
-        ref_built.problem,
-        tol=ref_built.tol,
-        max_iter=ref_built.max_iter,
-        budget=ref_built.budget,
-        seed=ref_built.seed,
-    )
+    return picard(ref_built.problem, tol=ref_built.tol, max_iter=ref_built.max_iter)
 
 
 @pytest.fixture(scope="session")

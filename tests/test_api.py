@@ -1,10 +1,13 @@
 """The public API: exported names, and the bindings the benchmark tracer wraps."""
 
 import ast
+import dataclasses
 import importlib
+import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nlrd
@@ -59,6 +62,23 @@ def test_deleted_names_are_not_exported(name):
 @pytest.mark.parametrize("cls,name", DELETED_METHODS)
 def test_deleted_methods_are_gone(cls, name):
     assert not hasattr(cls, name)
+
+
+def test_a_nonlinearity_and_a_c2_norm_hold_only_what_is_read():
+    """No code evaluates a Hessian of g, and a C^2 norm does not echo the
+    radius it was taken on."""
+    assert [f.name for f in dataclasses.fields(nlrd.Nonlinearity)] == [
+        "N", "eval", "grad", "c2_ball_norm", "matrices", "label",
+    ]
+    assert [f.name for f in dataclasses.fields(nlrd.C2Norm)] == ["value", "method"]
+
+
+def test_sources_have_no_sample_and_certification_takes_the_problem():
+    grid = nlrd.Grid(d=5, n=4, L=3.0)
+    for source in (nlrd.RealField(grid, np.zeros(grid.npoints)),
+                   nlrd.GaussianSource(grid, nlrd.GaussianSpec())):
+        assert not hasattr(source, "sample"), type(source).__name__
+    assert list(inspect.signature(nlrd.validate_problem).parameters) == ["problem"]
 
 
 def test_traced_bindings_exist():

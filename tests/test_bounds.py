@@ -116,7 +116,7 @@ def test_state_ball_takes_the_larger_embedding_constant(L, lattice_wins):
     """On a small box the lattice constant c_h exceeds c_e and sizes the state
     ball; on a large box the ball is c_e (|u0|_H4 + 1), bit for bit."""
     p = tiny_problem(Grid(d=5, n=4, L=L), c2_bound=100.0)
-    rep = compute_bounds(p, p.background_h4, budget=500)
+    rep = compute_bounds(p)
     c_e, c_h = rep.sobolev_constant, rep.lattice_sobolev_constant
     assert (c_h > c_e) == lattice_wins
     if lattice_wins:
@@ -300,7 +300,7 @@ def test_raw_formulas_against_high_precision_arithmetic():
 def test_compute_bounds_report_consistency():
     # c2_bound must dominate the C^2 norm of the raw matrices on the state ball
     p = tiny_problem(eps=(0.01, 0.02), c2_bound=100.0)
-    rep = compute_bounds(p, background_h4=p.background_h4, budget=2000)
+    rep = compute_bounds(p)
     assert rep.d == 5
     assert rep.eps == (0.01, 0.02)
     assert rep.eps_used == 0.02
@@ -326,7 +326,7 @@ def test_validated_layer_requires_sound_data():
     g = Grid(d=5, n=4, L=4.0)
     zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(forcings=(zero, zero))
-    rep = compute_bounds(p, background_h4=0.0, budget=500)
+    rep = compute_bounds(p)
     assert "forcing_nontrivial" in rep.failures
     # the failed validation still carries the formulas' values, uncertified
     assert rep.eps_max > 0.0
@@ -340,7 +340,7 @@ def test_degenerate_kernels_fail_validation_not_arithmetic(amplitude, clause, ep
     g = Grid(d=5, n=4, L=4.0)
     p = tiny_problem(kernels=(GaussianSpec(1.0, amplitude).sample(g),) * 2, c2_bound=10.0)
     with np.errstate(over="ignore"):
-        rep = compute_bounds(p, p.background_h4, budget=500)
+        rep = compute_bounds(p)
     assert clause in rep.failures
     assert rep.eps_max == eps_max
 
@@ -358,12 +358,12 @@ def test_each_norm_is_taken_once_per_certification(monkeypatch):
         monkeypatch.setattr(nlrd.lattice, name, counted)
     p = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0)
     N = p.n_components
-    compute_bounds(p, p.background_h4, budget=500)
+    compute_bounds(p)
     assert calls == {"norm_l1": 2 * N, "norm_l2": 2 * N}
     zero = build_field(p.grid, {"constructor": "zero"})
     failing = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0, kernels=(zero, zero))
     calls.update(norm_l1=0, norm_l2=0)
-    rep = picard(failing, tol=1e-10, max_iter=10, budget=500)
+    rep = picard(failing, tol=1e-10, max_iter=10)
     assert "kernel_nontrivial" in rep.bounds.failures
     assert calls == {"norm_l1": N, "norm_l2": N}
     assert rep.bounds.kernel_l1_rss == rep.bounds.kernel_l2_rss == 0.0
@@ -372,8 +372,9 @@ def test_each_norm_is_taken_once_per_certification(monkeypatch):
 def bumped(g: Nonlinearity, center: np.ndarray, delta: float = 1e-5) -> Nonlinearity:
     """g plus the bump b(z) = 2 delta^2 exp(-|z - center|^2 / delta^2) in its
     first component, with no closed-form C^2 norm.  b and grad b vanish at 0
-    for |center| >> delta, and hess b(center) = -4 I, so the C^2 norm of
-    g + b on a ball around ``center`` exceeds 4 however small delta is."""
+    for |center| >> delta, and the Hessian of b at ``center`` is -4 I, so the
+    C^2 norm of g + b on a ball around ``center`` exceeds 4 however small
+    delta is."""
 
     def parts(z):
         w = np.asarray(z, dtype=float) - center
@@ -390,42 +391,42 @@ def bumped(g: Nonlinearity, center: np.ndarray, delta: float = 1e-5) -> Nonlinea
         out[..., 0, :] -= (2.0 / delta**2) * b[..., None] * w
         return out
 
-    def _hess(z):
-        w, b = parts(z)
-        out = np.array(g.hess(z), dtype=float)
-        outer = w[..., :, None] * w[..., None, :] * (4.0 / delta**2) - 2.0 * np.eye(g.N)
-        out[..., 0, :, :] += (b / delta**2)[..., None, None] * outer
-        return out
-
-    return Nonlinearity(N=g.N, eval=_eval, grad=_grad, hess=_hess, label="bumped")
+    return Nonlinearity(N=g.N, eval=_eval, grad=_grad, label="bumped")
 
 
 def test_bounds_are_certified_only_around_the_problems_own_background(ref_built):
     """The state ball grows with |u0|_H4, so a smaller norm would certify a
     ball the solution leaves: on the shipped problem, 0.0 gave eps_max
-    0.0709 against the true 0.0388 and ``failures: ()``.  Any norm but the
-    problem's own is refused."""
+    0.0709 against the true 0.0388 and ``failures: ()``.  ``validate_problem``
+    takes the problem alone, and ``compute_bounds`` refuses any given norm
+    but the problem's own."""
     p = ref_built.problem
     for wrong in (0.0, 0.5 * p.background_h4, math.nextafter(p.background_h4, 1.0), math.nan):
         with pytest.raises(ValueError, match="background H\\^4 norm"):
             compute_bounds(p, wrong)
-        with pytest.raises(ValueError, match="background H\\^4 norm"):
-            validate_problem(p, wrong)
     rep = compute_bounds(p, p.background_h4)
+    assert rep == compute_bounds(p)
     assert rep.failures == () and rep.eps_max == pytest.approx(0.03881, rel=1e-3)
+    assert validate_problem(p)[1].ball_radius == rep.state_ball_radius
 
 
 def test_a_nonlinearity_without_closed_form_certifies_nothing(ref_built):
     """A bump too narrow for any sample to see lifts the shipped g's C^2
     norm from 0.5 to above 4; with no closed form, the report says so."""
     p = ref_built.problem
-    radius = compute_bounds(p, p.background_h4).state_ball_radius
+    radius = compute_bounds(p).state_ball_radius
     N = p.n_components
     center = np.array([0.5 * radius] + [0.0] * (N - 1))
     g = bumped(p.nonlinearity, center)
     assert g.eval(np.zeros((1, N))).tolist() == [[0.0] * N]
-    assert g.hess(center)[0] == pytest.approx(p.nonlinearity.hess(center)[0] - 4.0 * np.eye(N))
-    rep = compute_bounds(p.with_nonlinearity(g), p.background_h4)
+    # the bump's Hessian at its centre is -4 I: central differences of grad
+    # (exact for the quadratic g, and b's to (h / delta)^2 = 1e-8)
+    h = 1e-9
+    steps = h * np.eye(N)
+    bump_hess = (g.grad(center + steps)[:, 0] - g.grad(center - steps)[:, 0]) / (2.0 * h)
+    g_hess = 2.0 * p.nonlinearity.matrices[0]
+    assert bump_hess == pytest.approx(g_hess - 4.0 * np.eye(N), abs=1e-6)
+    rep = compute_bounds(p.with_nonlinearity(g))
     assert rep.failures == ("c2_analytic", "c2_within_bound")
     assert rep.c2_norm == math.inf and rep.c2_method == "unavailable"
 
@@ -434,15 +435,15 @@ def test_a_custom_nonlinearity_with_closed_form_certifies(ref_built):
     """A g with ``c2_ball_norm`` but no matrices certifies as the quadratic."""
     p = ref_built.problem
     custom = dataclasses.replace(p.nonlinearity, matrices=None)
-    rep = compute_bounds(p.with_nonlinearity(custom), p.background_h4)
-    assert rep == compute_bounds(p, p.background_h4)
+    rep = compute_bounds(p.with_nonlinearity(custom))
+    assert rep == compute_bounds(p)
     assert rep.failures == () and rep.c2_method == "analytic"
 
 
 def test_validated_wrappers_agree_with_report():
     """compute_bounds evaluates the same formulas as the raw layer."""
     p = tiny_problem(eps=(0.01, 0.01), c2_bound=10.0)
-    rep = compute_bounds(p, background_h4=p.background_h4, budget=2000)
+    rep = compute_bounds(p)
     raw = (p.d, p.c2_bound, rep.kernel_l1_rss, rep.kernel_l2_rss, p.background_h4)
     kappa = lipschitz_coefficient_raw(*raw)
     assert kappa == pytest.approx(rep.lipschitz_coeff, rel=1e-14)

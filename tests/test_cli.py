@@ -660,8 +660,7 @@ def test_solve_prints_what_picard_returns(tmp_path, capsys):
     code, payload, err = run_json(capsys, "solve", write_cfg(tmp_path, cfg))
     assert code == 0
     built = build_problem(cfg)
-    rep = picard(built.problem, tol=built.tol, max_iter=built.max_iter,
-                 budget=built.budget, seed=built.seed)
+    rep = picard(built.problem, tol=built.tol, max_iter=built.max_iter)
     assert payload["background_h4"] == rep.background_h4
     assert payload["perturbation_h4"] == rep.perturbation_h4
     assert payload["solution_h4"] == rep.solution_h4

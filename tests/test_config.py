@@ -95,9 +95,7 @@ def test_solver_budget_is_read_and_has_no_effect(small_built):
     built = build_problem(small_config(solver={"budget": 7}))
     assert built.budget == 7 and built.resolved["solver"]["budget"] == 7
     assert built.resolved["eps"] == small_built.resolved["eps"]
-    assert compute_bounds(built.problem, built.background_h4, budget=7, seed=3) == (
-        compute_bounds(small_built.problem, small_built.background_h4)
-    )
+    assert compute_bounds(built.problem) == compute_bounds(small_built.problem)
 
 
 def test_build_reads_its_constants_from_the_bounds_report(monkeypatch):
@@ -110,10 +108,10 @@ def test_build_reads_its_constants_from_the_bounds_report(monkeypatch):
     cfg = small_config()
     built = build_problem(cfg)
     p = built.problem
-    c2 = validate_problem(p, built.background_h4)[1].c2_norm
+    c2 = validate_problem(p)[1].c2_norm
     fraction = cfg["nonlinearity"]["scale_c2_to_fraction"]
     assert c2 == pytest.approx(fraction * p.c2_bound, rel=1e-12)
-    eps_max = compute_bounds(p, built.background_h4).eps_max
+    eps_max = compute_bounds(p).eps_max
     assert built.resolved["eps"] == [cfg["problem"]["eps_fraction"] * eps_max] * 2
 
 
@@ -374,8 +372,7 @@ def test_each_pass_samples_each_field_once(monkeypatch):
     built = build_problem(cfg)
     p = built.problem
     assert calls == []
-    rep = picard(p.with_nonlinearity(p.nonlinearity), tol=built.tol, max_iter=built.max_iter,
-                 budget=500)
+    rep = picard(p.with_nonlinearity(p.nonlinearity), tol=built.tol, max_iter=built.max_iter)
     residual(p, rep.solution)
     contraction_probe(p, pairs=1)
     assert calls == []
@@ -401,17 +398,16 @@ def arrays_reachable(obj, found: dict) -> dict:
 
 
 def test_a_warm_problem_holds_no_samples_of_its_data():
-    """After a solve has filled its caches, a built problem's sources and
-    caches hold exactly the background (N fields) and, per Gaussian
-    kernel, its d 1-D coupling factors, one per half-spectrum axis: no
-    kernel or forcing samples and no half spectrum."""
+    """After a solve has filled its cache, the fields of a built problem
+    other than g hold exactly the background (N fields): no kernel or
+    forcing samples, no half spectrum and no Gaussian kernel's coupling
+    factors, which each transform makes afresh."""
     built = build_problem(small_config(n=4))
     p = built.problem
-    picard(p, tol=built.tol, max_iter=built.max_iter, budget=500)
-    held = arrays_reachable([p.kernels, p.forcings, p._data, p._coupling], {})
-    N, grid = p.n_components, p.grid
-    factors = 16 * sum(grid.half_shape)
-    assert sum(held.values()) == N * 8 * grid.npoints + N * factors
+    picard(p, tol=built.tol, max_iter=built.max_iter)
+    fields = [getattr(p, f.name) for f in dataclasses.fields(p) if f.name != "nonlinearity"]
+    held = arrays_reachable(fields, {})
+    assert sum(held.values()) == p.n_components * 8 * p.grid.npoints
 
 
 @pytest.mark.parametrize("section", ["kernels", "forcings"])

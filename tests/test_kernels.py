@@ -29,13 +29,11 @@ def test_numpy_quadratic_matches_plain_loops():
     mats = random_mats(rng, 3)
     g = quadratic_nonlinearity(mats)
     assert_allclose(g.eval(z), quadratic_oracle(z, mats), rtol=1e-13)
-    # gradient of z^T A z with symmetric A is 2 A z, its Hessian 2 A
+    # gradient of z^T A z with symmetric A is 2 A z
     grads = g.grad(z)
-    hesses = g.hess(z)
     for p in range(5):
         for m in range(3):
             assert_allclose(grads[p, m], 2.0 * mats[m] @ z[p], rtol=1e-13)
-            assert_allclose(hesses[p, m], 2.0 * mats[m], rtol=1e-13)
     # other component counts, on component-major (transposed) input as the
     # solver passes it
     for N in (1, 2, 4):
@@ -48,11 +46,9 @@ def test_numpy_quadratic_matches_plain_loops():
         assert_allclose(
             g.grad(z), 2.0 * np.einsum("mij,pj->pmi", mats, z), rtol=1e-13
         )
-        assert g.hess(z).shape == (40, N, N, N)
         # a single point, and points with two leading axes
         assert_allclose(g.eval(z[7]), quadratic_oracle(z[7:8], mats)[0], rtol=1e-13)
         assert_allclose(g.grad(z[7]), g.grad(z[7:8])[0], rtol=1e-13)
-        assert g.hess(z[7]).shape == (N, N, N)
         grid_points = stack.T.reshape(5, 8, N)
         assert_allclose(
             g.eval(grid_points),
@@ -60,7 +56,6 @@ def test_numpy_quadratic_matches_plain_loops():
             rtol=1e-13,
         )
         assert g.grad(grid_points).shape == (5, 8, N, N)
-        assert g.hess(grid_points).shape == (5, 8, N, N, N)
         # the solver's view of a field stack: component rows stay contiguous
         fields = rng.standard_normal((N, 3, 4, 5))
         assert g.eval(fields.reshape(N, -1).T).T.flags.c_contiguous

@@ -57,14 +57,7 @@ def cubic_nonlinearity(N: int) -> Nonlinearity:
             out[..., m, m] = 3.0 * z[..., m] ** 2
         return out
 
-    def _hess(z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros(z.shape[:-1] + (N, N, N))
-        for m in range(N):
-            out[..., m, m, m] = 6.0 * z[..., m]
-        return out
-
-    return Nonlinearity(N=N, eval=_eval, grad=_grad, hess=_hess, label="cubic")
+    return Nonlinearity(N=N, eval=_eval, grad=_grad, label="cubic")
 
 
 # ---------------------------------------------------------------------------
@@ -163,14 +156,20 @@ def test_gaussian_source_samples_the_spec_bit_for_bit(d):
     factors[0] *= -1.3
     expected = functools.reduce(np.multiply.outer, factors).reshape(-1)
     source = GaussianSource(g, spec)
-    for values in (source.values, source.values, spec.sample(g).values, source.sample().values):
+    for values in (source.values, source.values, spec.sample(g).values):
         assert np.array_equal(values, expected)
 
 
 def test_a_real_field_is_its_own_source():
-    """A held field is returned, never copied."""
-    f = GaussianSpec(width=0.8).sample(Grid(d=5, n=4, L=3.0))
-    assert f.sample() is f
+    """A field is a source over the samples it holds, never copied: its
+    ``values`` share their memory, ``coeffs`` transforms them and ``norms``
+    sums them."""
+    g = Grid(d=5, n=4, L=3.0)
+    values = GaussianSpec(width=0.8).sample(g).values
+    f = RealField(g, values)
+    assert np.shares_memory(f.values, values)
+    assert np.array_equal(f.coeffs(), forward_coeffs(g, values))
+    assert f.norms() == (norm_l1(f), norm_l2(f))
 
 
 @pytest.mark.parametrize("params", [{"width": 1e-300}, {"width": 1e200}])
@@ -205,7 +204,7 @@ def test_quadratic_hand_example():
     # z^T A0 z = 1 - 4 + 3 = 0, z^T A1 z = -2
     assert_allclose(g.eval(z), [[0.0, -2.0]], atol=1e-14)
     assert_allclose(g.grad(z)[0, 0], 2.0 * A0 @ z[0], atol=1e-14)
-    assert_allclose(g.hess(z)[0, 1], 2.0 * A1, atol=1e-14)
+    assert_allclose(g.grad(z)[0, 1], 2.0 * A1 @ z[0], atol=1e-14)
 
 
 def test_quadratic_symmetrizes_input_matrices():
@@ -255,7 +254,6 @@ def test_finite_differences_confirm_derivatives(maker):
     z = rng.standard_normal((4, g.N))
     h = 1e-4
     grad = g.grad(z)
-    hess = g.hess(z)
     for i in range(g.N):
         zp, zm = z.copy(), z.copy()
         zp[:, i] += h
@@ -263,9 +261,6 @@ def test_finite_differences_confirm_derivatives(maker):
         fd_grad = (g.eval(zp) - g.eval(zm)) / (2.0 * h)
         scale = max(np.max(np.abs(grad)), 1.0)
         assert np.max(np.abs(fd_grad - grad[:, :, i])) <= 1e-6 * scale
-        fd_hess = (g.grad(zp) - g.grad(zm)) / (2.0 * h)
-        hscale = max(np.max(np.abs(hess)), 1.0)
-        assert np.max(np.abs(fd_hess - hess[:, :, :, i])) <= 1e-6 * hscale
 
 
 def test_scale_nonlinearity_quadratic_path():
@@ -286,7 +281,6 @@ def test_scale_nonlinearity_generic_path():
     z = np.array([[1.0, 2.0], [-0.5, 0.25]])
     assert_allclose(s.eval(z), 0.5 * g.eval(z), atol=1e-15)
     assert_allclose(s.grad(z), 0.5 * g.grad(z), atol=1e-15)
-    assert_allclose(s.hess(z), 0.5 * g.hess(z), atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +299,7 @@ def test_c2_norm_rejects_bad_arguments():
     with pytest.raises(ValueError, match="radius"):
         c2_norm(g, -0.1)
     stripped = dataclasses.replace(g, c2_ball_norm=None)
-    assert c2_norm(stripped, 0.5) == C2Norm(np.inf, 0.5, "unavailable")
+    assert c2_norm(stripped, 0.5) == C2Norm(np.inf, "unavailable")
 
 
 def test_c2_gap_exact_for_quadratic_families():
@@ -326,7 +320,7 @@ def test_c2_gap_of_other_pairs_is_the_triangle_bound():
     assert gap.method == "triangle"
     assert gap.value == pytest.approx(2.1 * c2_norm(g, 0.8).value, rel=1e-14)
     stripped = dataclasses.replace(custom, c2_ball_norm=None)
-    assert c2_gap(custom, stripped, 0.8) == C2Norm(np.inf, 0.8, "triangle")
+    assert c2_gap(custom, stripped, 0.8) == C2Norm(np.inf, "triangle")
 
 
 def test_c2_gap_rejects_mismatched_component_counts():
@@ -434,27 +428,25 @@ def check_derived_problems_share_the_spectral_cache(p: Problem) -> None:
     g2 = quadratic_nonlinearity([np.eye(2), np.eye(2)], label="other")
     same_eps = p.with_nonlinearity(g2)
     doubled = p.with_eps(0.06)
-    # computed on a derived problem, the background exists once for all
+    # one cache for all: computed on a derived problem, the background exists once
+    assert same_eps._data is p._data and doubled._data is p._data
     assert doubled.background is p.background
     assert same_eps.background is p.background
     assert same_eps.background_h4 == p.background_h4
     assert same_eps.background_dropped == p.background_dropped
     x = np.random.default_rng(0).standard_normal(p.grid.npoints)
-    for m, H in enumerate(p.kernels):
+    for m in range(p.n_components):
         first = p.coupled_coeffs(m, x)
-        # made on first use and held: a Gaussian's d factors, a sample's half spectrum
-        factors, row = held = p._coupling[m]
-        if isinstance(H, GaussianSource):
-            assert row is None and [f.shape for f in factors] == [(n,) for n in p.grid.half_shape]
-        else:
-            assert factors is None and row.shape == p.grid.half_shape
-            # shared arrays cannot be changed through one of the problems
-            assert not row.flags.writeable
         assert np.array_equal(same_eps.coupled_coeffs(m, x), first)
-        assert same_eps._coupling[m] is held
-        # the coupling scales with eps, so with_eps must not reuse it
+        # eps scales the product, not what is cached: doubling eps doubles it
         assert np.array_equal(doubled.coupled_coeffs(m, x), 2.0 * first)
-        assert doubled._coupling[m] is not held
+    # made on first use and held once for the three problems: a sampled
+    # kernel's half spectrum; a Gaussian kernel's d factors are not held
+    spectra = [v for v in p._data.values() if isinstance(v, np.ndarray)]
+    sampled = [H for H in p.kernels if not isinstance(H, GaussianSource)]
+    assert [a.shape for a in spectra] == [p.grid.half_shape] * len(sampled)
+    # shared arrays cannot be changed through one of the problems
+    assert not any(a.flags.writeable for a in spectra)
     assert not p.background.values.flags.writeable
 
 
@@ -468,7 +460,7 @@ def test_gaussian_coeffs_and_norms_are_those_of_its_samples(d, n, L):
              GaussianSpec(1.3, 0.6, center=0.45))
     for spec in specs:
         source = GaussianSource(g, spec)
-        samples = source.sample()
+        samples = RealField(g, source.values)
         expected = forward_coeffs(g, samples.values)
         out = np.empty(g.half_shape, dtype=np.complex128)
         assert source.coeffs(out=out) is out
@@ -512,11 +504,11 @@ def test_background_and_coupling_match_their_definitions():
     x = np.random.default_rng(1).standard_normal(g.npoints)
     for p in (base, small_problem(eps=0.03, kernels=gaussian_kernels(g), forcings=forcings)):
         for m in range(2):
-            u0, dropped = solve_linear(p.forcings[m].sample())
+            u0, dropped = solve_linear(RealField(g, p.forcings[m].values))
             scale = np.max(np.abs(u0.values))
             assert_allclose(p.background.values[m], u0.reshaped(), rtol=0, atol=1e-14 * scale)
             assert p.background_dropped[m] == pytest.approx(dropped, rel=1e-15)
-            k_hat = forward_coeffs(g, np.fft.ifftshift(p.kernels[m].sample().reshaped()))
+            k_hat = forward_coeffs(g, np.fft.ifftshift(p.kernels[m].values.reshape(g.shape)))
             expected = 0.03 * TWO_PI ** (g.d / 2.0) * k_hat * forward_coeffs(g, x)
             got = p.coupled_coeffs(m, x)
             assert_allclose(got, expected, rtol=0, atol=1e-15 * np.max(np.abs(expected)))
@@ -589,12 +581,9 @@ def test_validate_nonlinearity_failure_clauses():
     def zeros_grad(z):
         return np.zeros(np.shape(z)[:-1] + (N, N))
 
-    def zeros_hess(z):
-        return np.zeros(np.shape(z)[:-1] + (N, N, N))
-
     constant = Nonlinearity(
         N=N, eval=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-        grad=zeros_grad, hess=zeros_hess,
+        grad=zeros_grad,
     )
     rep = validate_nonlinearity(constant, 0.5, 100.0)
     assert "vanishes_at_origin" in rep.failures
@@ -606,7 +595,7 @@ def test_validate_nonlinearity_failure_clauses():
 
     identity = Nonlinearity(
         N=N, eval=lambda z: np.asarray(z, dtype=float),
-        grad=identity_grad, hess=zeros_hess,
+        grad=identity_grad,
     )
     rep = validate_nonlinearity(identity, 0.5, 100.0)
     # no closed-form C^2 norm: inf, and no certificate

@@ -75,13 +75,7 @@ def tiny_problem(n=4, eps=0.0, d=5, **overrides) -> Problem:
 
 @pytest.fixture(scope="module")
 def small_solution(small_built):
-    return picard(
-        small_built.problem,
-        tol=small_built.tol,
-        max_iter=small_built.max_iter,
-        budget=small_built.budget,
-        seed=small_built.seed,
-    )
+    return picard(small_built.problem, tol=small_built.tol, max_iter=small_built.max_iter)
 
 
 def vector_diff_norm(a: VectorField, b: VectorField) -> float:
@@ -265,10 +259,7 @@ def test_single_mode_linear_response_matches_hand_multiplier():
         out[..., 0, 0] = c
         return out
 
-    def lin_hess(z):
-        return np.zeros(np.shape(z)[:-1] + (1, 1, 1))
-
-    glin = Nonlinearity(N=1, eval=lin_eval, grad=lin_grad, hess=lin_hess)
+    glin = Nonlinearity(N=1, eval=lin_eval, grad=lin_grad)
     with pytest.warns(UserWarning, match="N = 1"):
         p = Problem(
             grid=g, eps=(0.3,), kernels=(kernel,),
@@ -313,7 +304,7 @@ def test_picard_zero_forcing_converges_with_requirement_warning():
     g = Grid(d=5, n=4, L=4.0)
     zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(eps=0.01, forcings=(zero, zero))
-    rep = picard(p, tol=1e-10, max_iter=10, budget=500)
+    rep = picard(p, tol=1e-10, max_iter=10)
     assert rep.converged
     assert rep.solution_h4 == 0.0
     assert "forcing_nontrivial" in rep.bounds.failures
@@ -324,7 +315,7 @@ def test_picard_zero_kernels_converge_with_requirement_warning():
     g = Grid(d=5, n=4, L=4.0)
     zero = build_field(g, {"constructor": "zero"})
     p = tiny_problem(eps=0.01, kernels=(zero, zero))
-    rep = picard(p, tol=1e-10, max_iter=10, budget=500)
+    rep = picard(p, tol=1e-10, max_iter=10)
     assert rep.converged
     assert rep.perturbation_h4 == 0.0
     assert "kernel_nontrivial" in rep.bounds.failures
@@ -370,7 +361,7 @@ def test_picard_iteration_budget_is_enforced(small_built):
 def test_picard_detects_divergence():
     p = tiny_problem(eps=1e6)
     with pytest.raises(DivergenceDetected) as err:
-        picard(p, tol=1e-10, max_iter=100, budget=500)
+        picard(p, tol=1e-10, max_iter=100)
     rep = err.value.report
     assert not rep.converged
     assert np.isfinite(rep.perturbation_h4)
@@ -384,10 +375,10 @@ def test_a_diverged_report_holds_the_iterate_before_the_runaway_step(problem):
     coefficients over the values of g: bit for bit the iterate, and the
     norm, that a budget of k - 1 steps returns."""
     if problem == "tiny":
-        p, kwargs = tiny_problem(eps=1e6), dict(tol=1e-10, budget=500)
+        p, kwargs = tiny_problem(eps=1e6), dict(tol=1e-10)
     else:
         built = build_problem(small_config(n=4, problem={"eps_fraction": 1000}))
-        p, kwargs = built.problem, dict(tol=built.tol, budget=built.budget)
+        p, kwargs = built.problem, dict(tol=built.tol)
     with pytest.raises(DivergenceDetected) as diverged:
         picard(p, max_iter=100, **kwargs)
     k = diverged.value.report.iterations
@@ -409,7 +400,7 @@ def test_a_first_step_divergence_returns_the_start(start):
     if start == "initial":  # g of samples ~1e100 makes a step of norm inf
         initial = random_ball_field(p.grid, 2, np.random.default_rng(3), 1e100)
     with pytest.raises(DivergenceDetected) as err:
-        picard(p, tol=1e-10, max_iter=100, budget=500, initial=initial)
+        picard(p, tol=1e-10, max_iter=100, initial=initial)
     rep = err.value.report
     assert rep.iterations == 1 and not np.isfinite(rep.trace.steps[0].step_h4)
     expected = np.zeros_like(rep.perturbation.values) if initial is None else initial.values
@@ -440,10 +431,10 @@ def test_picard_stops_at_the_first_step_within_tolerance(large, scale):
     else:
         p = tiny_problem(eps=0.1)
     with pytest.raises(MaxIterExceeded) as err:
-        picard(p, tol=1e-300, max_iter=3, budget=500)
+        picard(p, tol=1e-300, max_iter=3)
     second = err.value.report.trace.steps[1]
     tol = second.step_h4 / max(1.0, second.norm_h4) * (1.0 + 1e-9) / scale
-    rep = picard(p, tol=tol, max_iter=10, budget=500)
+    rep = picard(p, tol=tol, max_iter=10)
     *_, before, last = rep.trace.steps
     assert rep.iterations == (2 if scale == 1.0 else 3)
     assert last.step_h4 <= tol * max(1.0, last.norm_h4)
@@ -468,7 +459,7 @@ def test_perturbation_norm_is_the_one_its_step_took(monkeypatch, small_built, ex
     if exit == "max_iter":
         kwargs = dict(tol=1e-14, max_iter=2)
     elif exit.startswith("diverged"):
-        p, kwargs = tiny_problem(eps=1e6), dict(tol=1e-10, max_iter=100, budget=500)
+        p, kwargs = tiny_problem(eps=1e6), dict(tol=1e-10, max_iter=100)
     if exit == "diverged_from_initial":  # g of samples ~1e100 makes a step of norm inf
         initial = random_ball_field(p.grid, 2, np.random.default_rng(3), 1e100)
     if exit == "converged_from_initial":
@@ -566,7 +557,7 @@ def test_warm_picard_holds_few_half_spectra(n):
     after it is released: fewer than 8.5 one-component half spectra."""
     built = build_problem(small_config(n=n))
     p = built.problem
-    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter)
     picard(p, **kwargs)  # fills the caches
     half_spectrum = 16 * (n // 2 + 1) * n ** (p.grid.d - 1)
     tracemalloc.start()
@@ -588,7 +579,7 @@ def test_warm_picard_peaks_below_its_work_area_and_samples(n):
     new coefficients per step, would add 1.5 or 2."""
     built = build_problem(small_config(n=n))
     p = built.problem
-    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter)
     picard(p, **kwargs)  # fills the caches
     half_spectrum = 16 * (n // 2 + 1) * n ** (p.grid.d - 1)
     assert traced_peak(lambda: picard(p, **kwargs)) < 7.5 * half_spectrum
@@ -601,7 +592,7 @@ def test_residual_holds_few_half_spectra(n):
     built = build_problem(small_config(n=n))
     p = built.problem
     # a converged solve has called the residual once, filling the caches
-    solution = picard(p, tol=built.tol, max_iter=built.max_iter, budget=built.budget).solution
+    solution = picard(p, tol=built.tol, max_iter=built.max_iter).solution
     half_spectrum = 16 * (n // 2 + 1) * n ** (p.grid.d - 1)
     tracemalloc.start()
     try:
@@ -623,12 +614,11 @@ def test_caches_hold_no_full_size_array():
     n = 8
     built = build_problem(small_config(n=n))
     p = built.problem
-    kwargs = dict(budget=built.budget, seed=built.seed)
 
     def run():
-        solution = picard(p, tol=built.tol, max_iter=built.max_iter, **kwargs).solution
+        solution = picard(p, tol=built.tol, max_iter=built.max_iter).solution
         contraction_probe(p, pairs=2)
-        compute_bounds(p, p.background_h4, **kwargs)
+        compute_bounds(p)
         residual(p, solution)
 
     run()
@@ -658,7 +648,7 @@ def test_a_solve_takes_the_residual_of_its_solution(n_components):
     if n_components == 1:
         p = Problem(grid=p.grid, eps=p.eps[:1], kernels=p.kernels[:1], forcings=p.forcings[:1],
                     nonlinearity=quadratic_nonlinearity([np.array([[1.0]])]))
-    rep = picard(p, tol=1e-12, max_iter=20, budget=500)
+    rep = picard(p, tol=1e-12, max_iter=20)
     assert rep.iterations >= 3 and rep.residual.relative <= 1e-12
     assert rep.residual == residual(p, rep.solution)
 
@@ -753,7 +743,6 @@ def reversed_components(N: int = 2) -> Nonlinearity:
         N=N,
         eval=lambda z: z[..., ::-1],
         grad=lambda z: np.broadcast_to(swap, np.shape(z)[:-1] + (N, N)),
-        hess=lambda z: np.zeros(np.shape(z)[:-1] + (N, N, N)),
     )
 
 
@@ -842,7 +831,7 @@ def test_repeated_calls_transform_no_kernel_and_no_background(monkeypatch):
         assert counts == {"forward": 3 * N * 2, "inverse": 2 * N * 2}
     for _ in range(2):
         counts.update(forward=0, inverse=0)
-        rep = picard(p, tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+        rep = picard(p, tol=built.tol, max_iter=built.max_iter)
         k = rep.iterations
         # per step N forward and N inverse; then the residual's g(u) and u
         assert counts == {"forward": N * (k + 2), "inverse": N * k}
@@ -878,11 +867,11 @@ def test_data_norms_are_measured_once_per_problem(monkeypatch):
     calls.update(gaussian=0)
     g2 = scale_nonlinearity(p.nonlinearity, 1.01)
     for q in (p, p.with_eps(0.5 * max(p.eps)), p.with_nonlinearity(g2)):
-        compute_bounds(q, q.background_h4, budget=500)
-        rep = picard(q, tol=built.tol, max_iter=built.max_iter, budget=500)
+        compute_bounds(q)
+        rep = picard(q, tol=built.tol, max_iter=built.max_iter)
         residual(q, rep.solution)
         contraction_probe(q, pairs=2)
-    continuity_experiment(p, p.nonlinearity, g2, budget=500)
+    continuity_experiment(p, p.nonlinearity, g2)
     assert calls == {"norm_l1": 0, "norm_l2": 0, "gaussian": 0}
 
     doubled = dataclasses.replace(
@@ -899,12 +888,12 @@ def test_data_norms_are_measured_once_per_problem(monkeypatch):
 def test_a_sampled_kernel_gives_the_gaussian_results():
     """Kernel 1 held as its samples, the rest Gaussian sources: the solve,
     the residual and the seeded probe agree with the all-Gaussian problem,
-    and the problem holds one half spectrum, for that kernel only, beside
-    the Gaussian kernel's d 1-D factors."""
+    and the problem holds one half spectrum, for that kernel only: the
+    Gaussian kernel's d 1-D factors are made per transform, not held."""
     built = build_problem(small_config(n=6))
     p = built.problem
-    mixed = dataclasses.replace(p, kernels=(p.kernels[0], p.kernels[1].sample()))
-    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=500)
+    mixed = dataclasses.replace(p, kernels=(p.kernels[0], RealField(p.grid, p.kernels[1].values)))
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter)
     reps = [picard(q, **kwargs) for q in (p, mixed)]
     assert reps[1].iterations == reps[0].iterations
     assert reps[1].perturbation_h4 == pytest.approx(reps[0].perturbation_h4, rel=1e-12)
@@ -915,11 +904,8 @@ def test_a_sampled_kernel_gives_the_gaussian_results():
     assert r1.relative == pytest.approx(r0.relative, abs=1e-12)
     probes = [contraction_probe(q, pairs=3, seed=4).ratios for q in (p, mixed)]
     assert probes[1] == pytest.approx(probes[0], rel=1e-12)
-    grid = p.grid
-    (factors, none), (no_factors, row) = mixed._coupling[0], mixed._coupling[1]
-    assert none is None and no_factors is None
-    assert [f.nbytes for f in factors] == [16 * n for n in grid.half_shape]
-    assert row.shape == grid.half_shape and row.dtype == np.complex128
+    spectra = [v for v in mixed._data.values() if isinstance(v, np.ndarray)]
+    assert [(a.shape, a.dtype) for a in spectra] == [(p.grid.half_shape, np.complex128)]
 
 
 def test_probe_rejects_empty_request(small_built):
@@ -958,7 +944,7 @@ def test_continuity_holds_one_perturbation_beside_a_solve(n):
     two perturbations: its peak is at most one picard's plus 1.25 stacks."""
     built = build_problem(small_config(n=n))
     p = built.problem
-    kwargs = dict(tol=built.tol, max_iter=built.max_iter, budget=built.budget)
+    kwargs = dict(tol=built.tol, max_iter=built.max_iter)
     g1, g2 = p.nonlinearity, scale_nonlinearity(p.nonlinearity, 1.01)
     continuity_experiment(p, g1, g2, **kwargs)  # fills the caches
     stack = 8 * p.n_components * p.grid.npoints
@@ -980,7 +966,7 @@ def test_continuity_certifies_each_problem_once(monkeypatch, small_built):
     monkeypatch.setattr(nlrd.solver, "compute_bounds", counted)
     p = small_built.problem
     g2 = scale_nonlinearity(p.nonlinearity, 1.01)
-    rep = continuity_experiment(p, p.nonlinearity, g2, budget=500)
+    rep = continuity_experiment(p, p.nonlinearity, g2)
     assert rep.passed
     assert calls == [p.nonlinearity, g2]
 
@@ -1025,7 +1011,62 @@ def test_continuity_of_custom_nonlinearities_uses_the_triangle_gap(small_built):
     g2 = scale_nonlinearity(g1, 1.01)
     rep = continuity_experiment(p, g1, g2, tol=1e-10, max_iter=50)
     assert rep.gap_method == "triangle"
-    radius = compute_bounds(p, p.background_h4).state_ball_radius
+    radius = compute_bounds(p).state_ball_radius
     exact = c2_gap(quadratic, scale_nonlinearity(quadratic, 1.01), radius).value
     assert rep.nonlinearity_gap >= exact
     assert rep.passed
+
+
+def test_a_custom_nonlinearity_of_values_gradient_and_c2_norm_certifies_and_solves(
+    ref_built, ref_report
+):
+    """A g is ``eval``, ``grad`` and a closed-form ``c2_ball_norm``, and no
+    second derivative: the shipped g written out by hand that way
+    certifies on the shipped problem and solves to its fixed point."""
+    p = ref_built.problem
+    mats = np.stack(p.nonlinearity.matrices)
+    custom = Nonlinearity(
+        N=p.n_components,
+        eval=lambda z: np.einsum("...i,mij,...j->...m", z, mats, z),
+        grad=lambda z: 2.0 * np.einsum("mij,...j->...mi", mats, z),
+        c2_ball_norm=p.nonlinearity.c2_ball_norm,
+    )
+    q = p.with_nonlinearity(custom)
+    assert compute_bounds(q).failures == ()
+    rep = picard(q, tol=ref_built.tol, max_iter=ref_built.max_iter)
+    assert rep.converged and rep.bounds.failures == () and rep.residual.relative < 1e-9
+    shift = VectorField(p.grid, rep.perturbation.values - ref_report.perturbation.values)
+    assert norm_h4_vector(shift) <= 10.0 * ref_built.tol * rep.perturbation_h4
+
+
+def same_solve(a, b) -> bool:
+    """Two solve reports agree in every field but the steps' wall times."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, VectorField):
+            x, y = x.values.tobytes(), y.values.tobytes()
+        elif f.name == "trace":
+            x, y = ([dataclasses.replace(s, wall_time=0.0) for s in t.steps] for t in (x, y))
+        if x != y:
+            return False
+    return True
+
+
+def test_ignored_arguments_change_no_report(small_built):
+    """The calls the benchmark and the acceptance tests make, with the
+    problem's own background norm and the config's budget and seed, give
+    the reports of the calls without them."""
+    b = small_built
+    p, ignored = b.problem, dict(budget=b.budget, seed=b.seed)
+    assert compute_bounds(b.problem, b.background_h4, **ignored) == compute_bounds(p)
+    for q in (p, p.with_eps(0.5 * max(p.eps))):
+        assert same_solve(picard(q, tol=1e-10, max_iter=b.max_iter, **ignored),
+                          picard(q, tol=1e-10, max_iter=b.max_iter))
+    start = random_ball_field(p.grid, p.n_components, np.random.default_rng(1234), 0.5 * p.rho)
+    kwargs = dict(tol=b.tol, max_iter=b.max_iter)
+    assert same_solve(picard(p, initial=start, **kwargs, **ignored),
+                      picard(p, initial=start, **kwargs))
+    g2 = scale_nonlinearity(p.nonlinearity, 1.01)
+    assert continuity_experiment(p, p.nonlinearity, g2, margin=0.05, **kwargs, **ignored) == (
+        continuity_experiment(p, p.nonlinearity, g2, margin=0.05, **kwargs)
+    )

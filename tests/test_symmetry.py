@@ -67,7 +67,7 @@ def base(d: int, n: int):
     grid = Grid(d=d, n=n, L=4.0)
     kernels, forcings = fields(grid)
     uncoupled = problem(grid, kernels, forcings, (0.0, 0.0))
-    eps_max = compute_bounds(uncoupled, uncoupled.background_h4).eps_max
+    eps_max = compute_bounds(uncoupled).eps_max
     eps = (0.5 * eps_max, 0.3 * eps_max)
     return grid, kernels, forcings, eps, solve(grid, kernels, forcings, eps)
 
